@@ -1,26 +1,28 @@
 //! Portfolio speedup experiment: diversified parallel solving vs one
 //! sequential worker.
 //!
-//! Solves a seeded corpus of hard instances with a 1-thread and a 4-thread
-//! racing portfolio (worker 0 of the 1-thread run *is* the sequential
-//! solver) and reports the median wall-clock speedup. The corpus is built
-//! so diversification — not raw core count — carries the win: the planted
-//! family is trivial for the flipped-polarity worker and a grind for the
-//! base configuration, so the portfolio pays off even on a single CPU.
-//! Every instance is also solved sequentially and all verdicts must agree;
-//! any disagreement exits nonzero.
+//! Solves a seeded corpus of hard instances with one broadcast round on a
+//! 1-seat and on a 4-seat racing `ProbePool` — the shape of the engine's
+//! portfolio backend (seat 0 *is* the sequential solver's configuration)
+//! — and reports the median wall-clock speedup, pool start-up included.
+//! The corpus is built so diversification — not raw core count — carries
+//! the win: the planted family is trivial for the flipped-polarity seat and
+//! a grind for the base configuration, so the pool pays off even on a
+//! single CPU. Every instance is also solved sequentially and all verdicts
+//! must agree; any disagreement exits nonzero.
 //!
 //! `--smoke` runs a reduced corpus with a conservative ≥1.0× median bound
 //! (vs ≥1.5× for the full run) so CI can gate on it without flaking.
 
 use netarch_rt::Rng;
-use netarch_sat::{Lit, Portfolio, PortfolioConfig, SolveResult, Solver, Var};
+use netarch_sat::{Lit, ProbePool, ProbePoolConfig, SolveResult, Solver, SolverConfig, Var};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Random 3-SAT with every all-negative clause rejected, so the all-true
-/// assignment satisfies the formula. The flipped-polarity worker decides
+/// assignment satisfies the formula. The flipped-polarity seat decides
 /// true everywhere and finishes without a single conflict; the base
-/// (false-polarity) worker has to search.
+/// (false-polarity) seat has to search.
 fn polarity_planted(num_vars: usize, ratio: f64, seed: u64) -> (usize, Vec<Vec<Lit>>) {
     let mut rng = Rng::seed_from_u64(seed);
     let num_clauses = (num_vars as f64 * ratio) as usize;
@@ -78,7 +80,7 @@ fn pigeonhole(n: usize) -> (usize, Vec<Vec<Lit>>) {
 struct Instance {
     label: String,
     num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
+    clauses: Arc<Vec<Vec<Lit>>>,
 }
 
 fn corpus(smoke: bool) -> Vec<Instance> {
@@ -94,30 +96,59 @@ fn corpus(smoke: bool) -> Vec<Instance> {
         instances.push(Instance {
             label: format!("planted/{planted_vars}/{i}"),
             num_vars: nv,
-            clauses,
+            clauses: Arc::new(clauses),
         });
     }
     for i in 0..random as u64 {
         let (nv, clauses) = random_3sat(60, 4.26, 0x7456_0000 + i);
-        instances.push(Instance { label: format!("threshold3sat/60/{i}"), num_vars: nv, clauses });
+        instances.push(Instance {
+            label: format!("threshold3sat/60/{i}"),
+            num_vars: nv,
+            clauses: Arc::new(clauses),
+        });
     }
     for i in 0..unsat_seeds {
         let (nv, clauses) = random_3sat(42, 6.0, 0xF00D_0000 + i);
-        instances.push(Instance { label: format!("unsat3sat/42/{i}"), num_vars: nv, clauses });
+        instances.push(Instance {
+            label: format!("unsat3sat/42/{i}"),
+            num_vars: nv,
+            clauses: Arc::new(clauses),
+        });
     }
     if !smoke {
         let (nv, clauses) = pigeonhole(7);
-        instances.push(Instance { label: "pigeonhole/7".to_string(), num_vars: nv, clauses });
+        instances.push(Instance {
+            label: "pigeonhole/7".to_string(),
+            num_vars: nv,
+            clauses: Arc::new(clauses),
+        });
     }
     instances
 }
 
-fn solve_portfolio(inst: &Instance, threads: usize) -> (SolveResult, f64) {
-    let portfolio =
-        Portfolio::new(PortfolioConfig { num_threads: threads, seed: 0xBEEF, ..Default::default() });
+/// One broadcast round on a fresh racing pool, timed from spawning the
+/// seats to joining them; the verdict is the lowest-index decisive seat's.
+fn solve_pooled(inst: &Instance, seats: usize) -> (SolveResult, f64) {
     let start = Instant::now();
-    let out = portfolio.solve(inst.num_vars, &inst.clauses, &[]);
-    (out.result, start.elapsed().as_secs_f64())
+    let mut pool = ProbePool::new(ProbePoolConfig {
+        seats,
+        num_vars: inst.num_vars,
+        clauses: Arc::clone(&inst.clauses),
+        base: SolverConfig::default(),
+        frozen: Vec::new(),
+        deterministic: false,
+        seed: 0xBEEF,
+        conflict_budget: None,
+    });
+    let outcomes = pool.solve_round(&vec![Vec::new(); seats]);
+    pool.finish();
+    let elapsed = start.elapsed().as_secs_f64();
+    let verdict = outcomes
+        .iter()
+        .map(|o| o.result)
+        .find(|&r| r != SolveResult::Unknown)
+        .unwrap_or(SolveResult::Unknown);
+    (verdict, elapsed)
 }
 
 fn median(values: &mut [f64]) -> f64 {
@@ -129,9 +160,9 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let bound = if smoke { 1.0 } else { 1.5 };
     netarch_bench::section(if smoke {
-        "Portfolio speedup (smoke corpus): 4 diversified workers vs 1"
+        "Portfolio speedup (smoke corpus): 4 diversified probe seats vs 1"
     } else {
-        "Portfolio speedup: 4 diversified workers vs 1"
+        "Portfolio speedup: 4 diversified probe seats vs 1"
     });
 
     let instances = corpus(smoke);
@@ -144,12 +175,12 @@ fn main() {
     for inst in &instances {
         let mut sequential = Solver::new();
         sequential.ensure_vars(inst.num_vars);
-        for c in &inst.clauses {
+        for c in inst.clauses.iter() {
             sequential.add_clause(c.iter().copied());
         }
         let expected = sequential.solve();
-        let (r1, t1) = solve_portfolio(inst, 1);
-        let (r4, t4) = solve_portfolio(inst, 4);
+        let (r1, t1) = solve_pooled(inst, 1);
+        let (r4, t4) = solve_pooled(inst, 4);
         if r1 != expected || r4 != expected {
             disagreements += 1;
             eprintln!("DISAGREEMENT on {}: sequential={expected:?} t1={r1:?} t4={r4:?}", inst.label);

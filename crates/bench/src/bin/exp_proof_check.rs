@@ -8,8 +8,7 @@
 //! Run by `scripts/ci.sh` as the `proof-check` step.
 
 use netarch_sat::{
-    check_refutation, check_refutation_under_assumptions, Lit, Portfolio, PortfolioConfig,
-    SolveResult, Solver, Var,
+    check_refutation, check_refutation_under_assumptions, Lit, SolveResult, Solver, Var,
 };
 use netarch_rt::Rng;
 use std::time::Instant;
@@ -154,52 +153,12 @@ fn main() {
         tally.run(&format!("assumed/{seed:#x}"), num_vars + 6, &clauses, &assumptions);
     }
 
-    // Portfolio proof mode: the winning worker of a 2-thread racing
-    // portfolio must return a proof the checker accepts too (sharing is
-    // disabled under proof mode so the proof stays self-contained).
-    let mut portfolio_accepted = 0usize;
-    let mut portfolio_unsat = 0usize;
-    {
-        let mut check_portfolio = |label: &str, num_vars: usize, clauses: &[Vec<Lit>]| {
-            let portfolio = Portfolio::new(PortfolioConfig {
-                num_threads: 2,
-                verify_proofs: true,
-                seed: 3,
-                ..Default::default()
-            });
-            let out = portfolio.solve(num_vars, clauses, &[]);
-            if out.result != SolveResult::Unsat {
-                return;
-            }
-            portfolio_unsat += 1;
-            let proof = out.proof.as_ref().expect("proof mode attaches a proof to UNSAT");
-            match check_refutation(num_vars, clauses, proof) {
-                Ok(()) => portfolio_accepted += 1,
-                Err(e) => tally.rejections.push(format!("portfolio/{label}: {e}")),
-            }
-        };
-        for n in 4..=7 {
-            let (num_vars, clauses) = pigeonhole(n);
-            check_portfolio(&format!("pigeonhole/{n}"), num_vars, &clauses);
-        }
-        for n in (3..=41).step_by(2) {
-            let (num_vars, clauses) = odd_cycle(n);
-            check_portfolio(&format!("odd-cycle/{n}"), num_vars, &clauses);
-        }
-        for i in 0..20u64 {
-            let (nv, clauses) = random_3sat(20, 6.0, 0x9027_0000 + i);
-            check_portfolio(&format!("random3sat/{i}"), nv, &clauses);
-        }
-    }
-
     let elapsed = start.elapsed();
     println!("  instances solved UNSAT      {:>8}", tally.solved_unsat);
     println!("  instances solved SAT        {:>8}", tally.solved_sat);
     println!("  proofs accepted             {:>8}", tally.accepted);
     println!("  proofs rejected             {:>8}", tally.rejections.len());
     println!("  total proof steps           {:>8}", tally.proof_steps);
-    println!("  portfolio UNSAT verdicts    {portfolio_unsat:>8}");
-    println!("  portfolio proofs accepted   {portfolio_accepted:>8}");
     println!("  wall time                   {elapsed:>8.2?}");
 
     let summary = netarch_rt::jobj! {
@@ -209,8 +168,6 @@ fn main() {
         "accepted": tally.accepted,
         "rejected": tally.rejections.len(),
         "proof_steps": tally.proof_steps,
-        "portfolio_unsat": portfolio_unsat,
-        "portfolio_accepted": portfolio_accepted,
     };
     println!("RESULT_JSON: {}", netarch_rt::json::to_string(&summary));
 
@@ -227,11 +184,6 @@ fn main() {
         tally.solved_unsat
     );
     assert_eq!(tally.accepted, tally.solved_unsat);
-    assert!(
-        portfolio_unsat >= 40,
-        "portfolio section must exercise at least 40 UNSAT verdicts, got {portfolio_unsat}"
-    );
-    assert_eq!(portfolio_accepted, portfolio_unsat);
     println!(
         "\nPASS: all {} UNSAT verdicts carry checker-accepted DRAT proofs.",
         tally.solved_unsat

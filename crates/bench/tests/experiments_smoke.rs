@@ -5,14 +5,25 @@
 //! suite fast in debug builds.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn run(binary: &str) -> (bool, String) {
+    // Keep smoke runs from rewriting the committed BENCH_*.json trajectory
+    // files; only deliberate top-level runs update those. Each run gets its
+    // own directory, because tests on parallel threads may run the same
+    // binary (and so write the same BENCH_<area>.json) at once.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "netarch-exp-smoke-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("create bench dir");
     let output = Command::new(binary)
-        // Keep smoke runs from rewriting the committed BENCH_*.json
-        // trajectory files; only deliberate top-level runs update those.
-        .env("NETARCH_BENCH_DIR", std::env::temp_dir())
+        .env("NETARCH_BENCH_DIR", &dir)
         .output()
         .expect("binary runs");
+    std::fs::remove_dir_all(&dir).ok();
     (
         output.status.success(),
         format!(

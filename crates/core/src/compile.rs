@@ -65,8 +65,8 @@ pub struct CompileStats {
     pub session_solves: u64,
     /// Per-query activation literals retired back into the session.
     pub retired_activations: u64,
-    /// Decisive one-shot solves dispatched to the parallel portfolio
-    /// backend (0 under the default sequential backend).
+    /// Probe-pool rounds run on the parallel portfolio backend (0 under
+    /// the default sequential backend).
     pub portfolio_solves: u64,
     /// Conflicts resolved by the session solver over its lifetime.
     pub conflicts: u64,
@@ -178,21 +178,17 @@ pub struct CompiledCapacity {
 /// `[1, max_servers]`. Budget constraints, when present, price the fleet
 /// at the fixed `inventory.num_servers` (documented approximation: the
 /// capacity query answers fleet *size*, with cost reported afterwards).
+/// The fleet bisection runs on the session solver alone, so the backend
+/// is always sequential.
 pub fn compile_capacity(
     scenario: &Scenario,
     max_servers: u64,
 ) -> Result<CompiledCapacity, CompileError> {
-    compile_capacity_with_backend(scenario, max_servers, netarch_logic::backend_from_env())
-}
-
-/// [`compile_capacity`] with an explicit solve backend instead of the
-/// `NETARCH_THREADS`-derived default.
-pub fn compile_capacity_with_backend(
-    scenario: &Scenario,
-    max_servers: u64,
-    backend: netarch_logic::SolveBackend,
-) -> Result<CompiledCapacity, CompileError> {
-    let mut out = compile_inner(scenario, Some(max_servers.max(1)), backend)?;
+    let mut out = compile_inner(
+        scenario,
+        Some(max_servers.max(1)),
+        netarch_logic::SolveBackend::Sequential,
+    )?;
     let server_count = out
         .1
         .take()
@@ -201,8 +197,8 @@ pub fn compile_capacity_with_backend(
 }
 
 /// Compiles a scenario. Validates the catalog, inventory references, and
-/// preference order first. The solve backend for decisive one-shot queries
-/// comes from the environment (`NETARCH_THREADS`); use
+/// preference order first. The solve backend comes from the environment
+/// (`NETARCH_THREADS`); use
 /// [`compile_with_backend`] to pin it explicitly.
 pub fn compile(scenario: &Scenario) -> Result<Compiled, CompileError> {
     compile_with_backend(scenario, netarch_logic::backend_from_env())

@@ -23,7 +23,7 @@
 //! next query. No query triggers a recompile.
 
 use crate::compile::{
-    compile_capacity_with_backend, compile_with_backend, Compiled, CompiledCapacity, CompileStats,
+    compile_capacity, compile_with_backend, Compiled, CompiledCapacity, CompileStats,
 };
 use crate::error::CompileError;
 use crate::ordering::Comparison;
@@ -31,7 +31,7 @@ use crate::scenario::Scenario;
 use crate::solution::Design;
 use crate::types::{Dimension, SystemId};
 use netarch_logic::maxsat::{compile_softs, minimize_under, MaxSatOutcome};
-use netarch_logic::{CompiledSofts, Formula, Soft, Speculation};
+use netarch_logic::{CompiledSofts, Formula, Soft};
 use netarch_sat::{Lit, SolveResult};
 
 /// Retired activation literals tolerated before the session compacts its
@@ -135,15 +135,11 @@ pub struct Engine {
     recompiles: u64,
     /// Activation literals retired since the last garbage collection.
     retired_since_gc: u32,
-    /// Backend for decisive one-shot probes (optimize feasibility probe,
-    /// capacity binary search). Core/MUS-bearing solves always stay on the
-    /// sequential session solver regardless of this setting.
-    backend: netarch_logic::SolveBackend,
 }
 
 impl Engine {
-    /// Compiles a scenario into an engine. The solve backend for decisive
-    /// one-shot probes follows `NETARCH_THREADS` (see
+    /// Compiles a scenario into an engine. The solve backend follows
+    /// `NETARCH_THREADS` (see
     /// [`netarch_logic::backend_from_env`]); use [`Engine::with_backend`]
     /// to pin it explicitly.
     pub fn new(scenario: Scenario) -> Result<Engine, CompileError> {
@@ -151,11 +147,15 @@ impl Engine {
     }
 
     /// Compiles a scenario into an engine with an explicit solve backend.
+    /// Under a portfolio backend the optimize feasibility probe and MaxSAT
+    /// descent run on probe-pool seats; every other solve — check,
+    /// enumeration, the capacity search, and all core/MUS-bearing work —
+    /// stays on the sequential session solver.
     pub fn with_backend(
         scenario: Scenario,
         backend: netarch_logic::SolveBackend,
     ) -> Result<Engine, CompileError> {
-        let compiled = compile_with_backend(&scenario, backend.clone())?;
+        let compiled = compile_with_backend(&scenario, backend)?;
         Ok(Engine {
             scenario,
             compiled,
@@ -166,7 +166,6 @@ impl Engine {
             capacity_cache: Vec::new(),
             recompiles: 0,
             retired_since_gc: 0,
-            backend,
         })
     }
 
@@ -178,22 +177,19 @@ impl Engine {
     /// Compilation size metrics plus session-reuse counters. Solver-side
     /// counters aggregate over the main session solver, every cached
     /// capacity engine's solver (capacity probes are session solves too),
-    /// and the worker solvers of the parallel query loops — effort done on
-    /// throwaway probe/cube workers is absorbed rather than lost.
+    /// and the probe seats of every parallel solve — effort done on
+    /// throwaway seats is absorbed rather than lost.
     pub fn stats(&self) -> CompileStats {
         let mut total = *self.compiled.encoder.solver().stats();
         total.absorb(&self.compiled.encoder.parallel_worker_stats());
-        let mut portfolio_solves = self.compiled.encoder.portfolio_solve_count();
         for (_, cc) in &self.capacity_cache {
             total.absorb(cc.compiled.encoder.solver().stats());
-            total.absorb(&cc.compiled.encoder.parallel_worker_stats());
-            portfolio_solves += cc.compiled.encoder.portfolio_solve_count();
         }
         CompileStats {
             recompiles: self.recompiles,
             session_solves: total.solves,
             retired_activations: total.retired_activations,
-            portfolio_solves,
+            portfolio_solves: self.compiled.encoder.portfolio_solve_count(),
             conflicts: total.conflicts,
             learnt_clauses: total.learnt_clauses,
             subsumed: total.subsumed,
@@ -319,12 +315,10 @@ impl Engine {
         if let Some(cached) = &self.optimize_cache {
             return Ok(cached.clone());
         }
-        // First check feasibility (with usable diagnosis). This decisive
-        // one-shot probe is the expensive verdict the portfolio backend is
-        // for; the MUS extraction below needs unsat cores and stays on the
-        // sequential session solver.
+        // First check feasibility (with usable diagnosis): the MUS
+        // extraction below needs the session solver's unsat cores.
         let mut base = self.compiled.all_selectors();
-        if self.compiled.encoder.solve_with_backend(&base) != SolveResult::Sat {
+        if self.compiled.encoder.solve_with(&base) != SolveResult::Sat {
             let ids = self.compiled.groups.ids();
             let mus = self
                 .compiled
@@ -395,51 +389,10 @@ impl Engine {
         {
             return Ok(cached.clone());
         }
-        // Cube-and-conquer path: with parallel seats available, split the
-        // projection space on a small cube of decision literals and
-        // enumerate each cube on its own worker over the mirrored CNF. The
-        // workers are throwaway (their blocking clauses die with them), so
-        // no gate enters the session, and the merge is in cube-index order
-        // — the same deterministic class *set* as the sequential walk.
-        let atoms = self.compiled.decision_atoms(include_hardware);
-        if self.compiled.encoder.parallel_seats() >= 2 && !atoms.is_empty() {
-            let assumptions = self.compiled.all_selectors();
-            let vars = self.compiled.encoder.projection_vars(&atoms);
-            if let Some(out) =
-                self.compiled
-                    .encoder
-                    .enumerate_cubes_backend(&vars, &assumptions, limit)
-            {
-                let designs: Vec<Design> = out
-                    .models
-                    .iter()
-                    .map(|model| {
-                        Design::from_model(
-                            &self.scenario,
-                            |id| {
-                                self.compiled
-                                    .system_atoms
-                                    .get(id)
-                                    .and_then(|&a| self.compiled.encoder.atom_value_in(a, model))
-                                    .unwrap_or(false)
-                            },
-                            |id| {
-                                self.compiled
-                                    .hardware_atoms
-                                    .get(id)
-                                    .and_then(|&a| self.compiled.encoder.atom_value_in(a, model))
-                                    .unwrap_or(false)
-                            },
-                        )
-                    })
-                    .collect();
-                self.enumerate_cache.push(((limit, include_hardware), designs.clone()));
-                return Ok(designs);
-            }
-        }
         // Session enumeration: every blocking clause is gated behind a
         // per-query activation literal, so retiring it afterwards hands
         // the unblocked model space back to the next query.
+        let atoms = self.compiled.decision_atoms(include_hardware);
         let mut assumptions = self.compiled.all_selectors();
         let gate = self.compiled.encoder.new_selector();
         assumptions.push(gate);
@@ -605,8 +558,7 @@ impl Engine {
             if !self.capacity_cache.is_empty() {
                 self.recompiles += 1;
             }
-            let cc =
-                compile_capacity_with_backend(&self.scenario, max_servers, self.backend.clone())?;
+            let cc = compile_capacity(&self.scenario, max_servers)?;
             self.capacity_cache.insert(0, (max_servers, cc));
             self.capacity_cache.truncate(CAPACITY_CACHE_CAP);
         }
@@ -614,25 +566,7 @@ impl Engine {
         let compiled = &mut cc.compiled;
         let n = &cc.server_count;
         let selectors = compiled.all_selectors();
-        // One-shot portfolio probes spawn fresh diversified workers per
-        // solve. A bisection probe has no algorithmic angle for those
-        // workers to exploit — they race the *same* query — so the spawn
-        // cost pays off only when physical cores actually run the race
-        // concurrently. Without them, every solve in this query stays on
-        // the warm incremental session solver.
-        let probe_backend = match compiled.encoder.speculation() {
-            Speculation::Always => true,
-            Speculation::Never => false,
-            Speculation::Auto => portfolio_probes_pay_off(),
-        };
-        let solve = |compiled: &mut Compiled, assumptions: &[Lit]| {
-            if probe_backend {
-                compiled.encoder.solve_with_backend(assumptions)
-            } else {
-                compiled.encoder.solve_with(assumptions)
-            }
-        };
-        if solve(compiled, &selectors) != SolveResult::Sat {
+        if compiled.encoder.solve_with(&selectors) != SolveResult::Sat {
             let ids = compiled.groups.ids();
             let mus = compiled
                 .groups
@@ -641,29 +575,10 @@ impl Engine {
             return Ok(Err(diagnosis_from(compiled, &mus)));
         }
         let read_n = |compiled: &Compiled, n: &netarch_logic::OrderInt| {
-            // Route through the encoder so a portfolio winner's adopted
-            // model is visible, not just the session solver's own.
             n.value(&|l| compiled.encoder.model_lit_value(l))
         };
         let mut best = read_n(compiled, n);
         let mut lo = n.lo();
-        // Speculative pass: probe several fleet bounds per round on worker
-        // seats, shrinking [lo, best) faster than one midpoint at a time.
-        // The sequential loop below still finishes the search, so the
-        // speculative pass only needs to make progress — but its pool
-        // clones the session CNF into every seat, so it engages only when
-        // the policy (and, under Auto, the cost heuristic) says that setup
-        // cost can pay for itself.
-        let seats = compiled.encoder.parallel_seats();
-        let engage = seats >= 2
-            && match compiled.encoder.speculation() {
-                Speculation::Always => true,
-                Speculation::Never => false,
-                Speculation::Auto => speculation_pays_off(seats, lo, best),
-            };
-        if engage {
-            speculative_capacity_search(compiled, n, &selectors, &mut lo, &mut best);
-        }
         while lo < best {
             let mid = lo + (best - lo) / 2;
             let mut assumptions = selectors.clone();
@@ -672,7 +587,7 @@ impl Engine {
                 netarch_logic::Bound::AlwaysFalse => {}
                 netarch_logic::Bound::AlwaysTrue => break,
             }
-            match solve(compiled, &assumptions) {
+            match compiled.encoder.solve_with(&assumptions) {
                 SolveResult::Sat => best = read_n(compiled, n).min(mid),
                 SolveResult::Unsat | SolveResult::Unknown => lo = mid + 1,
             }
@@ -682,7 +597,7 @@ impl Engine {
         if let netarch_logic::Bound::Lit(q) = n.ge_const(best + 1) {
             assumptions.push(!q);
         }
-        let restored = solve(compiled, &assumptions);
+        let restored = compiled.encoder.solve_with(&assumptions);
         debug_assert_eq!(restored, SolveResult::Sat);
         // Extract the design against a scenario sized at the optimum.
         let mut sized = self.scenario.clone();
@@ -729,115 +644,6 @@ pub struct CapacityPlan {
     pub servers_needed: u64,
     /// A compliant design at that fleet size.
     pub design: Design,
-}
-
-/// Below this open-interval width the sequential finisher needs at most
-/// `log2(SPECULATION_MIN_WIDTH)` incremental probes on the already-warm
-/// session solver — cheaper than cloning the CNF into a worker pool, so
-/// speculation cannot pay for itself.
-const SPECULATION_MIN_WIDTH: u64 = 64;
-
-/// The `Speculation::Auto` cost heuristic. The probe pool wins only when
-/// (a) the open interval `[lo, best)` is wide enough that the saved
-/// bisection rounds amortize the per-seat CNF clones, and (b) the machine
-/// has enough physical cores to actually run the seats concurrently —
-/// oversubscribed seats serialize, turning each round into `seats`
-/// sequential probes, which always loses to one midpoint at a time.
-fn speculation_pays_off(seats: usize, lo: u64, best: u64) -> bool {
-    best.saturating_sub(lo) >= SPECULATION_MIN_WIDTH && physical_cores() >= seats
-}
-
-/// Whether one-shot portfolio probes can win a race at all: with a single
-/// physical core the freshly-spawned workers serialize, so racing `k`
-/// identical probes costs up to `k×` one warm incremental solve.
-fn portfolio_probes_pay_off() -> bool {
-    physical_cores() >= 2
-}
-
-/// Physical cores available to back parallel work (1 when undetectable).
-fn physical_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// One speculative pass of the capacity binary search. Each round spreads
-/// up to `seats` probe bounds evenly across the open interval `[lo, best)`
-/// and races them on persistent workers: SAT at bound `m` lowers `best` to
-/// the probed model's fleet size (≤ m), UNSAT raises `lo` past `m`. Both
-/// facts are monotone — the fleet sizes form a feasibility staircase — so
-/// folding decisive answers in ascending-bound order is timing-independent,
-/// and the sequential finisher loop preserves the exact-optimum invariant.
-fn speculative_capacity_search(
-    compiled: &mut Compiled,
-    n: &netarch_logic::OrderInt,
-    selectors: &[Lit],
-    lo: &mut u64,
-    best: &mut u64,
-) {
-    // Probes assume the selectors plus order-encoding thresholds; declare
-    // them all so no seat's inprocessing eliminates one mid-search.
-    let mut assumable = selectors.to_vec();
-    assumable.extend(n.thresholds().iter().copied());
-    let Some(mut pool) = compiled.encoder.probe_pool(&assumable) else {
-        return;
-    };
-    let mut rounds = 0u64;
-    loop {
-        if *best <= *lo || *best - *lo < 2 {
-            break; // 0 or 1 open values: the sequential loop finishes.
-        }
-        let width = (pool.seats() as u64).min(*best - *lo - 1);
-        let mut mids: Vec<u64> = (1..=width)
-            .map(|j| *lo + (*best - *lo) * j / (width + 1))
-            .collect();
-        mids.sort_unstable();
-        mids.dedup();
-        mids.retain(|&m| m >= *lo && m < *best);
-        if mids.is_empty() {
-            break;
-        }
-        let mut probes = Vec::with_capacity(mids.len());
-        let mut probed = Vec::with_capacity(mids.len());
-        for &mid in &mids {
-            // Assume "fleet ≤ mid" via the order encoding; mids inside the
-            // open interval always map to a literal, but stay defensive.
-            let netarch_logic::Bound::Lit(q) = n.ge_const(mid + 1) else {
-                continue;
-            };
-            let mut assumptions = selectors.to_vec();
-            assumptions.push(!q);
-            probes.push(assumptions);
-            probed.push(mid);
-        }
-        if probes.is_empty() {
-            break;
-        }
-        let outcomes = pool.solve_round(&probes);
-        rounds += 1;
-        let mut progressed = false;
-        for (&mid, outcome) in probed.iter().zip(&outcomes) {
-            match outcome.result {
-                SolveResult::Sat => {
-                    let model = outcome.model.as_deref().expect("SAT probes carry a model");
-                    let achieved = n.value(&|l| netarch_sat::lit_value_in(model, l)).min(mid);
-                    if achieved < *best {
-                        *best = achieved;
-                        progressed = true;
-                    }
-                }
-                SolveResult::Unsat => {
-                    if mid + 1 > *lo {
-                        *lo = mid + 1;
-                        progressed = true;
-                    }
-                }
-                SolveResult::Unknown => {}
-            }
-        }
-        if !progressed {
-            break; // all probes cancelled/inconclusive: fall back.
-        }
-    }
-    compiled.encoder.absorb_parallel(&pool.finish(), rounds);
 }
 
 /// Maps an impossible mid-optimization MaxSAT outcome to a typed error.

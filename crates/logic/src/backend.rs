@@ -2,17 +2,16 @@
 //!
 //! The incremental session solver is the default — it carries learned
 //! clauses, heuristic state, and activation-literal bookkeeping across
-//! queries, which a freshly-spawned portfolio cannot. The portfolio backend
-//! is worth its setup cost only on expensive *one-shot* verdicts (optimize
-//! descent probes, capacity binary-search probes), where the engine routes
-//! through [`Encoder::solve_with_backend`](crate::Encoder::solve_with_backend)
-//! while everything core/MUS-bearing stays sequential.
+//! queries. The portfolio backend adds one parallel path: the MaxSAT
+//! descent races its bound probes on a `netarch_sat::ProbePool` of
+//! diversified seats. Every other solve, one-shot verdicts and
+//! core/MUS-bearing ones included, stays on the session solver.
 //!
 //! The `NETARCH_THREADS` environment variable selects the backend globally:
-//! unset, empty, `0`, or `1` mean sequential; `N ≥ 2` means an N-worker
+//! unset, empty, `0`, or `1` mean sequential; `N ≥ 2` means an N-seat
 //! portfolio (see [`threads_requested`]).
 
-use netarch_sat::{PortfolioConfig, SolverConfig};
+use netarch_sat::SolverConfig;
 
 /// Which solver executes a query's decisive solve calls.
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -20,7 +19,7 @@ pub enum SolveBackend {
     /// The encoder's own incremental session solver.
     #[default]
     Sequential,
-    /// A diversified parallel portfolio (fresh workers per solve).
+    /// Diversified parallel seats on a probe pool.
     Portfolio(PortfolioOptions),
 }
 
@@ -30,7 +29,7 @@ impl SolveBackend {
         matches!(self, SolveBackend::Portfolio(_))
     }
 
-    /// A portfolio backend with `num_threads` workers and default options.
+    /// A portfolio backend with `num_threads` seats and default options.
     pub fn portfolio(num_threads: usize) -> SolveBackend {
         SolveBackend::Portfolio(PortfolioOptions {
             num_threads,
@@ -39,75 +38,23 @@ impl SolveBackend {
     }
 }
 
-/// When a speculative query loop (today: the capacity binary search's
-/// probe-pool pass) may engage. The pool pays a real setup cost — the
-/// session CNF is cloned into every worker seat — so engaging it
-/// unconditionally *loses* wall time whenever the machine cannot run the
-/// seats concurrently or the search interval is too narrow to amortize
-/// the clones.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Speculation {
-    /// Engage only when the cost heuristic says the pool pays for itself:
-    /// a wide open interval *and* enough physical parallelism to actually
-    /// run the seats concurrently.
-    #[default]
-    Auto,
-    /// Always engage — for tests and A/B measurement of the pass itself.
-    Always,
-    /// Never engage; the sequential midpoint loop does all the work.
-    Never,
-}
-
 /// Portfolio tuning exposed at the logic layer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PortfolioOptions {
-    /// Worker count (≥ 1; 1 degenerates to a sequential-equivalent worker).
+    /// Seat count; fewer than 2 seats solve sequentially on the session
+    /// solver.
     pub num_threads: usize,
-    /// Export filter: learnt clauses with LBD above this stay private.
-    pub lbd_threshold: u32,
-    /// Deterministic arbitration (no cancellation, no sharing) for
-    /// reproducible runs; see `netarch_sat::portfolio`.
+    /// Deterministic arbitration (no cancellation; every seat finishes and
+    /// the lowest-index decisive seat wins) for reproducible runs; see
+    /// `netarch_sat::probes`.
     pub deterministic: bool,
-    /// Diversification seed threaded into every worker's RNG.
+    /// Diversification seed threaded into every seat's RNG.
     pub seed: u64,
-    /// Gates the parallel *query loops* (racing MaxSAT descent,
-    /// cube-and-conquer enumeration, speculative capacity search)
-    /// independently of one-shot probe routing. On by default; turn off to
-    /// fall back to sequential loops while keeping portfolio probes.
-    pub parallel_queries: bool,
-    /// Engagement policy for speculative probe-pool passes.
-    pub speculation: Speculation,
 }
 
 impl Default for PortfolioOptions {
     fn default() -> PortfolioOptions {
-        PortfolioOptions {
-            num_threads: 4,
-            lbd_threshold: 4,
-            deterministic: false,
-            seed: 0,
-            parallel_queries: true,
-            speculation: Speculation::default(),
-        }
-    }
-}
-
-impl PortfolioOptions {
-    /// Lowers these options into a `netarch_sat` portfolio configuration.
-    /// `verify_proofs` disables sharing inside the portfolio and makes every
-    /// worker log a DRAT proof. `base` is the solver configuration every
-    /// worker inherits before diversification — this is how inprocessing
-    /// and chronological-backtracking settings reach portfolio workers.
-    pub fn to_portfolio_config(&self, verify_proofs: bool, base: SolverConfig) -> PortfolioConfig {
-        PortfolioConfig {
-            num_threads: self.num_threads,
-            base,
-            lbd_threshold: self.lbd_threshold,
-            deterministic: self.deterministic,
-            verify_proofs,
-            seed: self.seed,
-            conflict_budget: None,
-        }
+        PortfolioOptions { num_threads: 4, deterministic: false, seed: 0 }
     }
 }
 
@@ -118,14 +65,9 @@ pub fn threads_requested() -> Option<usize> {
 }
 
 /// The backend selected by the environment: a portfolio when
-/// `NETARCH_THREADS` requests two or more workers, sequential otherwise.
-/// Three further knobs refine a portfolio backend: `NETARCH_PARALLEL_QUERIES`
-/// (`0`/`off` keeps the query loops sequential while one-shot probes still
-/// use the portfolio), `NETARCH_DETERMINISTIC` (`1`/`on` selects
-/// deterministic arbitration — bit-identical runs, no cancellation), and
-/// `NETARCH_SPECULATE` (`1`/`on` forces speculative probe-pool passes on,
-/// `0`/`off` forces them off; unset leaves the [`Speculation::Auto`]
-/// cost heuristic in charge).
+/// `NETARCH_THREADS` requests two or more seats, sequential otherwise.
+/// `NETARCH_DETERMINISTIC` (`1`/`on`) refines a portfolio backend with
+/// deterministic arbitration — bit-identical runs, no cancellation.
 pub fn backend_from_env() -> SolveBackend {
     match threads_requested() {
         Some(n) if n >= 2 => {
@@ -133,15 +75,8 @@ pub fn backend_from_env() -> SolveBackend {
                 num_threads: n,
                 ..PortfolioOptions::default()
             };
-            if let Some(on) = parse_switch(std::env::var("NETARCH_PARALLEL_QUERIES").ok().as_deref())
-            {
-                opts.parallel_queries = on;
-            }
             if let Some(on) = parse_switch(std::env::var("NETARCH_DETERMINISTIC").ok().as_deref()) {
                 opts.deterministic = on;
-            }
-            if let Some(on) = parse_switch(std::env::var("NETARCH_SPECULATE").ok().as_deref()) {
-                opts.speculation = if on { Speculation::Always } else { Speculation::Never };
             }
             SolveBackend::Portfolio(opts)
         }
@@ -163,7 +98,7 @@ pub fn solver_config_from_env() -> SolverConfig {
 }
 
 /// Interprets a boolean environment switch (`NETARCH_INPROCESS`,
-/// `NETARCH_PARALLEL_QUERIES`, `NETARCH_DETERMINISTIC`): `0`/`off`/`false`/
+/// `NETARCH_DETERMINISTIC`): `0`/`off`/`false`/
 /// `no` disable, `1`/`on`/`true`/`yes` enable, anything else (including
 /// unset) leaves the default. Split out as a pure helper (like
 /// [`parse_threads`]) so tests avoid process-global environment mutation.
@@ -224,10 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn default_options_enable_parallel_queries() {
+    fn default_options_race_four_seats() {
         let opts = PortfolioOptions::default();
-        assert!(opts.parallel_queries);
+        assert_eq!(opts.num_threads, 4);
         assert!(!opts.deterministic);
+        assert_eq!(opts.seed, 0);
     }
 
     #[test]
@@ -235,11 +171,9 @@ mod tests {
         assert!(!SolveBackend::Sequential.is_portfolio());
         let b = SolveBackend::portfolio(2);
         assert!(b.is_portfolio());
-        if let SolveBackend::Portfolio(opts) = &b {
-            assert_eq!(opts.num_threads, 2);
-            let cfg = opts.to_portfolio_config(true, SolverConfig::default());
-            assert_eq!(cfg.num_threads, 2);
-            assert!(cfg.verify_proofs);
-        }
+        assert_eq!(
+            b,
+            SolveBackend::Portfolio(PortfolioOptions { num_threads: 2, ..PortfolioOptions::default() })
+        );
     }
 }

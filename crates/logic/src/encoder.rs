@@ -6,13 +6,10 @@
 //! layer attributes conflicts back to named architecture rules.
 
 use crate::ast::{Atom, Formula};
-use crate::backend::{PortfolioOptions, SolveBackend, Speculation};
+use crate::backend::SolveBackend;
 use crate::cardinality::{self, CardEncoding};
 use crate::sink::ClauseSink;
-use netarch_sat::{
-    enumerate_projected_cubes, CubeEnumeration, Lit, Portfolio, ProbePool, ProbePoolConfig,
-    SolveResult, Solver, Stats, Var,
-};
+use netarch_sat::{Lit, ProbePool, ProbePoolConfig, SolveResult, Solver, Stats, Var};
 use std::sync::Arc;
 
 /// Encoder configuration.
@@ -29,16 +26,15 @@ pub struct EncodeConfig {
     /// Clauses injected directly through [`Encoder::solver_mut`] bypass the
     /// mirror and are not supported while this mode is on.
     pub verify_proofs: bool,
-    /// Backend for [`Encoder::solve_with_backend`]: sequential session
-    /// solving (default) or a parallel portfolio for expensive one-shot
-    /// verdicts. Like verify mode, the portfolio backend mirrors every
-    /// asserted clause (the workers need the CNF), so clauses injected
+    /// Backend for the MaxSAT descent: sequential session solving (default)
+    /// or a race on parallel probe-pool seats.
+    /// Like verify mode, a portfolio backend with two or more seats mirrors
+    /// every asserted clause (the seats need the CNF), so clauses injected
     /// through [`Encoder::solver_mut`] are unsupported while it is on.
     pub backend: SolveBackend,
     /// Configuration for the underlying session solver (inprocessing
     /// cadence, chronological backtracking, restart policy, …). Also the
-    /// base configuration inherited by every portfolio worker when the
-    /// portfolio backend is selected.
+    /// base configuration every probe seat diversifies from.
     pub solver: netarch_sat::SolverConfig,
 }
 
@@ -54,17 +50,18 @@ pub struct Encoder {
     /// asserted clause is weakened with the gate's negation.
     clause_gate: Option<Lit>,
     /// Mirror of every asserted clause, kept in verify mode (the CNF the
-    /// independent proof checker validates verdicts against) and in
-    /// portfolio mode (the CNF handed to the portfolio workers).
-    cnf_mirror: Vec<Vec<Lit>>,
-    /// Model adopted from a winning portfolio worker; read by
+    /// independent proof checker validates verdicts against) and when
+    /// probe seats are available (the CNF every seat loads). Shared with a
+    /// pool's seats rather than copied into it; every pool is finished
+    /// before the next clause is added, so appending never has to copy.
+    cnf_mirror: Arc<Vec<Vec<Lit>>>,
+    /// Model adopted from a probe seat; read by
     /// [`Encoder::atom_value`]/[`Encoder::model_lit_value`] in preference to
     /// the session solver's model, and cleared by every sequential solve.
     model_override: Option<Vec<Option<bool>>>,
-    /// Number of solves routed to the portfolio backend.
+    /// Number of probe-pool rounds run on the portfolio backend.
     portfolio_solves: u64,
-    /// Accumulated counters from throwaway parallel-query workers (probe
-    /// pools, cube enumerators), folded in via
+    /// Accumulated counters from throwaway probe seats, folded in via
     /// [`Encoder::absorb_parallel`] so session totals never lose work done
     /// off the session solver.
     worker_stats: Stats,
@@ -96,7 +93,7 @@ impl Encoder {
             aux_vars: 0,
             asserted_clauses: 0,
             clause_gate: None,
-            cnf_mirror: Vec::new(),
+            cnf_mirror: Arc::new(Vec::new()),
             model_override: None,
             portfolio_solves: 0,
             worker_stats: Stats::default(),
@@ -104,9 +101,9 @@ impl Encoder {
     }
 
     /// True when asserted clauses must be mirrored (verify mode needs the
-    /// CNF for the checker; portfolio mode hands it to the workers).
+    /// CNF for the checker; probe seats load it).
     fn mirror_enabled(&self) -> bool {
-        self.config.verify_proofs || self.config.backend.is_portfolio()
+        self.config.verify_proofs || self.parallel_seats() >= 2
     }
 
     /// Access to the underlying solver (model reads, enumeration).
@@ -209,7 +206,7 @@ impl Encoder {
     fn add_clause_raw(&mut self, lits: &[Lit]) {
         self.asserted_clauses += 1;
         if self.mirror_enabled() {
-            self.cnf_mirror.push(lits.to_vec());
+            Arc::make_mut(&mut self.cnf_mirror).push(lits.to_vec());
         }
         let _ = self.solver.add_clause(lits.iter().copied());
     }
@@ -330,7 +327,7 @@ impl Encoder {
     pub fn retire(&mut self, selector: Lit) {
         self.asserted_clauses += 1;
         if self.mirror_enabled() {
-            self.cnf_mirror.push(vec![!selector]);
+            Arc::make_mut(&mut self.cnf_mirror).push(vec![!selector]);
         }
         let _ = self.solver.retire(selector);
     }
@@ -462,44 +459,31 @@ impl Encoder {
         result
     }
 
-    /// Solves through the configured [`SolveBackend`]: sequentially on the
-    /// session solver, or by racing a diversified portfolio over the
-    /// mirrored CNF. A portfolio SAT verdict installs the winner's model as
-    /// an override, so [`Encoder::atom_value`] and
-    /// [`Encoder::model_lit_value`] read it transparently; any subsequent
-    /// sequential solve clears the override.
-    ///
-    /// Portfolio verdicts do not update the session solver's unsat core —
-    /// callers that need cores or MUS extraction must use
-    /// [`Encoder::solve_with`].
+    /// One-shot solve under the configured [`SolveBackend`]. Every backend
+    /// answers one-shot verdicts on the session solver, so this is
+    /// [`Encoder::solve_with`]: the only parallel path is the racing MaxSAT
+    /// descent (`maxsat::minimize_under`), which opens its own probe pool
+    /// with a feasibility round, and an UNSAT verdict here is usually
+    /// followed by MUS extraction, which needs the session solver's cores.
     pub fn solve_with_backend(&mut self, assumptions: &[Lit]) -> SolveResult {
-        match &self.config.backend {
-            SolveBackend::Sequential => self.solve_with(assumptions),
-            SolveBackend::Portfolio(opts) => {
-                let opts = opts.clone();
-                self.solve_portfolio(&opts, assumptions)
-            }
-        }
+        self.solve_with(assumptions)
     }
 
-    /// Number of solves routed to the portfolio backend so far.
+    /// Number of probe-pool rounds run on the portfolio backend so far.
     pub fn portfolio_solve_count(&self) -> u64 {
         self.portfolio_solves
     }
 
-    /// Number of worker seats available to the parallel query loops
-    /// (racing MaxSAT descent, cube-and-conquer enumeration, speculative
-    /// capacity search), or 1 when those loops must run sequentially: the
-    /// backend is sequential, `parallel_queries` is switched off, or
-    /// verified solving is on (the loops' throwaway workers do not feed the
-    /// per-solve DRAT check pipeline, so proof mode keeps every solve on
-    /// individually certified paths).
-    pub fn parallel_seats(&self) -> usize {
+    /// Number of probe seats available to the racing MaxSAT descent, or 1
+    /// when every solve must stay on the session solver:
+    /// the backend is sequential or has one thread, or verified solving is
+    /// on (seats are throwaway solvers outside the per-solve DRAT check
+    /// pipeline, so proof mode keeps every verdict on the certified
+    /// session solver).
+    pub(crate) fn parallel_seats(&self) -> usize {
         match &self.config.backend {
             SolveBackend::Portfolio(opts)
-                if opts.parallel_queries
-                    && opts.num_threads >= 2
-                    && !self.config.verify_proofs =>
+                if opts.num_threads >= 2 && !self.config.verify_proofs =>
             {
                 opts.num_threads
             }
@@ -507,38 +491,28 @@ impl Encoder {
         }
     }
 
-    /// The backend's speculation policy — [`Speculation::Never`] when the
-    /// backend is sequential (there are no worker seats to speculate on).
-    pub fn speculation(&self) -> Speculation {
-        match &self.config.backend {
-            SolveBackend::Portfolio(opts) => opts.speculation,
-            SolveBackend::Sequential => Speculation::Never,
-        }
-    }
-
-    /// Spawns a [`ProbePool`] over the mirrored CNF for a parallel query
-    /// loop, or `None` when [`Encoder::parallel_seats`] says the loop must
-    /// stay sequential. `assumable` must cover every literal any round may
-    /// assume: the seats freeze those variables at startup so their
-    /// restart-boundary inprocessing never eliminates a variable a later
-    /// round assumes. The caller owns the pool's lifecycle: dispatch
-    /// rounds, then hand `finish()`'s stats back through
-    /// [`Encoder::absorb_parallel`].
-    pub fn probe_pool(&self, assumable: &[Lit]) -> Option<ProbePool> {
+    /// Spawns a [`ProbePool`] over the mirrored CNF, or `None` when
+    /// [`Encoder::parallel_seats`] says solving must stay sequential.
+    /// `assumable` must cover every literal any round may assume: the seats
+    /// freeze those variables at startup so their restart-boundary
+    /// inprocessing never eliminates a variable a later round assumes. The
+    /// caller owns the pool's lifecycle: dispatch rounds, then hand
+    /// `finish()`'s stats back through [`Encoder::absorb_parallel`].
+    pub(crate) fn probe_pool(&self, assumable: &[Lit]) -> Option<ProbePool> {
+        let SolveBackend::Portfolio(opts) = &self.config.backend else {
+            return None;
+        };
         let seats = self.parallel_seats();
         if seats < 2 {
             return None;
         }
-        let SolveBackend::Portfolio(opts) = &self.config.backend else {
-            return None;
-        };
         let mut frozen: Vec<Var> = assumable.iter().map(|l| l.var()).collect();
         frozen.sort_unstable();
         frozen.dedup();
         Some(ProbePool::new(ProbePoolConfig {
             seats,
             num_vars: self.solver.num_vars(),
-            clauses: Arc::new(self.cnf_mirror.clone()),
+            clauses: Arc::clone(&self.cnf_mirror),
             base: self.config.solver.clone(),
             frozen,
             deterministic: opts.deterministic,
@@ -547,95 +521,36 @@ impl Encoder {
         }))
     }
 
-    /// Cube-and-conquer projected enumeration over the mirrored CNF, or
-    /// `None` when the loop must stay sequential. Splits on
-    /// `log2(seats)` projection variables (each cube enumerated on its own
-    /// worker) and merges models in cube-index order — a deterministic rule,
-    /// so the merged order is reproducible in every mode. Worker counters
-    /// are folded into the session totals before returning.
-    pub fn enumerate_cubes_backend(
-        &mut self,
-        projection: &[Var],
-        assumptions: &[Lit],
-        limit: usize,
-    ) -> Option<CubeEnumeration> {
-        let seats = self.parallel_seats();
-        if seats < 2 || projection.is_empty() {
-            return None;
-        }
-        let bits = (usize::BITS - 1 - seats.leading_zeros()) as usize;
-        let bits = bits.min(projection.len());
-        let out = enumerate_projected_cubes(
-            self.solver.num_vars(),
-            &self.cnf_mirror,
-            &self.config.solver,
-            projection,
-            assumptions,
-            limit,
-            bits,
-        );
-        self.absorb_parallel(&out.stats, 1);
-        Some(out)
-    }
-
-    /// Value of `atom` in a raw worker model vector (as returned by probe
-    /// pools and cube enumeration), without touching the session model.
-    pub fn atom_value_in(&self, atom: Atom, model: &[Option<bool>]) -> Option<bool> {
+    /// Value of `atom` in a raw seat model vector, without touching the
+    /// session model.
+    pub(crate) fn atom_value_in(&self, atom: Atom, model: &[Option<bool>]) -> Option<bool> {
         let v = (*self.atom_vars.get(atom.index())?)?;
         netarch_sat::lit_value_in(model, v.positive())
     }
 
-    /// Installs a worker model as the session's model override — exactly
-    /// what a winning one-shot portfolio dispatch does — so
+    /// Installs a seat model as the session's model override, so
     /// [`Encoder::atom_value`] and [`Encoder::model_lit_value`] read it
-    /// until the next sequential solve clears it. The parallel query loops
-    /// use this to restore a witness they already hold instead of paying a
-    /// fresh solve to rediscover it.
+    /// until the next sequential solve clears it. The racing descent uses
+    /// this to restore a witness it already holds instead of paying a fresh
+    /// solve to rediscover it.
     pub(crate) fn install_model_override(&mut self, model: Vec<Option<bool>>) {
         self.model_override = Some(model);
     }
 
-    /// Folds worker-solver counters from a finished parallel query loop
-    /// into the session totals, and counts `rounds` parallel dispatches
-    /// toward [`Encoder::portfolio_solve_count`].
-    pub fn absorb_parallel(&mut self, workers: &[Stats], rounds: u64) {
+    /// Folds probe-seat counters from a finished pool into the session
+    /// totals, and counts `rounds` pool rounds toward
+    /// [`Encoder::portfolio_solve_count`].
+    pub(crate) fn absorb_parallel(&mut self, workers: &[Stats], rounds: u64) {
         for w in workers {
             self.worker_stats.absorb(w);
         }
         self.portfolio_solves += rounds;
     }
 
-    /// Accumulated counters from parallel-query workers (see
-    /// [`Encoder::absorb_parallel`]); add these to
-    /// [`Encoder::solver_stats`] for a complete effort total.
+    /// Accumulated counters from the probe seats of every parallel solve;
+    /// add these to [`Encoder::solver_stats`] for a complete effort total.
     pub fn parallel_worker_stats(&self) -> Stats {
         self.worker_stats
-    }
-
-    fn solve_portfolio(&mut self, opts: &PortfolioOptions, assumptions: &[Lit]) -> SolveResult {
-        self.model_override = None;
-        self.portfolio_solves += 1;
-        let portfolio = Portfolio::new(
-            opts.to_portfolio_config(self.config.verify_proofs, self.config.solver.clone()),
-        );
-        let out = portfolio.solve(self.solver.num_vars(), &self.cnf_mirror, assumptions);
-        if self.config.verify_proofs {
-            if let Err(e) = crate::verify::check_portfolio_outcome(
-                self.solver.num_vars(),
-                &self.cnf_mirror,
-                assumptions,
-                &out,
-            ) {
-                panic!(
-                    "NETARCH_VERIFY_PROOFS: portfolio verdict failed independent \
-                     verification: {e}"
-                );
-            }
-        }
-        if out.result == SolveResult::Sat {
-            self.model_override = out.model;
-        }
-        out.result
     }
 
     /// In verify mode, every verdict must survive the independent checker:
@@ -658,23 +573,19 @@ impl Encoder {
     }
 
     /// Value of `atom` in the latest model; `None` when the atom never
-    /// reached the solver or is unassigned. Reads the portfolio winner's
-    /// model when one is installed (see [`Encoder::solve_with_backend`]).
+    /// reached the solver or is unassigned. Reads a probe seat's model when
+    /// one is installed (see [`Encoder::install_model_override`]).
     pub fn atom_value(&self, atom: Atom) -> Option<bool> {
         let v = (*self.atom_vars.get(atom.index())?)?;
         self.model_lit_value(v.positive())
     }
 
-    /// Value of a literal in the latest model, honoring a portfolio model
-    /// override when present. Use this instead of going through
-    /// [`Encoder::solver`] for reads that must see portfolio results.
+    /// Value of a literal in the latest model, honoring a probe seat's
+    /// model override when present. Use this instead of going through
+    /// [`Encoder::solver`] for reads that must see parallel results.
     pub fn model_lit_value(&self, lit: Lit) -> Option<bool> {
         match &self.model_override {
-            Some(m) => m
-                .get(lit.var().index())
-                .copied()
-                .flatten()
-                .map(|b| if lit.is_positive() { b } else { !b }),
+            Some(m) => netarch_sat::lit_value_in(m, lit),
             None => self.solver.model_lit_value(lit),
         }
     }

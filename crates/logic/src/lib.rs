@@ -36,7 +36,6 @@ pub mod verify;
 pub use ast::{Atom, Formula};
 pub use backend::{
     backend_from_env, solver_config_from_env, threads_requested, PortfolioOptions, SolveBackend,
-    Speculation,
 };
 pub use cardinality::CardEncoding;
 pub use encoder::{EncodeConfig, Encoder};

@@ -222,10 +222,7 @@ fn minimize_under_sequential(
     context: &[Lit],
     gate: Lit,
 ) -> MaxSatOutcome {
-    // Decisive one-shot probes route through the configured backend (the
-    // portfolio pays off exactly here); core/MUS-bearing paths elsewhere
-    // stay on the sequential session solver.
-    if encoder.solve_with_backend(context) != SolveResult::Sat {
+    if encoder.solve_with(context) != SolveResult::Sat {
         return MaxSatOutcome::HardUnsat;
     }
     if compiled.softs.is_empty() {
@@ -248,7 +245,7 @@ fn minimize_under_sequential(
         }
         let mid = (lo + hi) / 2;
         let target = candidates[mid];
-        match encoder.solve_with_backend(&bound_assumptions(compiled, context, target)) {
+        match encoder.solve_with(&bound_assumptions(compiled, context, target)) {
             SolveResult::Sat => {
                 let cost = model_cost(encoder, &compiled.softs);
                 debug_assert!(cost <= target, "model violates assumed bound");
@@ -267,18 +264,17 @@ fn minimize_under_sequential(
             ClauseSink::add_clause(encoder, &[!gate, !l]);
         }
     }
-    let restored = encoder.solve_with_backend(context);
+    let restored = encoder.solve_with(context);
     debug_assert_eq!(restored, SolveResult::Sat);
     MaxSatOutcome::Optimal { cost: best_cost, violated: best_violated }
 }
 
 /// The racing descent. Feasibility, every bound probe, and the final
 /// witness all come from one persistent [`ProbePool`], so each seat builds
-/// the CNF once and keeps its learnt clauses warm across rounds — routing
-/// each probe through a one-shot portfolio dispatch would instead rebuild
-/// the mirror on every cold worker three times over (feasibility, descent,
-/// restore), and on formulas with a large objective totalizer that rebuild
-/// tax dominates the solving itself.
+/// the CNF once and keeps its learnt clauses warm across rounds — a fresh
+/// pool per probe would instead rebuild the mirror on every cold seat for
+/// each probe, and on formulas with a large objective totalizer that
+/// rebuild tax dominates the solving itself.
 ///
 /// Each round probes a window of candidate bounds — the midpoint (the
 /// sequential probe), the quarter-point, and the most aggressive open
@@ -298,9 +294,8 @@ fn minimize_under_sequential(
 /// it. Both facts are monotone, so folding them in fixed seat order keeps
 /// the final state independent of which seat answered first — deterministic
 /// mode is bit-identical run to run. The optimal witness is the best model
-/// a worker already produced, installed as the session's model override
-/// (exactly a one-shot portfolio win) rather than re-discovered with a
-/// final solve.
+/// a seat already produced, installed as the session's model override
+/// rather than re-discovered with a final solve.
 fn minimize_under_pooled(
     encoder: &mut Encoder,
     compiled: &CompiledSofts,
@@ -460,10 +455,10 @@ fn model_cost_in(encoder: &Encoder, soft: &[Soft], model: &[Option<bool>]) -> u6
 /// gated hardening clauses in [`minimize_under`] strip to permanent units
 /// at level 0 — identical behavior to a dedicated ungated implementation.
 fn linear_gte(encoder: &mut Encoder, soft: &[Soft]) -> MaxSatOutcome {
-    // Routed through the backend so a portfolio races the initial
-    // feasibility check too — on hard theories it is as expensive as any
-    // bound probe.
-    if encoder.solve_with_backend(&[]) != SolveResult::Sat {
+    // An unsatisfiable theory is HardUnsat even without softs, and needs
+    // no totalizer. (On a portfolio backend the descent below re-proves
+    // feasibility on its probe pool.)
+    if encoder.solve_with(&[]) != SolveResult::Sat {
         return MaxSatOutcome::HardUnsat;
     }
     if soft.is_empty() {

@@ -14,8 +14,7 @@
 //! [`proofs_requested`]).
 
 use netarch_sat::{
-    check_refutation, check_refutation_under_assumptions, CheckError, Lit, PortfolioResult,
-    SolveResult, Solver,
+    check_refutation, check_refutation_under_assumptions, CheckError, Lit, SolveResult, Solver,
 };
 
 /// Why a verified solve refused to vouch for the solver's answer.
@@ -107,51 +106,6 @@ pub fn check_outcome(
                 check_refutation(num_vars, clauses, proof)
             } else {
                 check_refutation_under_assumptions(num_vars, clauses, proof, solver.unsat_core())
-            };
-            checked.map_err(VerifyError::ProofRejected)
-        }
-        SolveResult::Unknown => Ok(()),
-    }
-}
-
-/// Validates a portfolio verdict against the clause list the workers were
-/// given. SAT verdicts must carry a model satisfying every clause; UNSAT
-/// verdicts must carry a DRAT proof the independent checker accepts (the
-/// portfolio disables clause sharing under proof mode precisely so the
-/// winner's proof is self-contained). Unknown makes no claim.
-pub fn check_portfolio_outcome(
-    num_vars: usize,
-    clauses: &[Vec<Lit>],
-    assumptions: &[Lit],
-    outcome: &PortfolioResult,
-) -> Result<(), VerifyError> {
-    match outcome.result {
-        SolveResult::Sat => {
-            let model = outcome.model.as_deref().unwrap_or(&[]);
-            let lit_true = |l: &Lit| {
-                model
-                    .get(l.var().index())
-                    .copied()
-                    .flatten()
-                    .map(|b| b == l.is_positive())
-                    == Some(true)
-            };
-            for clause in clauses {
-                if !clause.iter().any(lit_true) {
-                    return Err(VerifyError::ModelViolation { clause: clause.clone() });
-                }
-            }
-            Ok(())
-        }
-        SolveResult::Unsat => {
-            let proof = outcome
-                .proof
-                .as_ref()
-                .expect("portfolio proof mode must attach a proof to UNSAT verdicts");
-            let checked = if assumptions.is_empty() {
-                check_refutation(num_vars, clauses, proof)
-            } else {
-                check_refutation_under_assumptions(num_vars, clauses, proof, &outcome.core)
             };
             checked.map_err(VerifyError::ProofRejected)
         }

@@ -106,33 +106,3 @@ fn deterministic_racing_descent_repeats_bit_identically() {
         assert_eq!(m1, m2, "case {case_idx}: model drifted between runs");
     }
 }
-
-#[test]
-fn parallel_queries_switch_keeps_loops_sequential() {
-    // parallel_queries: false must not change answers either — it routes
-    // one-shot probes through the portfolio but keeps the descent loop on
-    // the session solver.
-    let mut rng = Rng::seed_from_u64(0x00FF_10AD);
-    for _ in 0..8 {
-        let instance = gen_instance(&mut rng);
-        let (expected, _) = optimize(&instance, SolveBackend::Sequential);
-        let backend = SolveBackend::Portfolio(PortfolioOptions {
-            num_threads: 4,
-            deterministic: true,
-            parallel_queries: false,
-            ..PortfolioOptions::default()
-        });
-        let mut e = encoder_with(backend);
-        assert_eq!(e.parallel_seats(), 1, "switch must disable the parallel loops");
-        for h in &instance.hard {
-            e.assert(h);
-        }
-        let got = minimize(&mut e, &instance.soft, MaxSatAlgorithm::LinearGte);
-        match (&expected, &got) {
-            (MaxSatOutcome::Optimal { cost: a, .. }, MaxSatOutcome::Optimal { cost: b, .. }) => {
-                assert_eq!(a, b)
-            }
-            (a, b) => assert_eq!(a, b),
-        }
-    }
-}

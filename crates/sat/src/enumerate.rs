@@ -6,21 +6,9 @@
 //! assignment exactly once — this is what the architecture layer uses to
 //! compute equivalence classes of designs (paper §6, "identify equivalence
 //! classes of system deployments").
-//!
-//! Two entry points:
-//!
-//! * [`enumerate_projected`] — sequential enumeration on a caller-provided
-//!   solver (the incremental-session path).
-//! * [`enumerate_projected_cubes`] — cube-and-conquer: the projection space
-//!   is split on a small cube of decision literals, each cube enumerated on
-//!   its own worker solver, and the per-cube model lists merged in cube
-//!   index order. The merge rule has no timing dependence, so two runs over
-//!   the same formula produce bit-identical output in every mode.
 
 use crate::lit::{Lit, Var};
-use crate::solver::{SolveResult, Solver, SolverConfig};
-use crate::stats::Stats;
-use std::thread;
+use crate::solver::{SolveResult, Solver};
 
 /// Result of an enumeration run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,141 +111,6 @@ fn enumerate_pinned(
 pub fn count_models(solver: &mut Solver, projection: &[Var], limit: usize) -> (usize, bool) {
     let e = enumerate_projected(solver, projection, &[], limit);
     (e.models.len(), e.truncated)
-}
-
-/// Result of a cube-and-conquer enumeration ([`enumerate_projected_cubes`]).
-#[derive(Clone, Debug)]
-pub struct CubeEnumeration {
-    /// Full models (indexed by variable), concatenated in cube index order
-    /// and truncated to the requested limit. Within a cube, models appear
-    /// in that worker's discovery order; the merge itself never depends on
-    /// worker timing.
-    pub models: Vec<Vec<Option<bool>>>,
-    /// True when the model space was not provably exhausted: a cube hit the
-    /// limit (or could not decide its final probe), or the merged total
-    /// overflowed the limit.
-    pub truncated: bool,
-    /// Per-cube worker solver statistics, indexed by cube.
-    pub stats: Vec<Stats>,
-}
-
-/// Cube-and-conquer projected enumeration over a standalone formula.
-///
-/// The first `cube_bits` projection variables (clamped to the projection
-/// size) split the projected space into `2^cube_bits` disjoint cubes. Each
-/// cube runs on a fresh worker solver built from `base` over `clauses`,
-/// enumerating under `assumptions` plus the cube's decision literals with
-/// per-cube blocking clauses. Because the cubes partition the projected
-/// space, the merged list has no duplicates, and because workers never
-/// exchange anything, each cube's output is a pure function of its inputs —
-/// the merged result is bit-identical run to run in every mode.
-///
-/// Each cube enumerates up to `limit` models (a single cube may hold the
-/// entire space), and the merge truncates the concatenation to `limit`.
-pub fn enumerate_projected_cubes(
-    num_vars: usize,
-    clauses: &[Vec<Lit>],
-    base: &SolverConfig,
-    projection: &[Var],
-    assumptions: &[Lit],
-    limit: usize,
-    cube_bits: usize,
-) -> CubeEnumeration {
-    /// One cube's output: its models, whether it truncated, and its
-    /// worker's solver statistics.
-    type CubeOutcome = (Vec<Vec<Option<bool>>>, bool, Stats);
-    let bits = cube_bits.min(projection.len());
-    let num_cubes = 1usize << bits;
-    let mut per_cube: Vec<Option<CubeOutcome>> = Vec::new();
-    per_cube.resize_with(num_cubes, || None);
-
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_cubes);
-        for cube in 0..num_cubes {
-            handles.push(scope.spawn(move || {
-                let mut solver = Solver::with_config(base.clone());
-                solver.ensure_vars(num_vars);
-                for clause in clauses {
-                    if !solver.add_clause(clause.iter().copied()) {
-                        break;
-                    }
-                }
-                // Worker solvers are throwaway, but their own inprocessing
-                // must still not eliminate variables the blocking clauses
-                // will mention.
-                for &v in projection {
-                    solver.freeze_var(v);
-                }
-                let mut cube_assumptions = assumptions.to_vec();
-                for (j, &v) in projection.iter().take(bits).enumerate() {
-                    cube_assumptions.push(Lit::new(v, (cube >> j) & 1 == 1));
-                }
-                enumerate_cube(&mut solver, projection, &cube_assumptions, limit)
-            }));
-        }
-        for (cube, handle) in handles.into_iter().enumerate() {
-            per_cube[cube] = handle.join().ok();
-        }
-    });
-
-    let mut models = Vec::new();
-    let mut truncated = false;
-    let mut stats = Vec::with_capacity(num_cubes);
-    for outcome in per_cube {
-        let (cube_models, cube_truncated, cube_stats) =
-            outcome.expect("cube enumeration worker panicked");
-        truncated |= cube_truncated;
-        models.extend(cube_models);
-        stats.push(cube_stats);
-    }
-    if models.len() > limit {
-        models.truncate(limit);
-        truncated = true;
-    }
-    CubeEnumeration { models, truncated, stats }
-}
-
-/// One cube's enumeration: full models, with per-cube blocking clauses over
-/// the projection. Mirrors [`enumerate_pinned`], but keeps the complete
-/// assignment so callers can extract representative designs from it.
-fn enumerate_cube(
-    solver: &mut Solver,
-    projection: &[Var],
-    assumptions: &[Lit],
-    limit: usize,
-) -> (Vec<Vec<Option<bool>>>, bool, Stats) {
-    let num_vars = solver.num_vars();
-    let mut models: Vec<Vec<Option<bool>>> = Vec::new();
-    let mut truncated = false;
-    while models.len() < limit {
-        match solver.solve_with(assumptions) {
-            SolveResult::Sat => {
-                let full: Vec<Option<bool>> = (0..num_vars)
-                    .map(|i| solver.model_value(Var::from_index(i)))
-                    .collect();
-                let blocking: Vec<Lit> = projection
-                    .iter()
-                    .map(|&v| Lit::new(v, !full[v.index()].unwrap_or(false)))
-                    .collect();
-                models.push(full);
-                if !solver.add_clause(blocking) {
-                    return (models, false, *solver.stats());
-                }
-            }
-            SolveResult::Unsat => break,
-            SolveResult::Unknown => {
-                truncated = true;
-                break;
-            }
-        }
-    }
-    if models.len() == limit {
-        match solver.solve_with(assumptions) {
-            SolveResult::Sat | SolveResult::Unknown => truncated = true,
-            SolveResult::Unsat => {}
-        }
-    }
-    (models, truncated, *solver.stats())
 }
 
 #[cfg(test)]
@@ -384,77 +237,5 @@ mod tests {
         assert!(!s.is_frozen(a), "projection freeze must be balanced by a thaw");
         assert!(s.is_frozen(pinned), "caller freezes outlive the enumeration");
         assert!(s.is_frozen(b), "assumption freezes are permanent");
-    }
-
-    #[test]
-    fn cube_enumeration_matches_sequential() {
-        // Exactly-one-of-3 via pairwise exclusions: 3 projected models.
-        let build = |s: &mut Solver| -> Vec<Var> {
-            let vars: Vec<Var> = (0..3).map(|_| s.new_var()).collect();
-            s.add_clause(vars.iter().map(|v| v.positive()));
-            for i in 0..3 {
-                for j in (i + 1)..3 {
-                    s.add_clause([vars[i].negative(), vars[j].negative()]);
-                }
-            }
-            vars
-        };
-        let mut seq_solver = Solver::new();
-        let vars = build(&mut seq_solver);
-        let seq = enumerate_projected(&mut seq_solver, &vars, &[], 10);
-
-        let mut clauses: Vec<Vec<Lit>> = Vec::new();
-        clauses.push(vars.iter().map(|v| v.positive()).collect());
-        for i in 0..3 {
-            for j in (i + 1)..3 {
-                clauses.push(vec![vars[i].negative(), vars[j].negative()]);
-            }
-        }
-        for bits in 0..=2 {
-            let cubes = enumerate_projected_cubes(
-                3,
-                &clauses,
-                &SolverConfig::default(),
-                &vars,
-                &[],
-                10,
-                bits,
-            );
-            assert_eq!(cubes.stats.len(), 1 << bits);
-            assert!(!cubes.truncated);
-            let mut seq_set: Vec<Vec<(Var, bool)>> = seq.models.clone();
-            let mut cube_set: Vec<Vec<(Var, bool)>> = cubes
-                .models
-                .iter()
-                .map(|m| vars.iter().map(|&v| (v, m[v.index()].unwrap_or(false))).collect())
-                .collect();
-            seq_set.sort();
-            cube_set.sort();
-            assert_eq!(seq_set, cube_set, "bits={bits}");
-        }
-    }
-
-    #[test]
-    fn cube_merge_is_deterministic_and_limit_aware() {
-        // 3 free projected vars → 8 models; limit 5 truncates the merge.
-        let clauses: Vec<Vec<Lit>> = vec![];
-        let vars: Vec<Var> = (0..3).map(Var::from_index).collect();
-        let run = || {
-            enumerate_projected_cubes(
-                3,
-                &clauses,
-                &SolverConfig::default(),
-                &vars,
-                &[],
-                5,
-                2,
-            )
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.models.len(), 5);
-        assert!(a.truncated);
-        assert_eq!(a.models, b.models, "cube merge must be bit-identical across runs");
-        assert_eq!(a.truncated, b.truncated);
     }
 }

@@ -15,8 +15,8 @@
 //! - model enumeration (optionally projected onto a variable subset),
 //! - DRAT proof logging ([`proof`]) with an independent counter-based
 //!   RUP/DRAT checker ([`checker`]) so UNSAT verdicts are certifiable,
-//! - parallel portfolio solving ([`portfolio`]): diversified workers racing
-//!   under first-winner-cancels, with LBD-filtered clause sharing,
+//! - parallel solving on a probe pool ([`probes`]): persistent diversified
+//!   workers racing rounds of assumption probes under first-winner-cancels,
 //! - DIMACS CNF I/O,
 //! - per-feature ablation switches in [`SolverConfig`].
 //!
@@ -41,17 +41,14 @@ pub mod dimacs;
 pub mod enumerate;
 mod heap;
 mod lit;
-pub mod portfolio;
 pub mod probes;
 pub mod proof;
 mod solver;
 mod stats;
 
 pub use checker::{check_refutation, check_refutation_under_assumptions, CheckError, Checker};
-pub use enumerate::{enumerate_projected_cubes, CubeEnumeration};
 pub use lit::{LBool, Lit, Var};
-pub use portfolio::{Portfolio, PortfolioConfig, PortfolioResult, PortfolioStats};
 pub use probes::{lit_value_in, ProbeOutcome, ProbePool, ProbePoolConfig};
 pub use proof::{DratProof, ProofSink, ProofStep};
-pub use solver::{ClauseExchange, SolveResult, Solver, SolverConfig};
+pub use solver::{SolveResult, Solver, SolverConfig};
 pub use stats::Stats;

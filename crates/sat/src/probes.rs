@@ -1,34 +1,80 @@
-//! Persistent probe workers for parallel query loops.
+//! Persistent probe workers: the crate's one source of parallel solving.
 //!
-//! The portfolio ([`crate::Portfolio`]) races N diversified solvers on *one*
-//! decisive verdict and then throws the workers away. The query loops that
-//! PR extends — MaxSAT descent, the capacity binary search — instead issue a
-//! *sequence of related probes* over one fixed formula: same CNF, different
-//! assumption sets, round after round. A [`ProbePool`] keeps one solver per
-//! seat alive across the whole loop, so the CNF is built once per worker and
-//! every learnt clause stays warm for the next round's probe.
+//! A [`ProbePool`] keeps one diversified [`Solver`] per seat alive over one
+//! fixed formula, so the CNF is built once per worker and every learnt
+//! clause stays warm for the next round. Callers issue *rounds*: probe `i`
+//! of a round runs on seat `i`, each probe an assumption set over the same
+//! formula. A one-shot parallel solve is a single round that broadcasts the
+//! same assumptions to every seat; a query loop (the MaxSAT descent) issues
+//! round after round at different bounds.
 //!
-//! Within a round the seats race under the portfolio's first-winner-cancels
-//! protocol: any seat reaching a decisive verdict raises the shared
-//! interrupt flag, and the other seats abandon their (now redundant) probes
-//! at the next poll. Because the caller races probes at *different* bounds,
-//! one decisive answer usually re-anchors the whole search window — the
-//! interrupted probes' answers would have been subsumed anyway.
+//! Within a round the seats race under first-winner-cancels: any seat
+//! reaching a decisive verdict raises the shared interrupt flag, and the
+//! other seats abandon their (now redundant) probes at the next poll. The
+//! flag is polled as the first statement of every search-loop iteration, so
+//! a cancelled probe stops within one conflict and its solver stays usable.
 //!
 //! In deterministic mode there is no interrupt flag: every seat runs its
 //! probe to completion (or its conflict budget), so seat `i`'s outcome is a
 //! pure function of the formula and the sequence of probes dispatched to
 //! seat `i`. A caller that dispatches probes positionally and folds results
 //! in a fixed order gets bit-identical runs.
+//!
+//! Seats are diversified by `diversified_config`: seat 0 runs the base
+//! configuration unmodified, so a one-seat pool searches exactly like the
+//! sequential solver. All randomness flows from the configured seed.
 
 use crate::lit::{Lit, Var};
-use crate::portfolio::diversified_config;
 use crate::solver::{SolveResult, Solver, SolverConfig};
 use crate::stats::Stats;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
+
+/// Derives seat `seat`'s solver configuration from the base.
+///
+/// Seat 0 is always the base unmodified (sequential equivalence); later
+/// seats vary saved-phase polarity, VSIDS decay, restart cadence, and
+/// seeded random tie-breaking. Seats ≥ 4 cycle the variations with fresh
+/// seeds. All randomness flows from `seed` — nothing here reads the clock
+/// or ambient entropy.
+fn diversified_config(base: &SolverConfig, seat: usize, seed: u64) -> SolverConfig {
+    let mut c = base.clone();
+    if seat == 0 {
+        return c;
+    }
+    c.random_seed = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(seat as u64);
+    match seat % 4 {
+        1 => {
+            // Opposite phase corner: starts "all true" where the base
+            // starts "all false".
+            c.default_polarity = !base.default_polarity;
+        }
+        2 => {
+            // Aggressive forgetting + rapid restarts + light randomness.
+            c.var_decay = 0.85;
+            c.restart_base = 50;
+            c.random_decision_freq = 0.01;
+        }
+        3 => {
+            // Slow decay + long restarts + opposite phase + more noise.
+            c.var_decay = 0.99;
+            c.restart_base = 300;
+            c.default_polarity = !base.default_polarity;
+            c.random_decision_freq = 0.05;
+        }
+        _ => {
+            // seat % 4 == 0 (seat ≥ 4): base search shape, but seeded
+            // random tie-breaking makes it explore differently.
+            c.random_decision_freq = 0.02;
+        }
+    }
+    c
+}
 
 /// Configuration for a [`ProbePool`].
 #[derive(Clone, Debug)]
@@ -40,7 +86,7 @@ pub struct ProbePoolConfig {
     /// The formula every seat loads once at startup.
     pub clauses: Arc<Vec<Vec<Lit>>>,
     /// Base solver configuration; seat 0 runs it unmodified, later seats
-    /// run seeded variations (see [`diversified_config`]).
+    /// run seeded variations (see the [module docs](self)).
     pub base: SolverConfig,
     /// Variables any round's probe may assume, frozen in every seat at
     /// startup. The session solver freezes assumption variables lazily at
@@ -53,7 +99,7 @@ pub struct ProbePoolConfig {
     /// Deterministic mode: no cancellation; each seat's outcome depends
     /// only on its own probe sequence.
     pub deterministic: bool,
-    /// Diversification seed (as in the portfolio).
+    /// Diversification seed; all seat randomness flows from it.
     pub seed: u64,
     /// Optional per-probe conflict budget; exhausted probes report
     /// [`SolveResult::Unknown`].
@@ -70,7 +116,7 @@ pub struct ProbeOutcome {
 }
 
 /// Reads a literal's value out of a raw model vector (as carried by
-/// [`ProbeOutcome::model`] and the portfolio result).
+/// [`ProbeOutcome::model`]).
 pub fn lit_value_in(model: &[Option<bool>], lit: Lit) -> Option<bool> {
     model
         .get(lit.var().index())
@@ -79,16 +125,30 @@ pub fn lit_value_in(model: &[Option<bool>], lit: Lit) -> Option<bool> {
         .map(|b| if lit.is_positive() { b } else { !b })
 }
 
+/// What a seat sends back per probe: its outcome, or the message of a
+/// panic that killed the seat.
+type SeatReply = (usize, Result<ProbeOutcome, String>);
+
 struct Seat {
     jobs: mpsc::Sender<Vec<Lit>>,
-    handle: thread::JoinHandle<Stats>,
+    handle: thread::JoinHandle<Result<Stats, String>>,
+}
+
+/// The message a panic payload carries (`panic!` with a literal or with
+/// format arguments), for re-raising on the caller's thread.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// A pool of persistent probe workers over one formula. See the
 /// [module docs](self).
 pub struct ProbePool {
     seats: Vec<Seat>,
-    results: mpsc::Receiver<(usize, ProbeOutcome)>,
+    results: mpsc::Receiver<SeatReply>,
     interrupt: Arc<AtomicBool>,
 }
 
@@ -98,7 +158,7 @@ impl ProbePool {
     pub fn new(config: ProbePoolConfig) -> ProbePool {
         let n = config.seats.max(1);
         let interrupt = Arc::new(AtomicBool::new(false));
-        let (results_tx, results) = mpsc::channel::<(usize, ProbeOutcome)>();
+        let (results_tx, results) = mpsc::channel::<SeatReply>();
         let mut seats = Vec::with_capacity(n);
         for seat in 0..n {
             let (jobs_tx, jobs_rx) = mpsc::channel::<Vec<Lit>>();
@@ -110,7 +170,7 @@ impl ProbePool {
             let deterministic = config.deterministic;
             let budget = config.conflict_budget;
             let frozen = config.frozen.clone();
-            let handle = thread::spawn(move || {
+            let serve = move |results_tx: &mpsc::Sender<SeatReply>| {
                 let mut solver = Solver::with_config(seat_config);
                 solver.ensure_vars(num_vars);
                 for clause in clauses.iter() {
@@ -141,11 +201,21 @@ impl ProbePool {
                     } else {
                         None
                     };
-                    if results_tx.send((seat, ProbeOutcome { result, model })).is_err() {
+                    if results_tx.send((seat, Ok(ProbeOutcome { result, model }))).is_err() {
                         break;
                     }
                 }
                 *solver.stats()
+            };
+            let handle = thread::spawn(move || {
+                // A panicking seat must still answer: every seat holds a
+                // clone of the result sender, so a seat that died silently
+                // would leave `solve_round` waiting forever on the others.
+                panic::catch_unwind(AssertUnwindSafe(|| serve(&results_tx))).map_err(|payload| {
+                    let message = panic_message(payload.as_ref());
+                    let _ = results_tx.send((seat, Err(message.clone())));
+                    message
+                })
             });
             seats.push(Seat { jobs: jobs_tx, handle });
         }
@@ -173,18 +243,21 @@ impl ProbePool {
         );
         self.interrupt.store(false, Ordering::Relaxed);
         for (seat, probe) in self.seats.iter().zip(probes) {
-            seat.jobs
-                .send(probe.clone())
-                .expect("probe worker exited before the pool was finished");
+            // A send fails only when the seat is gone; a seat that died of a
+            // panic still sends its message, and the loop below raises it.
+            let _ = seat.jobs.send(probe.clone());
         }
         let mut outcomes: Vec<Option<ProbeOutcome>> = Vec::with_capacity(probes.len());
         outcomes.resize_with(probes.len(), || None);
         for _ in 0..probes.len() {
-            let (seat, outcome) = self
+            let (seat, reply) = self
                 .results
                 .recv()
-                .expect("probe worker exited before answering its probe");
-            outcomes[seat] = Some(outcome);
+                .expect("every probe seat exited before answering its probe");
+            match reply {
+                Ok(outcome) => outcomes[seat] = Some(outcome),
+                Err(message) => panic!("probe seat {seat} panicked: {message}"),
+            }
         }
         outcomes
             .into_iter()
@@ -199,9 +272,13 @@ impl ProbePool {
         drop(results);
         seats
             .into_iter()
-            .map(|seat| {
+            .enumerate()
+            .map(|(i, seat)| {
                 drop(seat.jobs); // closes the job queue; the worker loop ends
-                seat.handle.join().expect("probe worker panicked")
+                seat.handle
+                    .join()
+                    .expect("probe seat threads catch their panics")
+                    .unwrap_or_else(|message| panic!("probe seat {i} panicked: {message}"))
             })
             .collect()
     }
@@ -307,17 +384,11 @@ mod tests {
         assert_eq!(s1, s2, "per-seat stats must be timing-independent");
     }
 
-    #[test]
-    fn declared_assumables_survive_seat_inprocessing() {
-        // Regression: a variable assumed only in a *later* round must not
-        // be BVE-eliminated by a seat's restart-boundary inprocessing
-        // during an earlier round. The config forces inprocessing after
-        // the very first conflict; (x0 ∨ x1) ∧ (x0 ∨ ¬x1) yields that
-        // conflict under the all-false default polarity, and x2 — touched
-        // by no round-1 assumption — is a prime BVE target via
-        // (x2 ∨ x3) ∧ (¬x2 ∨ x4). Declaring x2 up front keeps round 2's
-        // assumption legal; without the declaration the seat panics on an
-        // eliminated-variable assumption.
+    /// A two-seat deterministic pool whose config forces inprocessing after
+    /// the very first conflict; (x0 ∨ x1) ∧ (x0 ∨ ¬x1) yields that conflict
+    /// under the all-false default polarity, and x2 — touched by no
+    /// round-1 assumption — is a prime BVE target via (x2 ∨ x3) ∧ (¬x2 ∨ x4).
+    fn inprocessing_pool(frozen: Vec<Var>) -> ProbePool {
         let v = |i: usize| Var::from_index(i);
         let clauses = vec![
             vec![v(0).positive(), v(1).positive()],
@@ -325,7 +396,7 @@ mod tests {
             vec![v(2).positive(), v(3).positive()],
             vec![v(2).negative(), v(4).positive()],
         ];
-        let mut p = ProbePool::new(ProbePoolConfig {
+        ProbePool::new(ProbePoolConfig {
             seats: 2,
             num_vars: 5,
             clauses: Arc::new(clauses),
@@ -334,11 +405,21 @@ mod tests {
                 inprocess_interval: 1,
                 ..SolverConfig::default()
             },
-            frozen: vec![v(2)],
+            frozen,
             deterministic: true,
             seed: 7,
             conflict_budget: None,
-        });
+        })
+    }
+
+    #[test]
+    fn declared_assumables_survive_seat_inprocessing() {
+        // Regression: a variable assumed only in a *later* round must not
+        // be BVE-eliminated by a seat's restart-boundary inprocessing
+        // during an earlier round. Declaring x2 up front keeps round 2's
+        // assumption legal.
+        let v = |i: usize| Var::from_index(i);
+        let mut p = inprocessing_pool(vec![v(2)]);
         let first = p.solve_round(&[vec![], vec![]]);
         assert!(first.iter().all(|o| o.result == SolveResult::Sat));
         let second = p.solve_round(&[vec![v(2).positive()], vec![v(2).negative()]]);
@@ -359,5 +440,30 @@ mod tests {
         let stats = p.finish();
         assert_eq!(stats[0].solves, 1);
         assert_eq!(stats[1].solves, 0, "idle seats stay idle");
+    }
+
+    #[test]
+    #[should_panic(expected = "references an eliminated variable")]
+    fn a_panicking_seat_fails_the_round_instead_of_hanging() {
+        // Regression: without the declaration, seat 0 eliminates x2 in
+        // round 1 and panics on round 2's assumption while seat 1 answers.
+        // The round must re-raise seat 0's own message, not wait forever
+        // for a reply that never comes.
+        let v = |i: usize| Var::from_index(i);
+        let mut p = inprocessing_pool(vec![]);
+        p.solve_round(&[vec![], vec![]]);
+        p.solve_round(&[vec![v(2).positive()], vec![v(2).negative()]]);
+    }
+
+    #[test]
+    fn seat_zero_is_base_config() {
+        let base = SolverConfig::default();
+        let s0 = diversified_config(&base, 0, 42);
+        assert_eq!(s0.random_seed, base.random_seed);
+        assert_eq!(s0.default_polarity, base.default_polarity);
+        assert_eq!(s0.random_decision_freq, base.random_decision_freq);
+        // Later seats actually differ.
+        let s1 = diversified_config(&base, 1, 42);
+        assert_ne!(s1.default_polarity, base.default_polarity);
     }
 }

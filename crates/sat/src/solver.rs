@@ -47,28 +47,6 @@ struct Watcher {
     blocker: Lit,
 }
 
-/// A learnt-clause exchange channel between cooperating solvers (the
-/// portfolio's sharing fabric — see [`crate::portfolio`]).
-///
-/// The solver offers every learnt clause through [`ClauseExchange::export`]
-/// together with its literal-block distance, and pulls foreign clauses in
-/// through [`ClauseExchange::import`] at restart boundaries (the only point
-/// where the trail is guaranteed to be at the root level). Implementations
-/// decide the filtering policy (e.g. "glue clauses only"); `export` returns
-/// whether the clause was actually published so the solver's
-/// [`Stats::exported_clauses`] counter stays truthful.
-///
-/// Imports are disabled while DRAT proof logging is active: a clause learnt
-/// by *another* solver is not derivable from this solver's proof log, so
-/// accepting it would make the recorded proof unreplayable.
-pub trait ClauseExchange: Send {
-    /// Offers a learnt clause (with its LBD). Returns `true` if published.
-    fn export(&mut self, lits: &[Lit], lbd: u32) -> bool;
-
-    /// Appends foreign clauses (with their recorded LBDs) to `buf`.
-    fn import(&mut self, buf: &mut Vec<(Vec<Lit>, u32)>);
-}
-
 /// Tunable solver parameters. The defaults match common CDCL practice.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
@@ -90,13 +68,13 @@ pub struct SolverConfig {
     pub learnt_size_factor: f64,
     /// Growth of the learnt-clause cap at each reduction.
     pub learnt_size_inc: f64,
-    /// Initial saved phase for fresh variables (portfolio diversification:
-    /// a worker that starts "all true" explores the opposite corner of the
-    /// search space from the default "all false" worker).
+    /// Initial saved phase for fresh variables (probe-seat diversification:
+    /// a seat that starts "all true" explores the opposite corner of the
+    /// search space from the default "all false" seat).
     pub default_polarity: bool,
     /// Probability that a decision picks a seeded-random variable and
-    /// polarity instead of the VSIDS maximum (0.0 disables; portfolio
-    /// workers use small values for tie-breaking diversification).
+    /// polarity instead of the VSIDS maximum (0.0 disables; probe seats
+    /// use small values for tie-breaking diversification).
     pub random_decision_freq: f64,
     /// Seed for the decision RNG. All randomness in the solver flows from
     /// this value — there is no ambient entropy — so equal configs replay
@@ -199,8 +177,6 @@ pub struct Solver {
     /// Cooperative cancellation flag, polled once per search-loop
     /// iteration (i.e. at least once per conflict or decision).
     interrupt: Option<Arc<AtomicBool>>,
-    /// Learnt-clause exchange channel (portfolio sharing).
-    exchange: Option<Box<dyn ClauseExchange>>,
     /// True when the most recent solve returned early because the
     /// interrupt flag was observed.
     last_interrupted: bool,
@@ -280,7 +256,6 @@ impl Solver {
             budget: None,
             proof: None,
             interrupt: None,
-            exchange: None,
             last_interrupted: false,
             rng_state,
             frozen: Vec::new(),
@@ -310,14 +285,6 @@ impl Solver {
     /// exhaustion).
     pub fn last_interrupted(&self) -> bool {
         self.last_interrupted
-    }
-
-    /// Installs a learnt-clause exchange channel (portfolio sharing).
-    /// Exports flow on every learnt clause; imports are pulled at restart
-    /// boundaries, and are skipped entirely while proof logging is active
-    /// (a foreign clause would make the local DRAT log unreplayable).
-    pub fn set_exchange(&mut self, exchange: Box<dyn ClauseExchange>) {
-        self.exchange = Some(exchange);
     }
 
     /// Starts recording a DRAT proof in memory. Every clause the solver
@@ -610,15 +577,8 @@ impl Solver {
                 SearchOutcome::Restart => {
                     self.stats.restarts += 1;
                     self.backtrack_to(0);
-                    // Restart boundaries are the one point where the trail
-                    // is guaranteed to be at the root level, so foreign
-                    // clauses can be integrated without repair work.
-                    if !self.import_shared() {
-                        self.model.clear();
-                        return SolveResult::Unsat;
-                    }
-                    // Restart boundaries are also where inprocessing runs:
-                    // the trail is at root level, so clauses can be deleted,
+                    // Restart boundaries are where inprocessing runs: the
+                    // trail is at root level, so clauses can be deleted,
                     // strengthened, and resolved away without repair work.
                     if !self.maybe_inprocess() {
                         self.model.clear();
@@ -999,81 +959,6 @@ impl Solver {
         self.qhead = bound.min(self.qhead);
     }
 
-    /// Pulls foreign clauses from the exchange at a restart boundary (trail
-    /// at root level). Returns `false` when an import makes the instance
-    /// unsatisfiable outright. No-op while proof logging is active: foreign
-    /// clauses are not derivable in the local DRAT log.
-    fn import_shared(&mut self) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        if self.exchange.is_none() || self.proof.is_some() {
-            return self.ok;
-        }
-        let mut incoming: Vec<(Vec<Lit>, u32)> = Vec::new();
-        self.exchange.as_mut().unwrap().import(&mut incoming);
-        for (lits, lbd) in incoming {
-            if !self.integrate_import(&lits, lbd) {
-                self.ok = false;
-                return false;
-            }
-        }
-        // Imported units may cascade; settle propagation before searching.
-        if self.propagate().is_some() {
-            self.ok = false;
-            return false;
-        }
-        true
-    }
-
-    /// Integrates one foreign learnt clause at the root level, applying the
-    /// same normalization as [`Solver::add_clause`]. Returns `false` when
-    /// the clause refutes the instance.
-    fn integrate_import(&mut self, lits: &[Lit], lbd: u32) -> bool {
-        let mut c: Vec<Lit> = lits
-            .iter()
-            .copied()
-            .filter(|l| l.var().index() < self.num_vars())
-            .collect();
-        if c.len() != lits.len() {
-            // A clause mentioning variables this solver never allocated
-            // cannot come from a well-formed portfolio; drop it.
-            return true;
-        }
-        if c.iter().any(|l| self.eliminated[l.var().index()]) {
-            // This worker eliminated a variable the foreign clause still
-            // mentions; re-introducing it would undo the elimination, so
-            // the import is skipped (sound: imports are only ever pruning).
-            return true;
-        }
-        c.sort_unstable();
-        c.dedup();
-        let mut simplified = Vec::with_capacity(c.len());
-        for (i, &l) in c.iter().enumerate() {
-            if i + 1 < c.len() && c[i + 1] == !l {
-                return true; // tautology
-            }
-            match self.lit_value(l) {
-                LBool::True => return true, // root-satisfied: nothing to learn
-                LBool::False => {}
-                LBool::Undef => simplified.push(l),
-            }
-        }
-        match simplified.len() {
-            0 => false,
-            1 => {
-                self.enqueue(simplified[0], ClauseRef::INVALID);
-                self.stats.imported_clauses += 1;
-                self.propagate().is_none()
-            }
-            len => {
-                let cref = self.db.add(&simplified, true);
-                self.db.set_lbd(cref, lbd.clamp(1, len as u32));
-                self.attach(cref);
-                self.stats.imported_clauses += 1;
-                true
-            }
-        }
-    }
-
     /// xorshift64*: the only source of randomness in the solver, fully
     /// determined by `SolverConfig::random_seed`.
     #[inline]
@@ -1164,14 +1049,8 @@ impl Solver {
                 self.proof_add(&learnt);
                 // LBD is computed before backtracking, but `level[]` entries
                 // are not cleared on unassignment, so the value is identical
-                // either way; computing it here lets the export hook and the
-                // clause DB share one computation.
+                // either way.
                 let lbd = if learnt.len() == 1 { 1 } else { self.compute_lbd(&learnt) };
-                if let Some(ex) = &mut self.exchange {
-                    if ex.export(&learnt, lbd) {
-                        self.stats.exported_clauses += 1;
-                    }
-                }
                 // Chronological backtracking: when the non-chronological
                 // backjump would discard many decision levels, step back a
                 // single level instead (Nadel & Ryvchin). The learnt clause

@@ -30,10 +30,6 @@ pub struct Stats {
     /// Root-satisfied clauses reclaimed by [`crate::Solver::simplify`]
     /// (mostly retired activation-gated clauses in incremental sessions).
     pub garbage_collected_clauses: u64,
-    /// Learnt clauses accepted by the portfolio exchange on export.
-    pub exported_clauses: u64,
-    /// Foreign clauses integrated from the portfolio exchange.
-    pub imported_clauses: u64,
     /// Solves that ended early because the interrupt flag was observed.
     pub interrupts: u64,
     /// Decisions taken by the seeded random policy instead of VSIDS.
@@ -54,9 +50,9 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Adds every counter from `other` into `self`. The parallel query
-    /// loops use this to fold worker-solver statistics into one session
-    /// total, so counters never silently vanish with the throwaway workers.
+    /// Adds every counter from `other` into `self`. Parallel solves use
+    /// this to fold probe-seat statistics into one session total, so
+    /// counters never silently vanish with the throwaway workers.
     pub fn absorb(&mut self, other: &Stats) {
         self.solves += other.solves;
         self.decisions += other.decisions;
@@ -70,8 +66,6 @@ impl Stats {
         self.deleted_clauses += other.deleted_clauses;
         self.retired_activations += other.retired_activations;
         self.garbage_collected_clauses += other.garbage_collected_clauses;
-        self.exported_clauses += other.exported_clauses;
-        self.imported_clauses += other.imported_clauses;
         self.interrupts += other.interrupts;
         self.random_decisions += other.random_decisions;
         self.inprocessings += other.inprocessings;
@@ -89,7 +83,7 @@ impl fmt::Display for Stats {
             f,
             "solves={} decisions={} propagations={} conflicts={} restarts={} \
              learnt={} deleted={} minimized_lits={} retired={} gc={} \
-             exported={} imported={} interrupts={} random_decisions={} \
+             interrupts={} random_decisions={} \
              inprocessings={} subsumed={} strengthened={} eliminated_vars={} \
              vivified={} chrono_backtracks={}",
             self.solves,
@@ -102,8 +96,6 @@ impl fmt::Display for Stats {
             self.minimized_literals,
             self.retired_activations,
             self.garbage_collected_clauses,
-            self.exported_clauses,
-            self.imported_clauses,
             self.interrupts,
             self.random_decisions,
             self.inprocessings,

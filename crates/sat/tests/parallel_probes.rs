@@ -5,7 +5,9 @@
 //! (formula, assumptions) pairs — for 1, 2, and 4 seats, in deterministic
 //! mode (where every seat must reach a decisive verdict) and in racing mode
 //! (where cancelled seats may report `Unknown`, but decisive answers must
-//! still match the oracle). Deterministic repeat runs must be bit-identical.
+//! still match the oracle), once with every variable frozen and once under
+//! hostile inprocessing with only the probed variables frozen.
+//! Deterministic repeat runs must be bit-identical.
 //!
 //! All randomness is seeded — running the sweep twice explores the same
 //! formulas.
@@ -65,51 +67,87 @@ fn model_satisfies(case: &Case, assumptions: &[Lit], model: &[Option<bool>]) -> 
     case.clauses.iter().all(|c| c.iter().any(lit_true)) && assumptions.iter().all(lit_true)
 }
 
+/// Variables the case's probes assume — the only ones a caller must freeze.
+fn probe_vars(case: &Case) -> Vec<Var> {
+    let mut vars: Vec<Var> = case.probes.iter().flatten().map(|l| l.var()).collect();
+    vars.sort_unstable();
+    vars.dedup();
+    vars
+}
+
 #[test]
 fn pool_rounds_agree_with_sequential_oracle() {
+    // Two inputs. The default configuration with every variable frozen,
+    // and the most hostile inprocessing schedule (inprocess every restart,
+    // restart every conflict, chronological backtracking on) with only the
+    // probe variables frozen — the freeze set the engine hands its pools —
+    // so seat BVE eliminates variables and every SAT model must come back
+    // reconstructed.
+    let aggressive = SolverConfig {
+        inprocess_interval: 1,
+        restart_base: 1,
+        chrono_threshold: 1,
+        ..SolverConfig::default()
+    };
     let mut rng = Rng::seed_from_u64(0x0092_0BE5);
-    for seats in [1usize, 2, 4] {
-        for deterministic in [true, false] {
-            for case_idx in 0..25 {
-                let case = gen_case(&mut rng, seats);
-                let mut pool = ProbePool::new(ProbePoolConfig {
-                    seats,
-                    num_vars: case.num_vars,
-                    clauses: Arc::new(case.clauses.clone()),
-                    base: SolverConfig::default(),
-                    frozen: (0..case.num_vars).map(Var::from_index).collect(),
-                    deterministic,
-                    seed: case_idx,
-                    conflict_budget: None,
-                });
-                // Two rounds over the same probe set: persistent seats must
-                // answer consistently as their clause databases warm up.
-                for round in 0..2 {
-                    let outcomes = pool.solve_round(&case.probes);
-                    for (probe, outcome) in case.probes.iter().zip(&outcomes) {
-                        let expected = oracle_verdict(&case, probe);
-                        let label = format!(
-                            "seats={seats} det={deterministic} case={case_idx} round={round}"
-                        );
-                        match outcome.result {
-                            SolveResult::Unknown => {
-                                assert!(!deterministic, "{label}: unexpected Unknown");
-                            }
-                            got => assert_eq!(got, expected, "{label}: verdict disagrees"),
-                        }
-                        if outcome.result == SolveResult::Sat {
-                            let model = outcome.model.as_deref().expect("SAT carries a model");
-                            assert!(
-                                model_satisfies(&case, probe, model),
-                                "{label}: probe model violates the formula"
+    let mut eliminated = 0;
+    for hostile in [false, true] {
+        for seats in [1usize, 2, 4] {
+            for deterministic in [true, false] {
+                for case_idx in 0..25 {
+                    let case = gen_case(&mut rng, seats);
+                    let (base, frozen) = if hostile {
+                        (aggressive.clone(), probe_vars(&case))
+                    } else {
+                        (SolverConfig::default(), (0..case.num_vars).map(Var::from_index).collect())
+                    };
+                    let mut pool = ProbePool::new(ProbePoolConfig {
+                        seats,
+                        num_vars: case.num_vars,
+                        clauses: Arc::new(case.clauses.clone()),
+                        base,
+                        frozen,
+                        deterministic,
+                        seed: case_idx,
+                        conflict_budget: None,
+                    });
+                    // Two rounds over the same probe set: persistent seats
+                    // must answer consistently as their clause databases
+                    // warm up.
+                    for round in 0..2 {
+                        let outcomes = pool.solve_round(&case.probes);
+                        for (probe, outcome) in case.probes.iter().zip(&outcomes) {
+                            let expected = oracle_verdict(&case, probe);
+                            let label = format!(
+                                "hostile={hostile} seats={seats} det={deterministic} \
+                                 case={case_idx} round={round}"
                             );
+                            match outcome.result {
+                                SolveResult::Unknown => {
+                                    assert!(!deterministic, "{label}: unexpected Unknown");
+                                }
+                                got => assert_eq!(got, expected, "{label}: verdict disagrees"),
+                            }
+                            if outcome.result == SolveResult::Sat {
+                                let model = outcome.model.as_deref().expect("SAT carries a model");
+                                assert!(
+                                    model_satisfies(&case, probe, model),
+                                    "{label}: probe model violates the formula"
+                                );
+                            }
                         }
                     }
+                    let stats = pool.finish();
+                    if hostile {
+                        eliminated += stats.iter().map(|s| s.eliminated_vars).sum::<u64>();
+                    }
                 }
-                pool.finish();
             }
         }
     }
+    // The hostile input proves nothing unless seats really eliminated
+    // variables whose values had to be reconstructed.
+    assert!(eliminated > 0, "hostile input never eliminated a variable");
 }
 
 #[test]

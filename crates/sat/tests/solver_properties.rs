@@ -8,6 +8,8 @@
 use netarch_rt::prop::{self, gen_vec, Config};
 use netarch_rt::{prop_assert, prop_assert_eq, Rng};
 use netarch_sat::{dimacs, enumerate, Lit, SolveResult, Solver, SolverConfig, Var};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 /// A clause as signed variable indices (generator-friendly form).
 type RawClause = Vec<(usize, bool)>;
@@ -306,8 +308,15 @@ fn incremental_equals_monolithic() {
 // ---------------------------------------------------------------------
 
 /// Pigeonhole principle: n pigeons into n-1 holes, always UNSAT.
-#[allow(clippy::needless_range_loop)]
 fn pigeonhole(n: usize) -> (Solver, SolveResult) {
+    let mut s = pigeonhole_solver(n);
+    let r = s.solve();
+    (s, r)
+}
+
+/// The pigeonhole formula loaded but not yet solved.
+#[allow(clippy::needless_range_loop)]
+fn pigeonhole_solver(n: usize) -> Solver {
     let mut s = Solver::new();
     let holes = n - 1;
     let p: Vec<Vec<Lit>> = (0..n)
@@ -323,8 +332,7 @@ fn pigeonhole(n: usize) -> (Solver, SolveResult) {
             }
         }
     }
-    let r = s.solve();
-    (s, r)
+    s
 }
 
 #[test]
@@ -562,4 +570,41 @@ fn simplify_detects_root_contradiction() {
     s.add_clause([!a]);
     assert!(!s.simplify());
     assert_eq!(s.solve(), SolveResult::Unsat);
+}
+
+// ---------------------------------------------------------------------
+// Cooperative interruption (the probe pool's cancellation signal)
+// ---------------------------------------------------------------------
+
+#[test]
+fn preset_interrupt_stops_before_any_conflict() {
+    // The flag is polled as the first statement of every search-loop
+    // iteration, so a flag raised before the solve costs zero conflicts.
+    let mut s = pigeonhole_solver(7);
+    s.set_interrupt(Arc::new(AtomicBool::new(true)));
+    assert_eq!(s.solve(), SolveResult::Unknown);
+    assert!(s.last_interrupted());
+    let stats = s.stats();
+    assert_eq!(stats.interrupts, 1);
+    assert_eq!(stats.conflicts, 0, "a pre-set flag must cost zero conflicts");
+    assert!(
+        s.model_value(Var::from_index(0)).is_none(),
+        "an interrupted solve must not leave a partial model visible"
+    );
+}
+
+#[test]
+fn interrupted_solver_remains_usable() {
+    // An interrupt is a pause, not a poison: clearing the flag and
+    // re-solving must produce the real verdict with consistent counters.
+    let mut s = pigeonhole_solver(5);
+    s.set_interrupt(Arc::new(AtomicBool::new(true)));
+    assert_eq!(s.solve(), SolveResult::Unknown);
+    let interrupted_stats = *s.stats();
+    s.clear_interrupt();
+    assert_eq!(s.solve(), SolveResult::Unsat);
+    assert!(!s.last_interrupted());
+    let final_stats = s.stats();
+    assert_eq!(final_stats.interrupts, interrupted_stats.interrupts);
+    assert!(final_stats.conflicts > interrupted_stats.conflicts);
 }

@@ -1,5 +1,5 @@
-//! Run-to-run reproducibility of the service (mirrors
-//! `portfolio_determinism` one layer up).
+//! Run-to-run reproducibility of the service (mirrors the probe pool's
+//! deterministic-mode checks one layer up).
 //!
 //! With a sequential backend, the whole pipeline — tape generation,
 //! routing, cache hits, eviction, answers, shard counters, the summary

@@ -10,6 +10,13 @@ cargo build --release --offline --workspace
 echo "== test =="
 cargo test -q --offline --workspace
 
+echo "== archbench (build + unit tests) =="
+# The benchmark package has its own workspace and builds against crates/*
+# by path, so an API change that breaks it must fail here rather than in
+# the benchmark run.
+cargo build --release --offline --manifest-path archbench/Cargo.toml
+cargo test -q --offline --manifest-path archbench/Cargo.toml
+
 echo "== clippy =="
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -56,31 +63,32 @@ echo "== incremental-session smoke =="
 NETARCH_BENCH_DIR="$narch_tmp" \
     cargo run --release --offline -q -p netarch-bench --bin exp_incremental
 
-echo "== portfolio suite (2 threads) =="
-# The portfolio test files again, but with the engine's env-var path
-# exercised too: NETARCH_THREADS=2 routes every decisive one-shot engine
-# probe through a 2-worker portfolio. Verdicts must not change.
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-sat \
-    --test portfolio_differential --test portfolio_determinism \
-    --test portfolio_cancellation --test portfolio_proofs
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-core --test portfolio_engine
+echo "== session suite on probe seats (2 threads) =="
+# The adversarial-ordering session suite builds its engines from the
+# environment, so NETARCH_THREADS=2 puts it on a 2-seat portfolio backend:
+# optimize's racing descent runs on probe seats, interleaved with check,
+# enumerate and subset queries on the same session. Racing arbitration
+# first, then deterministic. Answers must match fresh engines.
+NETARCH_THREADS=2 cargo test -q --offline -p netarch-core --test interleaved_queries
+NETARCH_THREADS=2 NETARCH_DETERMINISTIC=1 cargo test -q --offline -p netarch-core \
+    --test interleaved_queries
 
 echo "== portfolio smoke =="
 # Reduced corpus: zero verdict disagreements and a ≥1.0× median speedup
-# for 4 diversified workers vs 1 (the full bound of ≥1.5× is asserted by
-# the un-flagged run, which CI skips for time).
+# for a 4-seat broadcast round vs 1 seat (the full bound of ≥1.5× is
+# asserted by the un-flagged run, which CI skips for time).
 NETARCH_BENCH_DIR="$narch_tmp" \
     cargo run --release --offline -q -p netarch-bench --bin exp_portfolio -- --smoke
 
 echo "== inprocessing suite (certified) =="
 # Restart-boundary inprocessing: the solver-level differential sweep, plus
 # the session-engine suite with every solve proof-checked end-to-end
-# (NETARCH_VERIFY_PROOFS=1) and again under a 2-worker portfolio backend.
-# Frozen-variable regressions here mean the freeze contract broke.
+# (NETARCH_VERIFY_PROOFS=1). Proof mode keeps every verdict on the
+# certified session solver whatever NETARCH_THREADS says, so a 2-thread
+# rerun here would repeat this run exactly. Frozen-variable regressions
+# here mean the freeze contract broke.
 cargo test -q --offline -p netarch-sat --test inprocess_properties
 NETARCH_VERIFY_PROOFS=1 cargo test -q --offline -p netarch-core --test interleaved_queries
-NETARCH_VERIFY_PROOFS=1 NETARCH_THREADS=2 cargo test -q --offline -p netarch-core \
-    --test interleaved_queries
 
 echo "== inprocessing smoke =="
 # Reduced session corpus: zero per-query verdict disagreements between
@@ -90,22 +98,11 @@ echo "== inprocessing smoke =="
 NETARCH_BENCH_DIR="$narch_tmp" \
     cargo run --release --offline -q -p netarch-bench --bin exp_inprocess -- --smoke
 
-echo "== parallel query loops (2 threads) =="
-# The three parallelized query loops — racing MaxSAT descent, cube-and-
-# conquer enumeration, speculative capacity search — re-run their
-# differential sweeps with the engine env-var path live: answers must
-# match the sequential oracle and deterministic runs must repeat
-# bit-identically.
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-sat \
-    --test parallel_probes --test cube_enumeration
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-logic --test parallel_descent
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-core --test parallel_queries
-
-echo "== parallel query smoke =="
-# Toy shapes through all three loops with the full parallel-vs-sequential
-# oracle; persists BENCH_parallel_queries.json to the temp dir for the
-# regression gate below. Smoke gates correctness only — the ≥1.3× speedup
-# claim on 2 of 3 loops lives in the committed full run.
+echo "== parallel descent smoke =="
+# Toy shapes through the racing MaxSAT descent with the full
+# parallel-vs-sequential oracle; persists BENCH_parallel_queries.json to
+# the temp dir for the regression gate below. Smoke gates correctness
+# only — the ≥1.3× descent speedup claim lives in the committed full run.
 NETARCH_BENCH_DIR="$narch_tmp" \
     cargo run --release --offline -q -p netarch-bench --bin exp_parallel_queries -- --smoke
 
@@ -164,16 +161,23 @@ NETARCH_BENCH_CANDIDATE="$narch_tmp" \
     cargo test -q --offline --test bench_regression
 
 echo "== seeded-RNG policy =="
-# Solver, portfolio, and their tests must not read wall clock or ambient
+# Solver, probe pool, and their tests must not read wall clock or ambient
 # entropy: determinism of the deterministic mode (and of every test) rests
-# on all randomness flowing from explicit seeds.
-if grep -nE 'thread_rng|from_entropy|rand::random|SystemTime::now|Instant::now' \
-    crates/sat/src/solver.rs crates/sat/src/simplify.rs crates/sat/src/portfolio.rs \
+# on all randomness flowing from explicit seeds. grep exits 0 on a match,
+# 1 on none, and 2 on an error such as a missing file — a stale list must
+# fail loudly, not pass because some other listed file was read.
+rng_status=0
+grep -nE 'thread_rng|from_entropy|rand::random|SystemTime::now|Instant::now' \
+    crates/sat/src/solver.rs crates/sat/src/simplify.rs \
     crates/sat/src/probes.rs crates/sat/src/enumerate.rs \
-    crates/sat/tests/portfolio_*.rs crates/sat/tests/inprocess_properties.rs \
-    crates/sat/tests/parallel_probes.rs crates/sat/tests/cube_enumeration.rs \
-    crates/logic/tests/parallel_descent.rs crates/core/tests/parallel_queries.rs; then
-    echo "error: wall-clock or ambient-entropy source in solver/portfolio code" >&2
+    crates/sat/tests/solver_properties.rs crates/sat/tests/inprocess_properties.rs \
+    crates/sat/tests/parallel_probes.rs crates/logic/tests/parallel_descent.rs \
+    crates/core/tests/portfolio_engine.rs || rng_status=$?
+if [ "$rng_status" -eq 0 ]; then
+    echo "error: wall-clock or ambient-entropy source in solver/probe-pool code" >&2
+    exit 1
+elif [ "$rng_status" -ne 1 ]; then
+    echo "error: seeded-RNG policy grep failed (status $rng_status)" >&2
     exit 1
 fi
 

@@ -15,9 +15,9 @@
 //!   (default 2×, override with `NETARCH_BENCH_REGRESSION_FACTOR`).
 //! * **Self-bounded metrics** — `portfolio/median_speedup`,
 //!   `inprocess/median_speedup`, `serve/warm_over_cold`, and
-//!   `parallel_queries/loops_over_bound`. CI runs these in `--smoke`
-//!   shape, whose
-//!   absolute numbers are not comparable to the committed full runs;
+//!   `parallel_queries/descent_speedup`. CI runs these in `--smoke`
+//!   shape, whose absolute numbers are not comparable to the committed
+//!   full runs;
 //!   instead the gate holds the candidate to the bound it recorded for
 //!   itself and to zero verdict disagreements, so a silently edited or
 //!   truncated candidate cannot pass.
@@ -109,9 +109,9 @@ fn committed_trajectory_metrics_are_sane() {
         "committed parallel-queries run disagreed with the sequential oracle"
     );
     assert!(
-        parallel.get("loops_over_bound").and_then(Json::as_u64).unwrap_or(0) >= 2,
-        "committed parallel-queries run has fewer than 2 of 3 loops at its \
-         speedup bound"
+        metric(&parallel, "parallel_queries", "descent_speedup")
+            >= metric(&parallel, "parallel_queries", "bound"),
+        "committed parallel-queries run has its descent speedup below its own bound"
     );
     assert_eq!(
         parallel.get("smoke").and_then(Json::as_bool),

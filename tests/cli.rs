@@ -2,6 +2,7 @@
 //! through a temp file, every subcommand, and error handling.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn netarch(args: &[&str]) -> (bool, String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_netarch"))
@@ -15,10 +16,19 @@ fn netarch(args: &[&str]) -> (bool, String, String) {
     )
 }
 
-fn demo_scenario_path() -> std::path::PathBuf {
+/// A temp path no other test (or other call in the same test) shares:
+/// tests run on parallel threads of one process, so the process id alone
+/// would let one test delete a file a sibling is still reading.
+fn temp_path(test: &str, name: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("netarch-{test}-{}-{n}-{name}", std::process::id()))
+}
+
+fn demo_scenario_path(test: &str) -> std::path::PathBuf {
     let (ok, stdout, stderr) = netarch(&["demo"]);
     assert!(ok, "{stderr}");
-    let path = std::env::temp_dir().join(format!("netarch-cli-test-{}.json", std::process::id()));
+    let path = temp_path(test, "scenario.json");
     std::fs::write(&path, stdout).expect("write temp scenario");
     path
 }
@@ -35,7 +45,7 @@ fn demo_emits_parseable_scenario_json() {
 
 #[test]
 fn check_reports_feasible_with_a_design() {
-    let path = demo_scenario_path();
+    let path = demo_scenario_path("check");
     let (ok, stdout, _) = netarch(&["check", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
     assert!(ok);
@@ -45,7 +55,7 @@ fn check_reports_feasible_with_a_design() {
 
 #[test]
 fn capacity_reports_fleet_size() {
-    let path = demo_scenario_path();
+    let path = demo_scenario_path("capacity");
     let (ok, stdout, _) = netarch(&["capacity", path.to_str().unwrap(), "512"]);
     std::fs::remove_file(&path).ok();
     assert!(ok);
@@ -54,7 +64,7 @@ fn capacity_reports_fleet_size() {
 
 #[test]
 fn compare_answers_listing_2_orderings() {
-    let path = demo_scenario_path();
+    let path = demo_scenario_path("compare");
     let p = path.to_str().unwrap().to_string();
     let (ok, stdout, _) = netarch(&["compare", &p, "SIMON", "PINGMESH", "monitoring-quality"]);
     assert!(ok);
@@ -70,7 +80,7 @@ fn compare_answers_listing_2_orderings() {
 
 #[test]
 fn enumerate_lists_classes() {
-    let path = demo_scenario_path();
+    let path = demo_scenario_path("enumerate");
     let (ok, stdout, _) = netarch(&["enumerate", path.to_str().unwrap(), "3"]);
     std::fs::remove_file(&path).ok();
     assert!(ok);
@@ -138,11 +148,10 @@ fn check_accepts_narch_scenario_files() {
 /// equivalent produce byte-identical answers.
 #[test]
 fn narch_and_json_scenarios_answer_identically() {
-    let json_path = demo_scenario_path();
+    let json_path = demo_scenario_path("narch_and_json");
     let (ok, narch_text, stderr) = netarch(&["demo", "--narch"]);
     assert!(ok, "{stderr}");
-    let narch_path =
-        std::env::temp_dir().join(format!("netarch-cli-test-{}.narch", std::process::id()));
+    let narch_path = temp_path("narch_and_json", "scenario.narch");
     std::fs::write(&narch_path, narch_text).unwrap();
 
     let from_json = netarch(&["check", json_path.to_str().unwrap()]);
@@ -162,7 +171,7 @@ fn narch_and_json_scenarios_answer_identically() {
 fn format_detection_sniffs_content_without_extension() {
     // A JSON scenario under a neutral extension still loads.
     let (_, json_text, _) = netarch(&["demo"]);
-    let path = std::env::temp_dir().join(format!("netarch-sniff-{}.tmp", std::process::id()));
+    let path = temp_path("sniff", "scenario.tmp");
     std::fs::write(&path, json_text).unwrap();
     let (ok, stdout, stderr) = netarch(&["check", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
@@ -170,7 +179,7 @@ fn format_detection_sniffs_content_without_extension() {
     assert!(stdout.starts_with("FEASIBLE"));
 
     // Malformed JSON gets the format hint.
-    let path = std::env::temp_dir().join(format!("netarch-sniff2-{}.json", std::process::id()));
+    let path = temp_path("sniff", "malformed.json");
     std::fs::write(&path, "{ not json").unwrap();
     let (ok, _, stderr) = netarch(&["check", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
@@ -198,7 +207,7 @@ fn validate_passes_corpus_and_catches_dangling_references() {
     assert!(ok, "{stderr}");
     assert!(stdout.starts_with("OK"), "{stdout}");
 
-    let path = std::env::temp_dir().join(format!("netarch-dangling-{}.narch", std::process::id()));
+    let path = temp_path("dangling", "catalog.narch");
     std::fs::write(
         &path,
         "system \"A\" { category = transport  conflicts = [GHOST] }",
@@ -214,7 +223,7 @@ fn validate_passes_corpus_and_catches_dangling_references() {
 fn fmt_is_canonical_and_idempotent() {
     let (ok, once, stderr) = netarch(&["fmt", &repo_path("examples/minimal.narch")]);
     assert!(ok, "{stderr}");
-    let path = std::env::temp_dir().join(format!("netarch-fmt-{}.narch", std::process::id()));
+    let path = temp_path("fmt", "minimal.narch");
     std::fs::write(&path, &once).unwrap();
     let (ok, twice, _) = netarch(&["fmt", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
@@ -222,7 +231,7 @@ fn fmt_is_canonical_and_idempotent() {
     assert_eq!(once, twice, "fmt is not idempotent");
 
     // fmt refuses JSON input.
-    let json_path = demo_scenario_path();
+    let json_path = demo_scenario_path("fmt");
     let (ok, _, stderr) = netarch(&["fmt", json_path.to_str().unwrap()]);
     std::fs::remove_file(&json_path).ok();
     assert!(!ok);
@@ -233,7 +242,7 @@ fn fmt_is_canonical_and_idempotent() {
 /// the offending detail, and exits nonzero.
 #[test]
 fn narch_errors_carry_file_line_and_column() {
-    let path = std::env::temp_dir().join(format!("netarch-err-{}.narch", std::process::id()));
+    let path = temp_path("err", "bad.narch");
     // Column 14 on line 2: `category` misspelled.
     std::fs::write(
         &path,
@@ -255,7 +264,7 @@ fn narch_errors_carry_file_line_and_column() {
 
 #[test]
 fn export_narch_regenerates_committed_corpus_byte_identically() {
-    let dir = std::env::temp_dir().join(format!("netarch-export-{}", std::process::id()));
+    let dir = temp_path("export", "corpus");
     let (ok, _, stderr) = netarch(&["export-narch", dir.to_str().unwrap()]);
     assert!(ok, "{stderr}");
     for rel in [
@@ -273,7 +282,7 @@ fn export_narch_regenerates_committed_corpus_byte_identically() {
 
 #[test]
 fn json_flag_emits_machine_readable_designs() {
-    let path = demo_scenario_path();
+    let path = demo_scenario_path("json_flag");
     let p = path.to_str().unwrap().to_string();
     let (ok, stdout, stderr) = netarch(&["check", &p, "--json"]);
     assert!(ok, "{stderr}");
@@ -315,7 +324,7 @@ fn sweep_smoke_manifest_is_deterministic() {
 #[test]
 fn sweep_export_writes_checkable_variants() {
     let spec = repo_path("examples/sweep.narch");
-    let dir = std::env::temp_dir().join(format!("netarch-sweep-{}", std::process::id()));
+    let dir = temp_path("sweep", "variants");
     let (ok, stdout, stderr) = netarch(&["sweep", &spec, "--export", dir.to_str().unwrap()]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("wrote 30 variant file(s)"), "{stdout}");
