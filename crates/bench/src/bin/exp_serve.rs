@@ -20,51 +20,13 @@
 //! (sequential backend) the summary is bit-identical across runs except
 //! for timing fields — see `service_determinism.rs`.
 
-use netarch_bench::{section, subset_catalog};
+use netarch_bench::{section, serve_tenant};
 use netarch_core::prelude::*;
 use netarch_rt::json::Json;
 use netarch_serve::report;
 use netarch_serve::request::run_query;
 use netarch_serve::{generate_tape, Answer, ReplaySpec, Request, Service, ServiceConfig};
 use std::time::Instant;
-
-/// One tenant-facing base scenario over a sub-corpus of `n_systems`
-/// systems. Different sizes give different catalogs (hence different
-/// shard affinities); per-tenant params give cold traffic within one
-/// catalog.
-fn base_scenario(n_systems: usize, n_hardware: usize) -> Scenario {
-    let catalog = subset_catalog(n_systems, n_hardware);
-    let nics: Vec<HardwareId> = catalog
-        .hardware_of_kind(HardwareKind::Nic)
-        .iter()
-        .take(3)
-        .map(|h| h.id.clone())
-        .collect();
-    let switches: Vec<HardwareId> = catalog
-        .hardware_of_kind(HardwareKind::Switch)
-        .iter()
-        .take(3)
-        .map(|h| h.id.clone())
-        .collect();
-    Scenario::new(catalog)
-        .with_workload(
-            Workload::builder("app")
-                .property("dc_flows")
-                .peak_cores(200)
-                .num_flows(10_000)
-                .needs("host_networking")
-                .build(),
-        )
-        .with_param("link_speed_gbps", 100.0)
-        .with_objective(Objective::MinimizeCost)
-        .with_inventory(Inventory {
-            nic_candidates: nics,
-            switch_candidates: switches,
-            server_candidates: Vec::new(),
-            num_servers: 16,
-            num_switches: 2,
-        })
-}
 
 fn pool(smoke: bool) -> Vec<Scenario> {
     // Smoke catalogs must stay large enough that a cold compile clearly
@@ -75,7 +37,7 @@ fn pool(smoke: bool) -> Vec<Scenario> {
     let tenants_per_size = if smoke { 1 } else { 2 };
     let mut scenarios = Vec::new();
     for &(n_systems, n_hardware) in sizes {
-        let base = base_scenario(n_systems, n_hardware);
+        let base = serve_tenant(n_systems, n_hardware);
         for t in 0..tenants_per_size {
             scenarios.push(base.clone().with_param(format!("tenant_{t}"), f64::from(t)));
         }

@@ -36,6 +36,44 @@ pub fn context_scenario(link_speed_gbps: f64) -> Scenario {
         .with_param("link_speed_gbps", link_speed_gbps)
 }
 
+/// `exp_serve`'s tenant-facing base scenario over a sub-corpus of
+/// `n_systems` systems, minimizing cost. Different sizes give different
+/// catalogs (hence different shard affinities); per-tenant params give
+/// cold traffic within one catalog.
+pub fn serve_tenant(n_systems: usize, n_hardware: usize) -> Scenario {
+    let catalog = subset_catalog(n_systems, n_hardware);
+    let nics: Vec<HardwareId> = catalog
+        .hardware_of_kind(HardwareKind::Nic)
+        .iter()
+        .take(3)
+        .map(|h| h.id.clone())
+        .collect();
+    let switches: Vec<HardwareId> = catalog
+        .hardware_of_kind(HardwareKind::Switch)
+        .iter()
+        .take(3)
+        .map(|h| h.id.clone())
+        .collect();
+    Scenario::new(catalog)
+        .with_workload(
+            Workload::builder("app")
+                .property("dc_flows")
+                .peak_cores(200)
+                .num_flows(10_000)
+                .needs("host_networking")
+                .build(),
+        )
+        .with_param("link_speed_gbps", 100.0)
+        .with_objective(Objective::MinimizeCost)
+        .with_inventory(Inventory {
+            nic_candidates: nics,
+            switch_candidates: switches,
+            server_candidates: Vec::new(),
+            num_servers: 16,
+            num_switches: 2,
+        })
+}
+
 /// A sub-catalog with the first `n_systems` systems (per category,
 /// round-robin to keep all roles populated) and first `n_hardware`
 /// hardware models — used by the scaling experiments.

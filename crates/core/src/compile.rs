@@ -21,7 +21,7 @@ use crate::scenario::{Inventory, Objective, Pin, RoleRule, Scenario};
 use crate::types::{
     Capability, Category, Feature, HardwareId, HardwareKind, Resource, SystemId,
 };
-use netarch_logic::pb::{gte_outputs, PbTerm};
+use netarch_logic::pb::{assert_pb_le_under, gte_outputs, weight_sum, PbTerm};
 use netarch_logic::{Atom, ClauseSink, Encoder, Formula, GroupId, GroupedAssertions, Soft};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -670,7 +670,12 @@ impl<'a> Compiler<'a> {
                 }
             }
         }
-        let fixed_cores: u64 = self.scenario.workloads.iter().map(|w| w.peak_cores).sum();
+        let fixed_cores = self
+            .scenario
+            .workloads
+            .iter()
+            .try_fold(0u64, |acc, w| acc.checked_add(w.peak_cores))
+            .ok_or_else(|| CompileError::WeightOverflow("workload peak cores".into()))?;
         if fixed_cores > 0 {
             // Workload cores must be checked against server capacity even
             // when no *system* demands cores.
@@ -705,8 +710,16 @@ impl<'a> Compiler<'a> {
                     .hardware(&model_id)
                     .expect("validated in allocate_atoms")
                     .clone();
-                let capacity = spec.capacity(&resource)
-                    * capacity_scale(&resource, &self.scenario.inventory);
+                let scale = capacity_scale(&resource, &self.scenario.inventory);
+                let Some(capacity) = spec.capacity(&resource).checked_mul(scale) else {
+                    // A capacity past u64::MAX holds any demand that fits.
+                    if weight_sum(&terms).and_then(|d| d.checked_add(fixed)).is_some() {
+                        continue;
+                    }
+                    return Err(CompileError::WeightOverflow(format!(
+                        "{resource} capacity and demand on {model_id}"
+                    )));
+                };
                 let selector = {
                     let atom = self.hardware_atoms[&model_id];
                     self.encoder.atom_lit(atom)
@@ -722,24 +735,14 @@ impl<'a> Compiler<'a> {
                     continue;
                 }
                 let budget = capacity - fixed;
-                let total: u64 = terms.iter().map(|t| t.weight).sum();
-                if total <= budget {
+                if weight_sum(&terms).is_some_and(|total| total <= budget) {
                     continue; // never binding
                 }
-                // Guarded PB: selector ∧ group-selector → Σ ≤ budget.
-                // Encode the GTE unconditionally, guard the bound clauses.
+                // Guarded PB: selector ∧ group-selector → Σ ≤ budget. The
+                // rule's clauses are emitted by hand, so register its
+                // selector directly.
                 let group_sel = self.encoder.new_selector();
-                let node = gte_outputs(&mut self.encoder, &terms, budget);
-                for &(s, l) in &node.outputs {
-                    if s > budget {
-                        let clause = [!group_sel, !selector, !l];
-                        ClauseSink::add_clause(&mut self.encoder, &clause);
-                    }
-                }
-                // Register as a group by hand (assert_under already done
-                // via guarded clauses): reuse add_group with True to keep
-                // selector bookkeeping uniform is not possible, so register
-                // the selector directly.
+                assert_pb_le_under(&mut self.encoder, &[group_sel, selector], &terms, budget);
                 self.register_manual_group(group_sel, label, description, None);
             }
         }
@@ -769,7 +772,8 @@ impl<'a> Compiler<'a> {
                 PbTerm::new(*amount, lit)
             })
             .collect();
-        let total: u64 = terms.iter().map(|t| t.weight).sum();
+        let total = weight_sum(&terms)
+            .ok_or_else(|| CompileError::WeightOverflow(format!("{resource} demand")))?;
         // One shared demand totalizer per resource; per-model bound rules.
         let node = gte_outputs(&mut self.encoder, &terms, total);
         for model_id in candidates {
@@ -811,8 +815,11 @@ impl<'a> Compiler<'a> {
                 }
             }
             for &(s, l) in &node.outputs {
-                let need = (fixed + s).div_ceil(per_unit);
-                match n.ge_const(need) {
+                // No fleet size covers a need past u64::MAX.
+                let need = (u128::from(fixed) + u128::from(s)).div_ceil(u128::from(per_unit));
+                let bound = u64::try_from(need)
+                    .map_or(netarch_logic::Bound::AlwaysFalse, |need| n.ge_const(need));
+                match bound {
                     netarch_logic::Bound::AlwaysTrue => {}
                     netarch_logic::Bound::AlwaysFalse => {
                         let clause = [!group_sel, !selector, !l];
@@ -889,18 +896,11 @@ impl<'a> Compiler<'a> {
             return;
         };
         let terms = self.cost_terms();
-        let total: u64 = terms.iter().map(|t| t.weight).sum();
-        if total <= budget {
+        if weight_sum(&terms).is_some_and(|total| total <= budget) {
             return;
         }
         let group_sel = self.encoder.new_selector();
-        let node = gte_outputs(&mut self.encoder, &terms, budget);
-        for &(s, l) in &node.outputs {
-            if s > budget {
-                let clause = [!group_sel, !l];
-                ClauseSink::add_clause(&mut self.encoder, &clause);
-            }
-        }
+        assert_pb_le_under(&mut self.encoder, &[group_sel], &terms, budget);
         self.register_manual_group(
             group_sel,
             "budget".to_string(),
@@ -1032,7 +1032,7 @@ impl<'a> Compiler<'a> {
         let scale = gcd.max(1);
         // Keep total distinct-sum space bounded: further scale down when
         // the normalized total is enormous.
-        let total: u64 = items.iter().map(|&(_, w)| w / scale).sum();
+        let total = items.iter().fold(0u64, |acc, &(_, w)| acc.saturating_add(w / scale));
         let extra = (total / 2_000).max(1);
         items
             .into_iter()

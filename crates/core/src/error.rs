@@ -64,6 +64,9 @@ pub enum CompileError {
     /// An objective level's soft-constraint weights overflow `u64` when
     /// summed, so the optimum is not representable.
     ObjectiveOverflow,
+    /// A weighted total the compiler must compare exactly (resource
+    /// demand against capacity, workload cores) overflows `u64`.
+    WeightOverflow(String),
     /// The engine reached a state its own invariants rule out (e.g. a
     /// feasible scenario turned infeasible mid-optimization). Indicates a
     /// bug in the engine, never in the scenario.
@@ -107,6 +110,9 @@ impl fmt::Display for CompileError {
             CompileError::ObjectiveOverflow => {
                 write!(f, "objective soft-constraint weights overflow u64 when summed")
             }
+            CompileError::WeightOverflow(what) => {
+                write!(f, "the weighted total of {what} overflows u64")
+            }
             CompileError::Internal(context) => {
                 write!(f, "internal engine inconsistency (this is a bug): {context}")
             }
@@ -137,6 +143,8 @@ mod tests {
         assert!(e.to_string().contains("A, B"));
         let e = CompileError::ObjectiveOverflow;
         assert!(e.to_string().contains("overflow"));
+        let e = CompileError::WeightOverflow("cores demand".into());
+        assert!(e.to_string().contains("cores demand") && e.to_string().contains("overflow"));
         let e = CompileError::Internal("optimize lost feasibility".into());
         assert!(e.to_string().contains("bug") && e.to_string().contains("optimize"));
     }

@@ -113,8 +113,8 @@ pub struct OptimizedDesign {
 pub struct Engine {
     scenario: Scenario,
     compiled: Compiled,
-    /// Objective totalizers with display labels, compiled into the session
-    /// on the first `optimize` and reused by every later one.
+    /// Objective levels (their violation literals) with display labels,
+    /// compiled into the session on the first `optimize`.
     objective_cache: Option<Vec<(String, CompiledSofts)>>,
     /// The implicit parsimony level, compiled alongside the objectives.
     parsimony_cache: Option<CompiledSofts>,

@@ -155,6 +155,14 @@ impl Encoder {
         v
     }
 
+    /// Freezes `lit`'s variable after the fact. Tseitin definitions from
+    /// [`Encoder::lit_for`] stay eliminable; a caller that will reference
+    /// one in clauses added after a later solve (an objective totalizer
+    /// over violation literals) freezes it first.
+    pub(crate) fn freeze(&mut self, lit: Lit) {
+        self.solver.freeze_var(lit.var());
+    }
+
     /// The solver variable backing `atom`, allocated on first use.
     pub fn atom_var(&mut self, atom: Atom) -> Var {
         let idx = atom.index();

@@ -2,10 +2,10 @@
 //!
 //! Two algorithms over the same [`Encoder`]:
 //!
-//! * **Linear GTE descent** — build a generalized totalizer over the
-//!   violation literals, then walk the achievable costs downward using
-//!   assumptions until UNSAT; the last SAT model is optimal. Works for
-//!   arbitrary weights.
+//! * **Linear GTE descent** — find a first model, build a generalized
+//!   totalizer over the violation literals saturated at that model's cost,
+//!   then binary-search the achievable costs below it using assumptions;
+//!   the last SAT model is optimal. Works for arbitrary weights.
 //! * **Fu-Malik** — core-guided: repeatedly extract unsat cores over the
 //!   soft constraints' assumption literals, relax each core with fresh
 //!   blocking variables plus an exactly-one constraint. Implemented for
@@ -94,20 +94,21 @@ pub fn minimize(
 
 /// A soft-constraint objective compiled once for reuse across queries.
 ///
-/// The violation literals and the generalized-totalizer outputs are encoded
-/// a single time; every subsequent [`minimize_under`] call performs only
-/// assumption-based descent plus activation-gated hardening, so repeated
-/// optimization of the same objective adds no permanent clauses and reuses
-/// everything the solver has learned.
+/// Compiling Tseitin-encodes one violation literal per soft constraint;
+/// each [`minimize_under`] call then builds its own objective totalizer
+/// over them, saturated at the cost of its first model. No probe or
+/// hardened bound ever asks about a cost above that, so a totalizer built
+/// up front at the weight total would mostly encode sums nobody reads.
 pub struct CompiledSofts {
     softs: Vec<Soft>,
-    /// Totalizer outputs `(sum, lit)`: `lit` is forced true whenever the
-    /// violated weight reaches `sum`.
-    outputs: Vec<(u64, Lit)>,
-    /// Long-lived activation literal gating the whole totalizer. Assumed
-    /// by every solve that needs the objective circuitry; left unassumed
-    /// otherwise, so the totalizer clauses are dormant and cost nothing
-    /// on queries that never mention the objective.
+    /// Violation literal per soft constraint, weighted by its soft: true
+    /// exactly when the soft constraint is violated.
+    violations: Vec<PbTerm>,
+    /// Long-lived activation literal gating the violation definitions and
+    /// every totalizer built over them. Assumed by every solve that needs
+    /// the objective circuitry; left unassumed otherwise, so those clauses
+    /// are dormant and cost nothing on queries that never mention the
+    /// objective.
     activation: Lit,
 }
 
@@ -136,29 +137,79 @@ impl std::fmt::Display for WeightOverflow {
     }
 }
 
-/// Encodes the violation totalizer for `softs` once, for repeated
+/// Encodes the violation literals of `softs` once, for repeated
 /// [`minimize_under`] calls. Fails when the weights overflow `u64`.
 pub fn compile_softs(
     encoder: &mut Encoder,
     softs: Vec<Soft>,
 ) -> Result<CompiledSofts, WeightOverflow> {
-    let total = checked_total(&softs).ok_or(WeightOverflow)?;
-    // The whole totalizer is gated behind one long-lived activation
+    checked_total(&softs).ok_or(WeightOverflow)?;
+    // The violation definitions are gated behind one long-lived activation
     // literal, so a persistent session only pays for the objective
     // circuitry in solves that assume it.
     let activation = encoder.new_selector();
-    let outputs = encoder.gated_scope(activation, |e| {
-        // Violation literal per soft constraint: v_i ⇔ ¬formula_i.
-        let terms: Vec<PbTerm> = softs
+    let violations = encoder.gated_scope(activation, |e| {
+        softs
             .iter()
             .map(|s| {
-                let l = e.lit_for(&s.formula);
-                PbTerm::new(s.weight, !l)
+                // v_i ⇔ ¬formula_i. Frozen: the totalizer that reads it is
+                // only built by a later `minimize_under`, and an inprocessing
+                // round in between (an earlier level's solves, a serving
+                // session's idle inprocessing) must not eliminate it.
+                let v = !e.lit_for(&s.formula);
+                e.freeze(v);
+                PbTerm::new(s.weight, v)
             })
-            .collect();
-        gte_outputs(e, &terms, total).outputs
+            .collect()
     });
-    Ok(CompiledSofts { softs, outputs, activation })
+    Ok(CompiledSofts { softs, violations, activation })
+}
+
+/// The objective totalizer one descent encodes: the weighted sum of the
+/// violation literals, saturated at `cap`, the cost of the descent's first
+/// model. Every output sum is at most `cap`, except the overflow output at
+/// `cap + 1`.
+struct Objective {
+    cap: u64,
+    outputs: Vec<(u64, Lit)>,
+}
+
+impl Objective {
+    /// Encodes the totalizer under the objective's activation literal, like
+    /// the violation definitions it reads.
+    fn encode(encoder: &mut Encoder, compiled: &CompiledSofts, cap: u64) -> Objective {
+        let outputs = encoder.gated_scope(compiled.activation, |e| {
+            gte_outputs(e, &compiled.violations, cap).outputs
+        });
+        Objective { cap, outputs }
+    }
+
+    /// The costs a descent may still probe: zero plus every output sum.
+    fn candidates(&self) -> Vec<u64> {
+        std::iter::once(0).chain(self.outputs.iter().map(|&(s, _)| s)).collect()
+    }
+
+    /// Assumptions forcing the violated weight to at most `target`: the
+    /// solve context plus the negation of every output above the target.
+    fn bound_assumptions(&self, context: &[Lit], target: u64) -> Vec<Lit> {
+        let mut assumptions = context.to_vec();
+        assumptions.extend(
+            self.outputs
+                .iter()
+                .filter(|&&(s, _)| s > target)
+                .map(|&(_, l)| !l),
+        );
+        assumptions
+    }
+
+    /// Hardens `cost` as the optimum behind `gate`.
+    fn harden(&self, encoder: &mut Encoder, gate: Lit, cost: u64) {
+        for &(s, l) in &self.outputs {
+            if s > cost {
+                ClauseSink::add_clause(encoder, &[!gate, !l]);
+            }
+        }
+    }
 }
 
 /// Minimizes a compiled objective inside an incremental session.
@@ -170,7 +221,12 @@ pub fn compile_softs(
 /// clauses and heuristic state intact. On return the solver holds a model
 /// that is optimal under `base`.
 ///
-/// A `gate`-gated hardened bound references this objective's totalizer
+/// The first solve runs on the session solver; its model's cost caps the
+/// objective totalizer this call encodes (under the activation literal).
+/// Each call encodes its own, exact up to its own cap, so several calls on
+/// one [`CompiledSofts`] stay sound.
+///
+/// A `gate`-gated hardened bound references this call's totalizer
 /// outputs, so a caller that keeps solving under `gate` after this call
 /// (e.g. the next lexicographic level) must also keep assuming
 /// [`CompiledSofts::activation`] or the bound is vacuous.
@@ -180,63 +236,67 @@ pub fn minimize_under(
     base: &[Lit],
     gate: Lit,
 ) -> MaxSatOutcome {
+    descend(encoder, compiled, base, gate).0
+}
+
+/// [`minimize_under`], also returning the objective totalizer the descent
+/// encoded (`None` when it stopped before encoding one).
+fn descend(
+    encoder: &mut Encoder,
+    compiled: &CompiledSofts,
+    base: &[Lit],
+    gate: Lit,
+) -> (MaxSatOutcome, Option<Objective>) {
     let mut context: Vec<Lit> = Vec::with_capacity(base.len() + 2);
     context.extend_from_slice(base);
     context.push(gate);
     context.push(compiled.activation);
-    // When the backend grants parallel seats, the entire search —
-    // feasibility, bound probes, witness restoration — runs on one
-    // persistent probe pool, so every worker builds the CNF exactly once.
-    // The sequential path below defines the semantics; the pooled path must
-    // return exactly its answers.
-    if encoder.parallel_seats() >= 2 {
+    if encoder.solve_with(&context) != SolveResult::Sat {
+        return (MaxSatOutcome::HardUnsat, None);
+    }
+    if compiled.softs.is_empty() {
+        return (MaxSatOutcome::Optimal { cost: 0, violated: Vec::new() }, None);
+    }
+    let violated = violated_indices(encoder, &compiled.softs);
+    let cost = violated.iter().map(|&i| compiled.softs[i].weight).sum();
+    let objective = Objective::encode(encoder, compiled, cost);
+    // When the backend grants parallel seats, the bound probes race on one
+    // persistent probe pool. Seats copy the CNF when the pool opens, so it
+    // opens only now that the totalizer exists. The sequential path below
+    // defines the semantics; the pooled path must return exactly its
+    // answers.
+    if cost > 0 && encoder.parallel_seats() >= 2 {
         // Every probe assumes a subset of the context plus negated
         // totalizer outputs; declare them all so no seat eliminates one.
         let mut assumable = context.clone();
-        assumable.extend(compiled.outputs.iter().map(|&(_, l)| l));
+        assumable.extend(objective.outputs.iter().map(|&(_, l)| l));
         if let Some(pool) = encoder.probe_pool(&assumable) {
-            return minimize_under_pooled(encoder, compiled, &context, gate, pool);
+            let outcome = minimize_under_pooled(
+                encoder, compiled, &objective, &context, gate, pool, violated,
+            );
+            return (outcome, Some(objective));
         }
     }
-    minimize_under_sequential(encoder, compiled, &context, gate)
+    let outcome =
+        minimize_under_sequential(encoder, compiled, &objective, &context, gate, violated);
+    (outcome, Some(objective))
 }
 
-/// Assumptions forcing this objective's violated weight to at most
-/// `target`: the solve context plus the negation of every totalizer output
-/// whose threshold exceeds the target.
-fn bound_assumptions(compiled: &CompiledSofts, context: &[Lit], target: u64) -> Vec<Lit> {
-    let mut assumptions = context.to_vec();
-    assumptions.extend(
-        compiled
-            .outputs
-            .iter()
-            .filter(|&&(s, _)| s > target)
-            .map(|&(_, l)| !l),
-    );
-    assumptions
-}
-
+/// The sequential descent from a first model violating `best_violated`,
+/// whose cost is the objective's cap.
 fn minimize_under_sequential(
     encoder: &mut Encoder,
     compiled: &CompiledSofts,
+    objective: &Objective,
     context: &[Lit],
     gate: Lit,
+    mut best_violated: Vec<usize>,
 ) -> MaxSatOutcome {
-    if encoder.solve_with(context) != SolveResult::Sat {
-        return MaxSatOutcome::HardUnsat;
-    }
-    if compiled.softs.is_empty() {
-        return MaxSatOutcome::Optimal { cost: 0, violated: Vec::new() };
-    }
-    let mut best_cost = model_cost(encoder, &compiled.softs);
-    let mut best_violated = violated_indices(encoder, &compiled.softs);
-
+    let mut best_cost = objective.cap;
     // Binary-search descent over the achievable cost values (the GTE's
     // output sums plus zero). Invariant: `best_cost` is achievable, and
     // every candidate below index `lo` is proven unachievable.
-    let mut candidates: Vec<u64> = Vec::with_capacity(compiled.outputs.len() + 1);
-    candidates.push(0);
-    candidates.extend(compiled.outputs.iter().map(|&(s, _)| s));
+    let candidates = objective.candidates();
     let mut lo = 0usize;
     while best_cost > 0 {
         let hi = candidates.partition_point(|&c| c < best_cost);
@@ -245,7 +305,7 @@ fn minimize_under_sequential(
         }
         let mid = (lo + hi) / 2;
         let target = candidates[mid];
-        match encoder.solve_with(&bound_assumptions(compiled, context, target)) {
+        match encoder.solve_with(&objective.bound_assumptions(context, target)) {
             SolveResult::Sat => {
                 let cost = model_cost(encoder, &compiled.softs);
                 debug_assert!(cost <= target, "model violates assumed bound");
@@ -259,22 +319,18 @@ fn minimize_under_sequential(
     }
 
     // Harden the optimum behind the gate and restore an optimal model.
-    for &(s, l) in &compiled.outputs {
-        if s > best_cost {
-            ClauseSink::add_clause(encoder, &[!gate, !l]);
-        }
-    }
+    objective.harden(encoder, gate, best_cost);
     let restored = encoder.solve_with(context);
     debug_assert_eq!(restored, SolveResult::Sat);
     MaxSatOutcome::Optimal { cost: best_cost, violated: best_violated }
 }
 
-/// The racing descent. Feasibility, every bound probe, and the final
-/// witness all come from one persistent [`ProbePool`], so each seat builds
-/// the CNF once and keeps its learnt clauses warm across rounds — a fresh
-/// pool per probe would instead rebuild the mirror on every cold seat for
-/// each probe, and on formulas with a large objective totalizer that
-/// rebuild tax dominates the solving itself.
+/// The racing descent. Every bound probe and the final witness come from
+/// one persistent [`ProbePool`], so each seat builds the CNF once and
+/// keeps its learnt clauses warm across rounds — a fresh pool per probe
+/// would instead rebuild the mirror on every cold seat for each probe.
+/// The first model, which fixed the objective's cap, came from the session
+/// solver and stays loaded there until a seat beats it.
 ///
 /// Each round probes a window of candidate bounds — the midpoint (the
 /// sequential probe), the quarter-point, and the most aggressive open
@@ -299,36 +355,19 @@ fn minimize_under_sequential(
 fn minimize_under_pooled(
     encoder: &mut Encoder,
     compiled: &CompiledSofts,
+    objective: &Objective,
     context: &[Lit],
     gate: Lit,
     mut pool: ProbePool,
+    mut best_violated: Vec<usize>,
 ) -> MaxSatOutcome {
     let seats = pool.seats();
-    let mut rounds = 1u64;
-    // Feasibility: broadcast the same unbounded probe to every seat.
-    let feasible = pool.solve_round(&vec![context.to_vec(); seats]);
-    let Some(sat) = feasible.iter().find(|o| o.result == SolveResult::Sat) else {
-        let unsat = feasible.iter().any(|o| o.result == SolveResult::Unsat);
-        encoder.absorb_parallel(&pool.finish(), rounds);
-        if unsat {
-            return MaxSatOutcome::HardUnsat;
-        }
-        // Every seat inconclusive — impossible without a conflict budget,
-        // but never guess: rerun the whole search sequentially.
-        return minimize_under_sequential(encoder, compiled, context, gate);
-    };
-    let mut best_model = sat.model.clone().expect("SAT probes carry a model");
-    if compiled.softs.is_empty() {
-        encoder.absorb_parallel(&pool.finish(), rounds);
-        encoder.install_model_override(best_model);
-        return MaxSatOutcome::Optimal { cost: 0, violated: Vec::new() };
-    }
-    let mut best_cost = model_cost_in(encoder, &compiled.softs, &best_model);
-    let mut best_violated = violated_indices_in(encoder, &compiled.softs, &best_model);
+    let mut rounds = 0u64;
+    let mut best_cost = objective.cap;
+    // A seat model that beat the session's first model, if any.
+    let mut best_model: Option<Vec<Option<bool>>> = None;
 
-    let mut candidates: Vec<u64> = Vec::with_capacity(compiled.outputs.len() + 1);
-    candidates.push(0);
-    candidates.extend(compiled.outputs.iter().map(|&(s, _)| s));
+    let candidates = objective.candidates();
     let mut lo = 0usize;
     let mut pooled_ok = true;
     while pooled_ok && best_cost > 0 {
@@ -344,7 +383,7 @@ fn minimize_under_pooled(
         let targets: Vec<usize> = (0..seats).map(|i| window[i % window.len()]).collect();
         let probes: Vec<Vec<Lit>> = targets
             .iter()
-            .map(|&idx| bound_assumptions(compiled, context, candidates[idx]))
+            .map(|&idx| objective.bound_assumptions(context, candidates[idx]))
             .collect();
         let outcomes = pool.solve_round(&probes);
         rounds += 1;
@@ -358,7 +397,7 @@ fn minimize_under_pooled(
                     if cost < best_cost {
                         best_cost = cost;
                         best_violated = violated_indices_in(encoder, &compiled.softs, model);
-                        best_model = model.to_vec();
+                        best_model = Some(model.to_vec());
                         progressed = true;
                     }
                 }
@@ -386,7 +425,7 @@ fn minimize_under_pooled(
             }
             let mid = (lo + hi) / 2;
             let target = candidates[mid];
-            match encoder.solve_with(&bound_assumptions(compiled, context, target)) {
+            match encoder.solve_with(&objective.bound_assumptions(context, target)) {
                 SolveResult::Sat => {
                     let cost = model_cost(encoder, &compiled.softs);
                     best_cost = cost.min(target);
@@ -398,21 +437,17 @@ fn minimize_under_pooled(
             }
         }
     }
-    for &(s, l) in &compiled.outputs {
-        if s > best_cost {
-            ClauseSink::add_clause(encoder, &[!gate, !l]);
-        }
-    }
-    if pooled_ok {
+    objective.harden(encoder, gate, best_cost);
+    if !pooled_ok {
+        let restored = encoder.solve_with(context);
+        debug_assert_eq!(restored, SolveResult::Sat);
+    } else if let Some(model) = best_model {
         debug_assert_eq!(
-            model_cost_in(encoder, &compiled.softs, &best_model),
+            model_cost_in(encoder, &compiled.softs, &model),
             best_cost,
             "retained witness must achieve the optimum"
         );
-        encoder.install_model_override(best_model);
-    } else {
-        let restored = encoder.solve_with(context);
-        debug_assert_eq!(restored, SolveResult::Sat);
+        encoder.install_model_override(model);
     }
     MaxSatOutcome::Optimal { cost: best_cost, violated: best_violated }
 }
@@ -770,18 +805,19 @@ mod tests {
     }
 
     #[test]
-    fn gated_minimize_reuses_one_totalizer_across_queries() {
-        // Compile the objective once; two gated optimize "queries" over the
-        // same session must agree, and retiring each gate must release its
-        // hardened bound (the session stays exactly the base theory).
+    fn gated_minimize_caps_each_query_totalizer_at_its_first_model() {
+        // Two gated optimize "queries" over one compiled objective must
+        // agree. Each encodes its own totalizer, saturated at the cost of
+        // its first model, and retiring each gate must release its hardened
+        // bound (the session stays exactly the base theory).
         let mut e = Encoder::new();
         e.assert(&Formula::xor(a(0), a(1)));
         let compiled =
             compile_softs(&mut e, softs(&[(2, a(0)), (1, a(1))])).expect("no overflow");
-        let clauses_after_compile = e.clause_count();
         for _ in 0..2 {
             let gate = e.new_selector();
-            match minimize_under(&mut e, &compiled, &[], gate) {
+            let (outcome, objective) = descend(&mut e, &compiled, &[], gate);
+            match outcome {
                 MaxSatOutcome::Optimal { cost, violated } => {
                     assert_eq!(cost, 1);
                     assert_eq!(violated, vec![1]);
@@ -789,16 +825,82 @@ mod tests {
                 }
                 other => panic!("unexpected {other:?}"),
             }
+            // Under xor a first model violates exactly one soft, so its
+            // cost is 1 or 2, never the weight total 3; the totalizer has
+            // no output above it except the overflow output.
+            let objective = objective.expect("a descent over softs encodes a totalizer");
+            assert!(matches!(objective.cap, 1 | 2), "cap {}", objective.cap);
+            let above: Vec<u64> = objective
+                .outputs
+                .iter()
+                .map(|&(s, _)| s)
+                .filter(|&s| s > objective.cap)
+                .collect();
+            assert_eq!(above, vec![objective.cap + 1]);
             e.retire(gate);
         }
-        // Only gated hardening + retirement units were added — no second
-        // totalizer. With 2 outputs above cost 1, that is ≤ 3 clauses/query.
-        assert!(e.clause_count() - clauses_after_compile <= 6);
         // After retirement the base theory is unconstrained by old optima:
         // the expensive assignment (a1, cost 2) is reachable again.
         let a1 = e.atom_lit(Atom(1));
         assert_eq!(e.solve_with(&[a1]), netarch_sat::SolveResult::Sat);
         assert_eq!(e.atom_value(Atom(0)), Some(false));
+    }
+
+    #[test]
+    fn violation_literals_survive_inprocessing_before_the_descent() {
+        // Non-atomic softs get Tseitin violation literals, and the
+        // totalizer that reads them is only encoded inside `minimize_under`,
+        // after this inprocessing round. Without the freeze in
+        // `compile_softs`, elimination would remove them first.
+        let hard = [
+            Formula::or([a(0), a(1)]),
+            Formula::or([Formula::not(a(1)), a(2)]),
+        ];
+        let soft = softs(&[
+            (3, Formula::not(Formula::and([a(0), a(1)]))),
+            (2, Formula::and([a(1), a(2)])),
+            (4, Formula::iff(a(0), a(2))),
+            (1, Formula::or([Formula::not(a(0)), Formula::not(a(2))])),
+        ]);
+        // Brute-force optimum over the assignments `keep` admits.
+        let optimum = |keep: &dyn Fn(u32) -> bool| {
+            (0u32..8)
+                .filter(|&bits| keep(bits))
+                .filter_map(|bits| {
+                    let v = |at: Atom| (bits >> at.0) & 1 == 1;
+                    hard.iter().all(|h| h.eval(&v)).then(|| {
+                        soft.iter().filter(|s| !s.formula.eval(&v)).map(|s| s.weight).sum()
+                    })
+                })
+                .min()
+                .expect("the hard clauses are satisfiable")
+        };
+        for earlier_level in [false, true] {
+            let mut e = Encoder::new();
+            for h in &hard {
+                e.assert(h);
+            }
+            let compiled = compile_softs(&mut e, soft.clone()).expect("no overflow");
+            let gate = e.new_selector();
+            let mut base = Vec::new();
+            let mut best = optimum(&|_| true);
+            if earlier_level {
+                // An earlier lexicographic level (prefer a0, achievable)
+                // runs its solves first; they may inprocess as well.
+                let first = compile_softs(&mut e, softs(&[(1, a(0))])).expect("no overflow");
+                assert_eq!(
+                    minimize_under(&mut e, &first, &base, gate),
+                    MaxSatOutcome::Optimal { cost: 0, violated: vec![] }
+                );
+                base.push(first.activation());
+                best = optimum(&|bits| bits & 1 == 1);
+            }
+            assert!(e.inprocess());
+            match minimize_under(&mut e, &compiled, &base, gate) {
+                MaxSatOutcome::Optimal { cost, .. } => assert_eq!(cost, best),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,15 @@
 //! collapsed into a single overflow output, keeping node sizes bounded when
 //! only a comparison against `bound ≤ cap` is needed.
 //!
+//! Terms enter the tree sorted by ascending weight, so each merge pairs a
+//! subtree of light terms with one of heavy terms, whose sums saturate
+//! early. A merge then emits, for each left output, the pair clauses up to
+//! the first right output whose total saturates: every node's outputs are
+//! monotone (`hi → lo`), so the clauses for larger right outputs are
+//! implied. On the §2.3 budget sum this cuts the circuit about fivefold.
+//! Node sums are `u128`, so no total wraps and a `u64::MAX` bound still has
+//! an overflow output to forbid.
+//!
 //! The architecture engine uses this for resource contention (§2.2):
 //! "cores_needed(CPU_FACTOR * num_flows)" summed over selected systems must
 //! fit the server inventory.
@@ -31,6 +40,18 @@ impl PbTerm {
     pub fn new(weight: u64, lit: Lit) -> PbTerm {
         PbTerm { weight, lit }
     }
+}
+
+/// Sum of the term weights, or `None` when it overflows `u64`.
+pub fn weight_sum(terms: &[PbTerm]) -> Option<u64> {
+    terms
+        .iter()
+        .try_fold(0u64, |acc, t| acc.checked_add(t.weight))
+}
+
+/// Exact sum of the term weights.
+fn total(terms: &[PbTerm]) -> u128 {
+    terms.iter().map(|t| u128::from(t.weight)).sum()
 }
 
 /// A node of the generalized totalizer: achievable sums in increasing
@@ -63,21 +84,36 @@ impl GteOutputs {
 ///
 /// Terms with zero weight are ignored. Returns outputs covering every
 /// achievable sum in `1..=cap`, plus one overflow output representing
-/// "sum > cap" when the total weight exceeds the cap.
+/// "sum > cap" when the total weight exceeds the cap. A cap of `u64::MAX`
+/// is read as `u64::MAX - 1`, so every output sum fits in `u64`: the top
+/// output then stands for "sum ≥ u64::MAX".
 pub fn gte_outputs(sink: &mut impl ClauseSink, terms: &[PbTerm], cap: u64) -> GteOutputs {
-    let inputs: Vec<PbTerm> = terms.iter().copied().filter(|t| t.weight > 0).collect();
+    let cap = cap.min(u64::MAX - 1);
+    let outputs = gte(sink, terms, u128::from(cap))
+        .into_iter()
+        .map(|(s, l)| {
+            let s = u64::try_from(s).expect("sums saturate at cap + 1 ≤ u64::MAX");
+            (s, l)
+        })
+        .collect();
+    GteOutputs { outputs }
+}
+
+/// [`gte_outputs`] over exact `u128` sums: the tree over the non-zero
+/// terms sorted by ascending weight, saturated at `cap + 1`.
+fn gte(sink: &mut impl ClauseSink, terms: &[PbTerm], cap: u128) -> Vec<(u128, Lit)> {
+    let mut inputs: Vec<PbTerm> = terms.iter().copied().filter(|t| t.weight > 0).collect();
     if inputs.is_empty() {
-        return GteOutputs { outputs: Vec::new() };
+        return Vec::new();
     }
-    let saturate = cap.saturating_add(1);
-    build_node(sink, &inputs, saturate)
+    inputs.sort_by_key(|t| t.weight);
+    build_node(sink, &inputs, cap + 1)
 }
 
 /// Recursive tree builder. `saturate` is the collapsed overflow sum.
-fn build_node(sink: &mut impl ClauseSink, terms: &[PbTerm], saturate: u64) -> GteOutputs {
+fn build_node(sink: &mut impl ClauseSink, terms: &[PbTerm], saturate: u128) -> Vec<(u128, Lit)> {
     if terms.len() == 1 {
-        let w = terms[0].weight.min(saturate);
-        return GteOutputs { outputs: vec![(w, terms[0].lit)] };
+        return vec![(u128::from(terms[0].weight).min(saturate), terms[0].lit)];
     }
     let mid = terms.len() / 2;
     let left = build_node(sink, &terms[..mid], saturate);
@@ -85,84 +121,91 @@ fn build_node(sink: &mut impl ClauseSink, terms: &[PbTerm], saturate: u64) -> Gt
     merge_nodes(sink, &left, &right, saturate)
 }
 
+/// The pairs of `a × b` whose clauses a merge emits: for each left output,
+/// the right outputs up to and including the first whose total saturates.
+/// The right outputs are monotone (`hi → lo`), so a pair with a larger
+/// right output implies the saturating pair's clause.
+fn merge_pairs<'a>(
+    a: &'a [(u128, Lit)],
+    b: &'a [(u128, Lit)],
+    saturate: u128,
+) -> impl Iterator<Item = (Lit, Lit, u128)> + 'a {
+    a.iter().flat_map(move |&(sa, la)| {
+        let unsaturated = b.partition_point(|&(sb, _)| sa + sb < saturate);
+        b[..(unsaturated + 1).min(b.len())]
+            .iter()
+            .map(move |&(sb, lb)| (la, lb, (sa + sb).min(saturate)))
+    })
+}
+
 fn merge_nodes(
     sink: &mut impl ClauseSink,
-    a: &GteOutputs,
-    b: &GteOutputs,
-    saturate: u64,
-) -> GteOutputs {
-    // Collect achievable sums: each side alone, plus each pairwise total.
-    let mut sums: Vec<u64> = Vec::new();
-    for &(s, _) in &a.outputs {
-        sums.push(s.min(saturate));
-    }
-    for &(s, _) in &b.outputs {
-        sums.push(s.min(saturate));
-    }
-    for &(sa, _) in &a.outputs {
-        for &(sb, _) in &b.outputs {
-            sums.push(sa.saturating_add(sb).min(saturate));
-        }
-    }
+    a: &[(u128, Lit)],
+    b: &[(u128, Lit)],
+    saturate: u128,
+) -> Vec<(u128, Lit)> {
+    // Achievable sums: each side alone, plus each pairwise total.
+    let mut sums: Vec<u128> = a.iter().chain(b).map(|&(s, _)| s).collect();
+    sums.extend(merge_pairs(a, b, saturate).map(|(_, _, total)| total));
     sums.sort_unstable();
     sums.dedup();
 
-    let outputs: Vec<(u64, Lit)> = sums.iter().map(|&s| (s, sink.fresh_lit())).collect();
-    let find = |s: u64| -> Lit {
-        // Largest output sum ≤ s (always exists for the sums we emit).
-        let idx = outputs.partition_point(|&(os, _)| os <= s) - 1;
-        outputs[idx].1
-    };
+    let outputs: Vec<(u128, Lit)> = sums.iter().map(|&s| (s, sink.fresh_lit())).collect();
+    // Every sum we emit is an output sum.
+    let find = |s: u128| outputs[outputs.partition_point(|&(os, _)| os < s)].1;
 
     // a_sa → out_sa ; b_sb → out_sb ; a_sa ∧ b_sb → out_{sa+sb}
-    for &(sa, la) in &a.outputs {
-        sink.add_clause(&[!la, find(sa.min(saturate))]);
+    for &(s, l) in a.iter().chain(b) {
+        sink.add_clause(&[!l, find(s)]);
     }
-    for &(sb, lb) in &b.outputs {
-        sink.add_clause(&[!lb, find(sb.min(saturate))]);
-    }
-    for &(sa, la) in &a.outputs {
-        for &(sb, lb) in &b.outputs {
-            let total = sa.saturating_add(sb).min(saturate);
-            sink.add_clause(&[!la, !lb, find(total)]);
-        }
+    for (la, lb, total) in merge_pairs(a, b, saturate) {
+        sink.add_clause(&[!la, !lb, find(total)]);
     }
     // Monotonicity between adjacent outputs: reaching a larger sum implies
-    // reaching every smaller one. Not required for assert-≤ soundness, but
-    // it lets callers assume only the smallest violated output.
+    // reaching every smaller one. Callers may assume only the smallest
+    // violated output, and the merge above relies on it to prune pairs.
     for w in outputs.windows(2) {
         let (_, lo) = w[0];
         let (_, hi) = w[1];
         sink.add_clause(&[!hi, lo]);
     }
-    GteOutputs { outputs }
+    outputs
+}
+
+/// Emits `guard → Σ wᵢ·xᵢ ≤ bound`: the totalizer is unguarded, and each
+/// clause forbidding an output above the bound is weakened by the negated
+/// guard literals.
+fn le_under(sink: &mut impl ClauseSink, guard: &[Lit], terms: &[PbTerm], bound: u128) {
+    if total(terms) <= bound {
+        return; // trivially satisfied
+    }
+    for (s, l) in gte(sink, terms, bound) {
+        if s > bound {
+            let mut clause: Vec<Lit> = guard.iter().map(|&g| !g).collect();
+            clause.push(!l);
+            sink.add_clause(&clause);
+        }
+    }
 }
 
 /// Asserts `Σ wᵢ·xᵢ ≤ bound`.
 pub fn assert_pb_le(sink: &mut impl ClauseSink, terms: &[PbTerm], bound: u64) {
-    let total: u64 = terms.iter().map(|t| t.weight).sum();
-    if total <= bound {
-        return; // trivially satisfied
-    }
-    // Any single weight above the bound forces its literal false.
-    let mut remaining: Vec<PbTerm> = Vec::with_capacity(terms.len());
-    for &t in terms {
-        if t.weight > bound {
-            sink.add_clause(&[!t.lit]);
-        } else if t.weight > 0 {
-            remaining.push(t);
-        }
-    }
-    let rem_total: u64 = remaining.iter().map(|t| t.weight).sum();
-    if rem_total <= bound {
-        return;
-    }
-    let node = gte_outputs(sink, &remaining, bound);
-    for &(s, l) in &node.outputs {
-        if s > bound {
-            sink.add_clause(&[!l]);
-        }
-    }
+    le_under(sink, &[], terms, u128::from(bound));
+}
+
+/// Asserts `(g₁ ∧ … ∧ gₖ) → Σ wᵢ·xᵢ ≤ bound` for the `guard` literals
+/// (a rule's group selector, a hardware choice): the totalizer itself is
+/// unguarded, and only the clauses that enforce the bound carry the guard.
+pub fn assert_pb_le_under(sink: &mut impl ClauseSink, guard: &[Lit], terms: &[PbTerm], bound: u64) {
+    le_under(sink, guard, terms, u128::from(bound));
+}
+
+/// `terms` with every literal negated: `Σ wᵢ·xᵢ ≥ b ⇔ Σ wᵢ·¬xᵢ ≤ total - b`.
+fn complemented(terms: &[PbTerm]) -> Vec<PbTerm> {
+    terms
+        .iter()
+        .map(|&t| PbTerm::new(t.weight, !t.lit))
+        .collect()
 }
 
 /// Asserts `Σ wᵢ·xᵢ ≥ bound` (via the complement sum).
@@ -170,18 +213,14 @@ pub fn assert_pb_ge(sink: &mut impl ClauseSink, terms: &[PbTerm], bound: u64) {
     if bound == 0 {
         return;
     }
-    let total: u64 = terms.iter().map(|t| t.weight).sum();
+    let total = total(terms);
+    let bound = u128::from(bound);
     if total < bound {
         // Unsatisfiable: emit the empty clause.
         sink.add_clause(&[]);
         return;
     }
-    // Σ w x ≥ b  ⇔  Σ w (¬x) ≤ total - b
-    let complemented: Vec<PbTerm> = terms
-        .iter()
-        .map(|&t| PbTerm::new(t.weight, !t.lit))
-        .collect();
-    assert_pb_le(sink, &complemented, total - bound);
+    le_under(sink, &[], &complemented(terms), total - bound);
 }
 
 /// Asserts `Σ wᵢ·xᵢ = bound`.
@@ -196,31 +235,15 @@ pub fn assert_pb_eq(sink: &mut impl ClauseSink, terms: &[PbTerm], bound: u64) {
 /// `p → (sum ≤ bound)` and `¬p → (sum ≥ bound + 1)`.
 pub fn reify_pb_le(sink: &mut impl ClauseSink, terms: &[PbTerm], bound: u64) -> Lit {
     let p = sink.fresh_lit();
-    let total: u64 = terms.iter().map(|t| t.weight).sum();
+    let total = total(terms);
+    let bound = u128::from(bound);
     if total <= bound {
         sink.add_clause(&[p]);
         return p;
     }
-    // p → sum ≤ bound: forbid every over-bound output unless ¬p.
-    let node = gte_outputs(sink, terms, bound);
-    for &(s, l) in &node.outputs {
-        if s > bound {
-            sink.add_clause(&[!p, !l]);
-        }
-    }
-    // ¬p → sum ≥ bound+1, i.e. complement sum ≤ total - bound - 1,
-    // guarded by p in every bound clause.
-    let complemented: Vec<PbTerm> = terms
-        .iter()
-        .map(|&t| PbTerm::new(t.weight, !t.lit))
-        .collect();
-    let comp_bound = total - bound - 1;
-    let comp = gte_outputs(sink, &complemented, comp_bound);
-    for &(s, l) in &comp.outputs {
-        if s > comp_bound {
-            sink.add_clause(&[p, !l]);
-        }
-    }
+    le_under(sink, &[p], terms, bound);
+    // ¬p → sum ≥ bound+1, i.e. complement sum ≤ total - bound - 1.
+    le_under(sink, &[!p], &complemented(terms), total - bound - 1);
     p
 }
 

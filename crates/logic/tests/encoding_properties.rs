@@ -3,10 +3,14 @@
 //! and model count (projected on atoms) must match brute-force evaluation
 //! of the AST semantics.
 
-use netarch_logic::{Atom, Encoder, Formula, MaxSatAlgorithm, Soft};
+use netarch_logic::pb::{
+    assert_pb_eq, assert_pb_ge, assert_pb_le, gte_outputs, reify_pb_le, PbTerm,
+};
+use netarch_logic::{Atom, ClauseSink, CollectSink, Encoder, Formula, MaxSatAlgorithm, Soft};
 use netarch_rt::prop::{self, gen_vec, Config, Shrink};
 use netarch_rt::{prop_assert, prop_assert_eq, Rng};
-use netarch_sat::SolveResult;
+use netarch_sat::{SolveResult, Solver};
+use std::collections::BTreeSet;
 
 const MAX_ATOMS: u32 = 5;
 
@@ -241,6 +245,131 @@ fn mus_members_are_all_necessary() {
                         drop
                     );
                 }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Random PB weights: zeros, a repeated weight, small values, and in one
+/// case in five near-`u64::MAX` values whose totals overflow `u64`.
+fn gen_weights(rng: &mut Rng) -> Vec<u64> {
+    let huge = rng.gen_bool(0.2);
+    gen_vec(rng, 1..=5, |r| match r.gen_range(0..5u32) {
+        0 => 0,
+        1 => 4,
+        _ if huge => u64::MAX - r.gen_range(0..3u64),
+        _ => r.gen_range(1..12u64),
+    })
+}
+
+/// A bound below, at, or above the weight total (clamped to `u64`).
+fn gen_bound(rng: &mut Rng, weights: &[u64]) -> u64 {
+    let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
+    let bound = match rng.gen_range(0..4u32) {
+        0 => u128::from(rng.next_u64()) % (total + 1),
+        1 => total,
+        2 => total + u128::from(rng.gen_range(1..4u64)),
+        _ => u128::from(u64::MAX),
+    };
+    u64::try_from(bound).unwrap_or(u64::MAX)
+}
+
+/// Sum of the weights of the set bits of `bits`, exactly.
+fn subset_sum(weights: &[u64], bits: u32) -> u128 {
+    (0..weights.len())
+        .filter(|i| (bits >> i) & 1 == 1)
+        .map(|i| u128::from(weights[i]))
+        .sum()
+}
+
+#[test]
+fn gte_outputs_are_the_saturated_achievable_sums() {
+    prop::check(
+        &Config::with_cases(192),
+        |rng| {
+            let weights = gen_weights(rng);
+            let cap = gen_bound(rng, &weights);
+            (weights, cap, rng.next_u64())
+        },
+        |(weights, cap, order_seed)| {
+            // `gte_outputs` reads a cap of u64::MAX as u64::MAX - 1.
+            let saturate = u128::from((*cap).min(u64::MAX - 1)) + 1;
+            let expected: Vec<u64> = (0u32..(1 << weights.len()))
+                .map(|bits| subset_sum(weights, bits).min(saturate))
+                .filter(|&s| s > 0)
+                .map(|s| s as u64)
+                .collect::<BTreeSet<u64>>()
+                .into_iter()
+                .collect();
+            let mut sink = CollectSink::default();
+            let mut terms: Vec<PbTerm> =
+                weights.iter().map(|&w| PbTerm::new(w, sink.fresh_lit())).collect();
+            let node = gte_outputs(&mut sink, &terms, *cap);
+            prop_assert_eq!(node.sums(), expected.clone(), "weights={:?} cap={}", weights, cap);
+            // The sums do not depend on the order the terms come in.
+            Rng::seed_from_u64(*order_seed).shuffle(&mut terms);
+            let shuffled = gte_outputs(&mut sink, &terms, *cap);
+            prop_assert_eq!(shuffled.sums(), expected, "weights={:?} cap={}", weights, cap);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn pb_constraints_agree_with_brute_force() {
+    prop::check(
+        &Config::with_cases(128),
+        |rng| {
+            let weights = gen_weights(rng);
+            let bound = gen_bound(rng, &weights);
+            (weights, bound)
+        },
+        |(weights, bound)| {
+            let n = weights.len();
+            let bound = *bound;
+            // One solver per constraint; each input assignment is assumed.
+            let inputs = |s: &mut Solver| -> Vec<PbTerm> {
+                weights.iter().map(|&w| PbTerm::new(w, s.new_var().positive())).collect()
+            };
+            let encode = |build: &dyn Fn(&mut Solver, &[PbTerm])| {
+                let mut s = Solver::new();
+                let terms = inputs(&mut s);
+                build(&mut s, &terms);
+                (s, terms)
+            };
+            let assume = |terms: &[PbTerm], bits: u32| -> Vec<_> {
+                (0..n)
+                    .map(|i| if (bits >> i) & 1 == 1 { terms[i].lit } else { !terms[i].lit })
+                    .collect()
+            };
+            let mut le = encode(&|s, t| assert_pb_le(s, t, bound));
+            let mut ge = encode(&|s, t| assert_pb_ge(s, t, bound));
+            let mut eq = encode(&|s, t| assert_pb_eq(s, t, bound));
+            let mut reified = Solver::new();
+            let reified_terms = inputs(&mut reified);
+            let p = reify_pb_le(&mut reified, &reified_terms, bound);
+            let b = u128::from(bound);
+            for bits in 0u32..(1 << n) {
+                let sum = subset_sum(weights, bits);
+                for ((s, terms), holds, kind) in [
+                    (&mut le, sum <= b, "le"),
+                    (&mut ge, sum >= b, "ge"),
+                    (&mut eq, sum == b, "eq"),
+                ] {
+                    let got = s.solve_with(&assume(terms, bits)) == SolveResult::Sat;
+                    prop_assert_eq!(
+                        got, holds,
+                        "{} weights={:?} bound={} bits={:b}", kind, weights, bound, bits
+                    );
+                }
+                let assumptions = assume(&reified_terms, bits);
+                prop_assert_eq!(reified.solve_with(&assumptions), SolveResult::Sat);
+                prop_assert_eq!(
+                    reified.model_lit_value(p),
+                    Some(sum <= b),
+                    "reify weights={:?} bound={} bits={:b}", weights, bound, bits
+                );
             }
             Ok(())
         },

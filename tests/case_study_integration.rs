@@ -177,3 +177,29 @@ fn forbidding_the_best_lb_switches_to_a_fabric_scheme() {
     );
     assert_eq!(validate_design(&scenario, &result.design), vec![]);
 }
+
+/// Rule labels blamed when the case study with a $1,000,000 budget and
+/// `servers` servers is checked.
+fn blame_at_a_tight_budget(servers: u64) -> Vec<String> {
+    let mut scenario = case_study::scenario().with_budget(1_000_000);
+    scenario.inventory.num_servers = servers;
+    let mut engine = Engine::new(scenario).expect("compiles");
+    let outcome = engine.check().expect("runs");
+    let diagnosis = outcome.diagnosis().expect("no server fleet fits the budget");
+    let mut labels: Vec<String> = diagnosis.conflicts.iter().map(|c| c.label.clone()).collect();
+    labels.sort();
+    labels
+}
+
+#[test]
+fn huge_server_counts_blame_the_budget_not_wrapped_capacity() {
+    // 64 cores × 2^62 servers overflows u64: unchecked, it panicked in
+    // debug builds and wrapped to a capacity of 0 in release, blaming the
+    // core-capacity rules. A capacity past u64::MAX holds any demand, so
+    // the answer must be the one 2^40 servers give: the fleet is over
+    // budget.
+    let expected = blame_at_a_tight_budget(1 << 40);
+    assert!(expected.iter().any(|l| l == "budget"), "{expected:?}");
+    assert!(!expected.iter().any(|l| l.starts_with("resource:")), "{expected:?}");
+    assert_eq!(blame_at_a_tight_budget(1 << 62), expected);
+}
