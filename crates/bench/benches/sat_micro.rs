@@ -4,15 +4,11 @@
 
 use netarch_rt::bench::{black_box, Harness};
 use netarch_rt::Rng;
-use netarch_sat::{Lit, SolveResult, Solver, SolverConfig, Var};
-
-fn no_inprocess() -> SolverConfig {
-    SolverConfig { inprocessing_enabled: false, ..SolverConfig::default() }
-}
+use netarch_sat::{Lit, SolveResult, Solver, Var};
 
 #[allow(clippy::needless_range_loop)]
-fn pigeonhole_solver_cfg(n: usize, config: SolverConfig) -> Solver {
-    let mut s = Solver::with_config(config);
+fn pigeonhole_solver(n: usize) -> Solver {
+    let mut s = Solver::new();
     let holes = n - 1;
     let p: Vec<Vec<Lit>> = (0..n)
         .map(|_| (0..holes).map(|_| s.new_var().positive()).collect())
@@ -30,13 +26,9 @@ fn pigeonhole_solver_cfg(n: usize, config: SolverConfig) -> Solver {
     s
 }
 
-fn pigeonhole_solver(n: usize) -> Solver {
-    pigeonhole_solver_cfg(n, SolverConfig::default())
-}
-
-fn random_3sat_solver_cfg(num_vars: usize, ratio: f64, seed: u64, config: SolverConfig) -> Solver {
+fn random_3sat_solver(num_vars: usize, ratio: f64, seed: u64) -> Solver {
     let mut rng = Rng::seed_from_u64(seed);
-    let mut s = Solver::with_config(config);
+    let mut s = Solver::new();
     s.ensure_vars(num_vars);
     let clauses = (num_vars as f64 * ratio) as usize;
     for _ in 0..clauses {
@@ -50,10 +42,6 @@ fn random_3sat_solver_cfg(num_vars: usize, ratio: f64, seed: u64, config: Solver
         s.add_clause(clause);
     }
     s
-}
-
-fn random_3sat_solver(num_vars: usize, ratio: f64, seed: u64) -> Solver {
-    random_3sat_solver_cfg(num_vars, ratio, seed, SolverConfig::default())
 }
 
 fn main() {
@@ -74,14 +62,6 @@ fn main() {
             assert_eq!(s.solve(), SolveResult::Unsat);
             black_box(s.take_proof().map(|p| p.len()))
         });
-        // Ablation row: the same instance with restart-boundary
-        // inprocessing disabled. The delta between this pair is what the
-        // simplification passes buy (or cost) on an unpadded instance.
-        h.bench(&format!("sat/pigeonhole-noinprocess/{n}"), || {
-            let mut s = pigeonhole_solver_cfg(n, no_inprocess());
-            assert_eq!(s.solve(), SolveResult::Unsat);
-            black_box(s.stats().conflicts)
-        });
     }
     for &(num_vars, ratio, label) in
         &[(150usize, 3.0f64, "easy-sat"), (100, 4.26, "threshold"), (80, 6.0, "unsat")]
@@ -97,12 +77,6 @@ fn main() {
             seed += 1;
             let mut s = random_3sat_solver(num_vars, ratio, seed);
             s.record_proof();
-            black_box(s.solve())
-        });
-        let mut seed = 0u64;
-        h.bench(&format!("sat/random3sat-noinprocess/{label}"), || {
-            seed += 1;
-            let mut s = random_3sat_solver_cfg(num_vars, ratio, seed, no_inprocess());
             black_box(s.solve())
         });
     }

@@ -135,7 +135,6 @@ fn solve_pooled(inst: &Instance, seats: usize) -> (SolveResult, f64) {
         num_vars: inst.num_vars,
         clauses: Arc::clone(&inst.clauses),
         base: SolverConfig::default(),
-        frozen: Vec::new(),
         deterministic: false,
         seed: 0xBEEF,
         conflict_budget: None,

@@ -74,18 +74,15 @@ pub struct CompileStats {
     /// state a serving layer preserves when it caches compiled scenarios
     /// and routes repeat traffic back to a warm session.
     pub learnt_clauses: u64,
-    /// Clauses deleted by inprocessing subsumption in the session solver.
+    /// Always 0: the solver does no subsumption. Kept because per-layer
+    /// benchmark reports still read it.
     pub subsumed: u64,
-    /// Clauses strengthened by self-subsumption resolution.
-    pub strengthened: u64,
-    /// Variables removed by bounded variable elimination. Frozen variables
-    /// (atoms, selectors, cardinality structure) are never counted here —
-    /// a nonzero value only ever reflects eliminable Tseitin auxiliaries.
+    /// Always 0: the solver never eliminates a variable. Kept because
+    /// per-layer benchmark reports still read it.
     pub eliminated_vars: u64,
-    /// Clauses shortened by vivification probes.
+    /// Always 0: the solver does no vivification. Kept because per-layer
+    /// benchmark reports still read it.
     pub vivified: u64,
-    /// Conflicts resolved by chronological backtracking.
-    pub chrono_backtracks: u64,
 }
 
 netarch_rt::impl_json_struct!(CompileStats {
@@ -100,10 +97,8 @@ netarch_rt::impl_json_struct!(CompileStats {
     conflicts,
     learnt_clauses,
     subsumed,
-    strengthened,
     eliminated_vars,
     vivified,
-    chrono_backtracks,
 });
 
 /// A scenario compiled to SAT, ready for queries.
@@ -244,7 +239,6 @@ fn compile_inner(
     let mut encoder = Encoder::with_config(netarch_logic::EncodeConfig {
         verify_proofs: netarch_logic::proofs_requested(),
         backend,
-        solver: netarch_logic::solver_config_from_env(),
         ..netarch_logic::EncodeConfig::default()
     });
     let server_count = capacity_mode

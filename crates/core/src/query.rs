@@ -193,23 +193,10 @@ impl Engine {
             conflicts: total.conflicts,
             learnt_clauses: total.learnt_clauses,
             subsumed: total.subsumed,
-            strengthened: total.strengthened,
             eliminated_vars: total.eliminated_vars,
             vivified: total.vivified,
-            chrono_backtracks: total.chrono_backtracks,
             ..self.compiled.stats
         }
-    }
-
-    /// Forces one inprocessing round (subsumption, vivification, bounded
-    /// variable elimination) on the persistent session solver — the
-    /// compaction a serving layer can run on warm cached sessions between
-    /// queries. The encoder freezes every variable future queries can
-    /// mention, so subsequent queries answer on the same compilation with
-    /// zero recompiles. Returns `false` when the session's constraints are
-    /// unsatisfiable outright.
-    pub fn inprocess_session(&mut self) -> bool {
-        self.compiled.encoder.inprocess()
     }
 
     /// Retires a query's activation literal, dissolving its gated clauses,

@@ -271,16 +271,19 @@ fn interleaved_session_queries_match_fresh_engines() {
     prop::check(&Config::with_cases(48), gen_seed, session_agrees_with_fresh_engines);
 }
 
-/// Frozen-variable regression for solver inprocessing: a session that runs
-/// a full inprocessing round (subsumption, vivification, bounded variable
-/// elimination) between queries must keep answering identically to fresh
-/// engines, on the original compilation, with zero recompiles. The encoder
-/// freezes every atom, selector, and cardinality-structure variable, so
-/// BVE may only eliminate single-assertion Tseitin auxiliaries — if that
-/// contract broke, the next gated assertion or assumption would panic or
-/// silently diverge, and this test would catch either.
+/// Retirements between the session's `collect_garbage` compactions (the
+/// engine's `GC_EVERY`).
+const GC_EVERY: u64 = 8;
+
+/// Warm-session compaction: every `GC_EVERY` retired activation literals
+/// the engine runs the solver's level-0 garbage collection, which rebuilds
+/// the clause database and watch lists under the live session. A session
+/// replaying its tape across such a compaction must keep answering
+/// identically to fresh engines, on the original compilation, with zero
+/// recompiles. Each replay shifts the enumeration limits so the queries are
+/// new (not memoized) and retire fresh activation literals.
 #[test]
-fn session_answers_identically_after_forced_inprocessing() {
+fn session_answers_identically_across_garbage_collection() {
     let seed = Seed {
         systems_per_category: vec![2, 2, 2],
         feature_mask: 0b0101,
@@ -289,64 +292,74 @@ fn session_answers_identically_after_forced_inprocessing() {
         needs_mask: 0b011,
         pins_mask: 0,
         required_roles: 0b001,
-        ops: vec![0, 1, 2, 3, 0, 1, 2], // check, optimize, enumerate, subset, …
+        // check, optimize, enumerate(2), subset, enumerate(3), check,
+        // enumerate(4), optimize, enumerate(2)
+        ops: vec![0, 1, 2, 3, 6, 0, 10, 1, 2],
     };
     let scenario = build_scenario(&seed);
     let mut session = Engine::new(scenario.clone()).expect("compiles");
     let pool = label_pool(&scenario);
-    for &byte in &seed.ops {
-        // Inprocess *before* every query: any variable the next query still
-        // needs must have survived.
-        assert!(session.inprocess_session(), "session root became inconsistent");
-        let mut fresh = Engine::new(scenario.clone()).expect("compiles");
-        match decode(byte) {
-            Op::Check => {
-                let a = session.check().expect("runs");
-                let b = fresh.check().expect("runs");
-                assert_eq!(a.design().is_some(), b.design().is_some());
-            }
-            Op::Optimize => {
-                let a = session.optimize().expect("runs");
-                let b = fresh.optimize().expect("runs");
-                match (a, b) {
-                    (Ok(ra), Ok(rb)) => {
-                        let pa: Vec<u64> = ra.levels.iter().map(|l| l.penalty).collect();
-                        let pb: Vec<u64> = rb.levels.iter().map(|l| l.penalty).collect();
-                        assert_eq!(pa, pb, "optimal penalties diverged after inprocessing");
+    let mut pass = 0;
+    let mut compacted = false;
+    // Replay until a compaction has run, then once more on the compacted
+    // clause database.
+    while !compacted {
+        compacted = session.stats().retired_activations >= GC_EVERY;
+        assert!(pass < 8, "the tape never retired {GC_EVERY} activation literals");
+        for &byte in &seed.ops {
+            let mut fresh = Engine::new(scenario.clone()).expect("compiles");
+            match decode(byte) {
+                Op::Check => {
+                    let a = session.check().expect("runs");
+                    let b = fresh.check().expect("runs");
+                    assert_eq!(a.design().is_some(), b.design().is_some());
+                }
+                Op::Optimize => {
+                    let a = session.optimize().expect("runs");
+                    let b = fresh.optimize().expect("runs");
+                    match (a, b) {
+                        (Ok(ra), Ok(rb)) => {
+                            let pa: Vec<u64> = ra.levels.iter().map(|l| l.penalty).collect();
+                            let pb: Vec<u64> = rb.levels.iter().map(|l| l.penalty).collect();
+                            assert_eq!(pa, pb, "optimal penalties diverged in pass {pass}");
+                        }
+                        (Err(_), Err(_)) => {}
+                        (a, b) => panic!(
+                            "optimize feasibility diverged: session ok={} fresh ok={}",
+                            a.is_ok(),
+                            b.is_ok()
+                        ),
                     }
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!(
-                        "optimize feasibility diverged: session ok={} fresh ok={}",
-                        a.is_ok(),
-                        b.is_ok()
-                    ),
                 }
-            }
-            Op::Enumerate(limit) => {
-                let a = session.enumerate_designs(limit, false).expect("runs");
-                let b = fresh.enumerate_designs(limit, false).expect("runs");
-                assert_eq!(a.len(), b.len(), "class count diverged after inprocessing");
-                if a.len() < limit {
-                    // Both exhaustive: the class sets must coincide.
-                    assert_eq!(fingerprints(&a), fingerprints(&b));
+                Op::Enumerate(limit) => {
+                    let limit = limit + 3 * pass;
+                    let a = session.enumerate_designs(limit, false).expect("runs");
+                    let b = fresh.enumerate_designs(limit, false).expect("runs");
+                    assert_eq!(a.len(), b.len(), "class count diverged in pass {pass}");
+                    if a.len() < limit {
+                        // Both exhaustive: the class sets must coincide.
+                        assert_eq!(fingerprints(&a), fingerprints(&b));
+                    }
                 }
-            }
-            Op::Subset(mask) => {
-                let labels: Vec<&str> = pool
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| (mask >> (i % 8)) & 1 == 1)
-                    .map(|(_, l)| l.as_str())
-                    .collect();
-                assert_eq!(
-                    session.check_rule_subset(&labels).expect("runs"),
-                    fresh.check_rule_subset(&labels).expect("runs"),
-                );
+                Op::Subset(mask) => {
+                    let labels: Vec<&str> = pool
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| (mask >> (i % 8)) & 1 == 1)
+                        .map(|(_, l)| l.as_str())
+                        .collect();
+                    assert_eq!(
+                        session.check_rule_subset(&labels).expect("runs"),
+                        fresh.check_rule_subset(&labels).expect("runs"),
+                    );
+                }
             }
         }
+        pass += 1;
     }
     let stats = session.stats();
-    assert_eq!(stats.recompiles, 0, "inprocessing forced a session recompile");
+    assert!(stats.retired_activations >= GC_EVERY);
+    assert_eq!(stats.recompiles, 0, "garbage collection forced a session recompile");
     assert!(stats.session_solves > 0);
 }
 

@@ -11,8 +11,6 @@
 //! unset, empty, `0`, or `1` mean sequential; `N ≥ 2` means an N-seat
 //! portfolio (see [`threads_requested`]).
 
-use netarch_sat::SolverConfig;
-
 /// Which solver executes a query's decisive solve calls.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub enum SolveBackend {
@@ -84,24 +82,11 @@ pub fn backend_from_env() -> SolveBackend {
     }
 }
 
-/// The session solver configuration selected by the environment: the
-/// default configuration, with inprocessing switched off when
-/// `NETARCH_INPROCESS` requests it (see [`parse_switch`]). Inprocessing
-/// is on by default; the knob exists for A/B comparisons and for bisecting
-/// suspected inprocessing bugs without a rebuild.
-pub fn solver_config_from_env() -> SolverConfig {
-    let mut config = SolverConfig::default();
-    if let Some(enabled) = parse_switch(std::env::var("NETARCH_INPROCESS").ok().as_deref()) {
-        config.inprocessing_enabled = enabled;
-    }
-    config
-}
-
-/// Interprets a boolean environment switch (`NETARCH_INPROCESS`,
-/// `NETARCH_DETERMINISTIC`): `0`/`off`/`false`/
-/// `no` disable, `1`/`on`/`true`/`yes` enable, anything else (including
-/// unset) leaves the default. Split out as a pure helper (like
-/// [`parse_threads`]) so tests avoid process-global environment mutation.
+/// Interprets a boolean environment switch (`NETARCH_DETERMINISTIC`):
+/// `0`/`off`/`false`/`no` disable, `1`/`on`/`true`/`yes` enable, anything
+/// else (including unset) leaves the default. Split out as a pure helper
+/// (like [`parse_threads`]) so tests avoid process-global environment
+/// mutation.
 fn parse_switch(value: Option<&str>) -> Option<bool> {
     match value?.trim().to_ascii_lowercase().as_str() {
         "0" | "off" | "false" | "no" => Some(false),

@@ -9,7 +9,9 @@ use crate::ast::{Atom, Formula};
 use crate::backend::SolveBackend;
 use crate::cardinality::{self, CardEncoding};
 use crate::sink::ClauseSink;
-use netarch_sat::{Lit, ProbePool, ProbePoolConfig, SolveResult, Solver, Stats, Var};
+use netarch_sat::{
+    Lit, ProbePool, ProbePoolConfig, SolveResult, Solver, SolverConfig, Stats, Var,
+};
 use std::sync::Arc;
 
 /// Encoder configuration.
@@ -32,10 +34,6 @@ pub struct EncodeConfig {
     /// every asserted clause (the seats need the CNF), so clauses injected
     /// through [`Encoder::solver_mut`] are unsupported while it is on.
     pub backend: SolveBackend,
-    /// Configuration for the underlying session solver (inprocessing
-    /// cadence, chronological backtracking, restart policy, …). Also the
-    /// base configuration every probe seat diversifies from.
-    pub solver: netarch_sat::SolverConfig,
 }
 
 /// Encodes [`Formula`]s into a CDCL solver via the Tseitin transformation.
@@ -81,7 +79,7 @@ impl Encoder {
 
     /// Creates an encoder with explicit configuration.
     pub fn with_config(config: EncodeConfig) -> Encoder {
-        let mut solver = Solver::with_config(config.solver.clone());
+        let mut solver = Solver::new();
         if config.verify_proofs {
             solver.record_proof();
         }
@@ -122,16 +120,6 @@ impl Encoder {
         *self.solver.stats()
     }
 
-    /// Forces one inprocessing round (subsumption, vivification, bounded
-    /// variable elimination) on the session solver. Every variable the
-    /// encoder allocates for atoms, selectors, or cardinality structure is
-    /// frozen, so elimination only ever touches single-assertion Tseitin
-    /// auxiliaries and later assertions/assumptions stay valid. Returns
-    /// `false` when the instance is proved unsatisfiable at the root.
-    pub fn inprocess(&mut self) -> bool {
-        self.solver.inprocess()
-    }
-
     /// Number of auxiliary (Tseitin/cardinality) variables created.
     pub fn aux_var_count(&self) -> usize {
         self.aux_vars
@@ -140,27 +128,6 @@ impl Encoder {
     /// Number of clauses asserted through this encoder.
     pub fn clause_count(&self) -> usize {
         self.asserted_clauses
-    }
-
-    /// Allocates a solver variable that future clauses or assumptions may
-    /// reference, and freezes it so solver inprocessing (bounded variable
-    /// elimination) can never remove it — the freeze contract between the
-    /// incremental session layer and the solver (see `Solver::freeze_var`).
-    /// Atom variables, the global true literal, group selectors, and
-    /// cardinality/integer structure variables all go through here; only
-    /// single-assertion Tseitin definitions stay eliminable.
-    fn alloc_frozen_var(&mut self) -> Var {
-        let v = self.solver.new_var();
-        self.solver.freeze_var(v);
-        v
-    }
-
-    /// Freezes `lit`'s variable after the fact. Tseitin definitions from
-    /// [`Encoder::lit_for`] stay eliminable; a caller that will reference
-    /// one in clauses added after a later solve (an objective totalizer
-    /// over violation literals) freezes it first.
-    pub(crate) fn freeze(&mut self, lit: Lit) {
-        self.solver.freeze_var(lit.var());
     }
 
     /// The solver variable backing `atom`, allocated on first use.
@@ -172,7 +139,7 @@ impl Encoder {
         match self.atom_vars[idx] {
             Some(v) => v,
             None => {
-                let v = self.alloc_frozen_var();
+                let v = self.solver.new_var();
                 self.atom_vars[idx] = Some(v);
                 v
             }
@@ -189,7 +156,7 @@ impl Encoder {
         match self.true_lit {
             Some(l) => l,
             None => {
-                let l = self.alloc_frozen_var().positive();
+                let l = self.solver.new_var().positive();
                 // The defining unit is global truth: it must hold even when
                 // allocated inside a gated scope, so it bypasses the gate.
                 self.add_clause_raw(&[l]);
@@ -322,9 +289,7 @@ impl Encoder {
     /// Allocates a fresh selector literal for assertion grouping.
     pub fn new_selector(&mut self) -> Lit {
         self.aux_vars += 1;
-        // Selectors become assumptions and retirement units later, so they
-        // must survive inprocessing even before their first solve.
-        self.alloc_frozen_var().positive()
+        self.solver.new_var().positive()
     }
 
     /// Permanently retires a selector/activation literal by asserting its
@@ -500,13 +465,10 @@ impl Encoder {
     }
 
     /// Spawns a [`ProbePool`] over the mirrored CNF, or `None` when
-    /// [`Encoder::parallel_seats`] says solving must stay sequential.
-    /// `assumable` must cover every literal any round may assume: the seats
-    /// freeze those variables at startup so their restart-boundary
-    /// inprocessing never eliminates a variable a later round assumes. The
+    /// [`Encoder::parallel_seats`] says solving must stay sequential. The
     /// caller owns the pool's lifecycle: dispatch rounds, then hand
     /// `finish()`'s stats back through [`Encoder::absorb_parallel`].
-    pub(crate) fn probe_pool(&self, assumable: &[Lit]) -> Option<ProbePool> {
+    pub(crate) fn probe_pool(&self) -> Option<ProbePool> {
         let SolveBackend::Portfolio(opts) = &self.config.backend else {
             return None;
         };
@@ -514,15 +476,11 @@ impl Encoder {
         if seats < 2 {
             return None;
         }
-        let mut frozen: Vec<Var> = assumable.iter().map(|l| l.var()).collect();
-        frozen.sort_unstable();
-        frozen.dedup();
         Some(ProbePool::new(ProbePoolConfig {
             seats,
             num_vars: self.solver.num_vars(),
             clauses: Arc::clone(&self.cnf_mirror),
-            base: self.config.solver.clone(),
-            frozen,
+            base: SolverConfig::default(),
             deterministic: opts.deterministic,
             seed: opts.seed,
             conflict_budget: None,
@@ -613,10 +571,7 @@ impl Encoder {
 impl ClauseSink for Encoder {
     fn fresh_var(&mut self) -> Var {
         self.aux_vars += 1;
-        // Cardinality/integer structure variables are constrained again by
-        // later incremental assertions (e.g. `OrderInt::assert_le` after
-        // construction), so they are frozen like atoms and selectors.
-        self.alloc_frozen_var()
+        self.solver.new_var()
     }
 
     fn add_clause(&mut self, lits: &[Lit]) {

@@ -34,9 +34,7 @@ pub mod sink;
 pub mod verify;
 
 pub use ast::{Atom, Formula};
-pub use backend::{
-    backend_from_env, solver_config_from_env, threads_requested, PortfolioOptions, SolveBackend,
-};
+pub use backend::{backend_from_env, threads_requested, PortfolioOptions, SolveBackend};
 pub use cardinality::CardEncoding;
 pub use encoder::{EncodeConfig, Encoder};
 pub use int::{Bound, OrderInt};

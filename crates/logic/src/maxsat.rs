@@ -151,15 +151,8 @@ pub fn compile_softs(
     let violations = encoder.gated_scope(activation, |e| {
         softs
             .iter()
-            .map(|s| {
-                // v_i ⇔ ¬formula_i. Frozen: the totalizer that reads it is
-                // only built by a later `minimize_under`, and an inprocessing
-                // round in between (an earlier level's solves, a serving
-                // session's idle inprocessing) must not eliminate it.
-                let v = !e.lit_for(&s.formula);
-                e.freeze(v);
-                PbTerm::new(s.weight, v)
-            })
+            // v_i ⇔ ¬formula_i.
+            .map(|s| PbTerm::new(s.weight, !e.lit_for(&s.formula)))
             .collect()
     });
     Ok(CompiledSofts { softs, violations, activation })
@@ -266,11 +259,7 @@ fn descend(
     // defines the semantics; the pooled path must return exactly its
     // answers.
     if cost > 0 && encoder.parallel_seats() >= 2 {
-        // Every probe assumes a subset of the context plus negated
-        // totalizer outputs; declare them all so no seat eliminates one.
-        let mut assumable = context.clone();
-        assumable.extend(objective.outputs.iter().map(|&(_, l)| l));
-        if let Some(pool) = encoder.probe_pool(&assumable) {
+        if let Some(pool) = encoder.probe_pool() {
             let outcome = minimize_under_pooled(
                 encoder, compiled, &objective, &context, gate, pool, violated,
             );
@@ -847,11 +836,12 @@ mod tests {
     }
 
     #[test]
-    fn violation_literals_survive_inprocessing_before_the_descent() {
+    fn non_atomic_softs_reach_the_brute_force_optimum_across_levels() {
         // Non-atomic softs get Tseitin violation literals, and the
         // totalizer that reads them is only encoded inside `minimize_under`,
-        // after this inprocessing round. Without the freeze in
-        // `compile_softs`, elimination would remove them first.
+        // after solves have already run on the session (an earlier
+        // lexicographic level's, in the second pass). The descent must
+        // still reach the brute-force optimum.
         let hard = [
             Formula::or([a(0), a(1)]),
             Formula::or([Formula::not(a(1)), a(2)]),
@@ -886,7 +876,7 @@ mod tests {
             let mut best = optimum(&|_| true);
             if earlier_level {
                 // An earlier lexicographic level (prefer a0, achievable)
-                // runs its solves first; they may inprocess as well.
+                // runs its solves first.
                 let first = compile_softs(&mut e, softs(&[(1, a(0))])).expect("no overflow");
                 assert_eq!(
                     minimize_under(&mut e, &first, &base, gate),
@@ -895,7 +885,6 @@ mod tests {
                 base.push(first.activation());
                 best = optimum(&|bits| bits & 1 == 1);
             }
-            assert!(e.inprocess());
             match minimize_under(&mut e, &compiled, &base, gate) {
                 MaxSatOutcome::Optimal { cost, .. } => assert_eq!(cost, best),
                 other => panic!("unexpected {other:?}"),

@@ -31,19 +31,6 @@ struct ClauseHeader {
     lbd: u32,
     /// Bump-based activity used to rank learnt clauses for deletion.
     activity: f64,
-    /// 64-bit variable-set signature: bit `v % 64` is set for every variable
-    /// in the clause. `C ⊆ D` implies `abstraction(C) & !abstraction(D) == 0`,
-    /// so the inprocessing subsumption passes use it as a constant-time
-    /// prefilter before the literal-level subset check. Variable-based (not
-    /// literal-based) so the same signature also prefilters
-    /// self-subsumption, where one literal appears with its sign flipped.
-    abstraction: u64,
-}
-
-/// Computes the variable-set signature used for subsumption prefiltering.
-pub fn compute_abstraction(lits: &[Lit]) -> u64 {
-    lits.iter()
-        .fold(0u64, |acc, l| acc | 1u64 << (l.var().index() & 63))
 }
 
 /// Arena of clauses with tombstone deletion and explicit compaction.
@@ -73,16 +60,14 @@ impl ClauseDb {
         debug_assert!(lits.len() >= 2, "stored clauses must have >= 2 literals");
         let start = self.lits.len() as u32;
         self.lits.extend_from_slice(lits);
-        let header = ClauseHeader {
+        self.headers.push(ClauseHeader {
             start,
             len: lits.len() as u32,
             learnt,
             deleted: false,
             lbd: lits.len() as u32,
             activity: 0.0,
-            abstraction: compute_abstraction(lits),
-        };
-        self.headers.push(ClauseHeader { ..header });
+        });
         if learnt {
             self.num_learnt += 1;
         } else {
@@ -149,49 +134,6 @@ impl ClauseDb {
     pub fn rescale_activities(&mut self, factor: f64) {
         for h in &mut self.headers {
             h.activity /= factor;
-        }
-    }
-
-    /// Returns the clause's variable-set signature for subsumption
-    /// prefiltering (see [`compute_abstraction`]).
-    #[inline]
-    pub fn abstraction(&self, cref: ClauseRef) -> u64 {
-        self.headers[cref.0 as usize].abstraction
-    }
-
-    /// Shrinks a clause in place to `new_lits` (a strengthening: the new
-    /// literal set must be a subset of the old one, and still ≥ 2 literals).
-    ///
-    /// The freed tail slots are counted as wasted storage so compaction
-    /// heuristics stay honest. Callers must detach the clause from the watch
-    /// lists before shrinking and re-attach afterwards, because the watched
-    /// slots 0/1 are rewritten.
-    pub fn shrink(&mut self, cref: ClauseRef, new_lits: &[Lit]) {
-        let h = &self.headers[cref.0 as usize];
-        debug_assert!(!h.deleted, "cannot shrink a tombstoned clause");
-        debug_assert!(new_lits.len() >= 2, "stored clauses must have >= 2 literals");
-        debug_assert!(new_lits.len() <= h.len as usize, "shrink cannot grow a clause");
-        let start = h.start as usize;
-        let old_len = h.len as usize;
-        self.lits[start..start + new_lits.len()].copy_from_slice(new_lits);
-        let h = &mut self.headers[cref.0 as usize];
-        h.len = new_lits.len() as u32;
-        h.abstraction = compute_abstraction(new_lits);
-        self.wasted += old_len - new_lits.len();
-    }
-
-    /// Promotes a learnt clause to an original (irredundant) clause.
-    ///
-    /// Used when a learnt clause subsumes an original one: the original may
-    /// only be deleted if its subsumer is immune to learnt-clause reduction,
-    /// otherwise a later `reduce_db` could silently drop the last witness of
-    /// an original constraint.
-    pub fn make_original(&mut self, cref: ClauseRef) {
-        let h = &mut self.headers[cref.0 as usize];
-        if h.learnt && !h.deleted {
-            h.learnt = false;
-            self.num_learnt -= 1;
-            self.num_original += 1;
         }
     }
 
@@ -339,50 +281,6 @@ mod tests {
         assert!(db.bump_activity(c, 2e100));
         db.rescale_activities(1e100);
         assert!(db.activity(c) < 1.0e10);
-    }
-
-    #[test]
-    fn abstraction_is_subset_prefilter() {
-        let mut db = ClauseDb::new();
-        let c = db.add(&[lit(0, true), lit(2, false)], false);
-        let d = db.add(&[lit(0, true), lit(1, true), lit(2, false)], false);
-        // C ⊆ D (as variable sets) ⇒ abst(C) & !abst(D) == 0.
-        assert_eq!(db.abstraction(c) & !db.abstraction(d), 0);
-        // D ⊄ C: bit for var 1 survives.
-        assert_ne!(db.abstraction(d) & !db.abstraction(c), 0);
-        // Sign-insensitive: flipping polarity keeps the same signature.
-        assert_eq!(
-            compute_abstraction(&[lit(0, true)]),
-            compute_abstraction(&[lit(0, false)])
-        );
-    }
-
-    #[test]
-    fn shrink_updates_len_abstraction_and_waste() {
-        let mut db = ClauseDb::new();
-        let c = db.add(&[lit(0, true), lit(1, true), lit(2, true)], false);
-        assert!(!db.should_compact());
-        db.shrink(c, &[lit(0, true), lit(2, true)]);
-        assert_eq!(db.lits(c), &[lit(0, true), lit(2, true)]);
-        assert_eq!(db.abstraction(c), compute_abstraction(&[lit(0, true), lit(2, true)]));
-        // One of three slots is now wasted; compaction threshold is 4:1.
-        assert!(db.should_compact());
-        let remap = db.compact();
-        let c = remap[c.0 as usize].unwrap();
-        assert_eq!(db.lits(c), &[lit(0, true), lit(2, true)]);
-    }
-
-    #[test]
-    fn make_original_promotes_learnt() {
-        let mut db = ClauseDb::new();
-        let c = db.add(&[lit(0, true), lit(1, true)], true);
-        assert_eq!(db.num_learnt(), 1);
-        db.make_original(c);
-        assert!(!db.is_learnt(c));
-        assert_eq!(db.num_learnt(), 0);
-        assert_eq!(db.num_original(), 1);
-        db.make_original(c); // idempotent
-        assert_eq!(db.num_original(), 1);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!   RUP/DRAT checker ([`checker`]) so UNSAT verdicts are certifiable,
 //! - parallel solving on a probe pool ([`probes`]): persistent diversified
 //!   workers racing rounds of assumption probes under first-winner-cancels,
+//! - root-level garbage collection of clauses satisfied by retired
+//!   activation literals ([`Solver::simplify`]),
 //! - DIMACS CNF I/O,
 //! - per-feature ablation switches in [`SolverConfig`].
 //!

@@ -88,14 +88,6 @@ pub struct ProbePoolConfig {
     /// Base solver configuration; seat 0 runs it unmodified, later seats
     /// run seeded variations (see the [module docs](self)).
     pub base: SolverConfig,
-    /// Variables any round's probe may assume, frozen in every seat at
-    /// startup. The session solver freezes assumption variables lazily at
-    /// first use, but pool seats see a *different* assumption set each
-    /// round — a variable only assumed in round N could be eliminated by a
-    /// seat's restart-boundary inprocessing during rounds 1..N, and
-    /// assuming an eliminated variable is a protocol violation. Callers
-    /// must declare the full assumable set up front.
-    pub frozen: Vec<Var>,
     /// Deterministic mode: no cancellation; each seat's outcome depends
     /// only on its own probe sequence.
     pub deterministic: bool,
@@ -169,7 +161,6 @@ impl ProbePool {
             let num_vars = config.num_vars;
             let deterministic = config.deterministic;
             let budget = config.conflict_budget;
-            let frozen = config.frozen.clone();
             let serve = move |results_tx: &mpsc::Sender<SeatReply>| {
                 let mut solver = Solver::with_config(seat_config);
                 solver.ensure_vars(num_vars);
@@ -177,9 +168,6 @@ impl ProbePool {
                     if !solver.add_clause(clause.iter().copied()) {
                         break;
                     }
-                }
-                for &v in &frozen {
-                    solver.freeze_var(v);
                 }
                 solver.set_conflict_budget(budget);
                 if !deterministic {
@@ -294,7 +282,6 @@ mod tests {
             num_vars,
             clauses: Arc::new(clauses),
             base: SolverConfig::default(),
-            frozen: (0..num_vars).map(Var::from_index).collect(),
             deterministic,
             seed: 7,
             conflict_budget: None,
@@ -384,52 +371,6 @@ mod tests {
         assert_eq!(s1, s2, "per-seat stats must be timing-independent");
     }
 
-    /// A two-seat deterministic pool whose config forces inprocessing after
-    /// the very first conflict; (x0 ∨ x1) ∧ (x0 ∨ ¬x1) yields that conflict
-    /// under the all-false default polarity, and x2 — touched by no
-    /// round-1 assumption — is a prime BVE target via (x2 ∨ x3) ∧ (¬x2 ∨ x4).
-    fn inprocessing_pool(frozen: Vec<Var>) -> ProbePool {
-        let v = |i: usize| Var::from_index(i);
-        let clauses = vec![
-            vec![v(0).positive(), v(1).positive()],
-            vec![v(0).positive(), v(1).negative()],
-            vec![v(2).positive(), v(3).positive()],
-            vec![v(2).negative(), v(4).positive()],
-        ];
-        ProbePool::new(ProbePoolConfig {
-            seats: 2,
-            num_vars: 5,
-            clauses: Arc::new(clauses),
-            base: SolverConfig {
-                restart_base: 1,
-                inprocess_interval: 1,
-                ..SolverConfig::default()
-            },
-            frozen,
-            deterministic: true,
-            seed: 7,
-            conflict_budget: None,
-        })
-    }
-
-    #[test]
-    fn declared_assumables_survive_seat_inprocessing() {
-        // Regression: a variable assumed only in a *later* round must not
-        // be BVE-eliminated by a seat's restart-boundary inprocessing
-        // during an earlier round. Declaring x2 up front keeps round 2's
-        // assumption legal.
-        let v = |i: usize| Var::from_index(i);
-        let mut p = inprocessing_pool(vec![v(2)]);
-        let first = p.solve_round(&[vec![], vec![]]);
-        assert!(first.iter().all(|o| o.result == SolveResult::Sat));
-        let second = p.solve_round(&[vec![v(2).positive()], vec![v(2).negative()]]);
-        assert_eq!(second[0].result, SolveResult::Sat);
-        assert_eq!(second[1].result, SolveResult::Sat);
-        let model = second[0].model.as_ref().expect("SAT probes carry a model");
-        assert_eq!(lit_value_in(model, v(2).positive()), Some(true));
-        p.finish();
-    }
-
     #[test]
     fn short_rounds_use_a_prefix_of_seats() {
         let v = |i: usize| Var::from_index(i);
@@ -443,16 +384,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "references an eliminated variable")]
+    #[should_panic(expected = "references an unallocated variable")]
     fn a_panicking_seat_fails_the_round_instead_of_hanging() {
-        // Regression: without the declaration, seat 0 eliminates x2 in
-        // round 1 and panics on round 2's assumption while seat 1 answers.
-        // The round must re-raise seat 0's own message, not wait forever
-        // for a reply that never comes.
+        // Regression: seat 0 panics on an assumption over a variable the
+        // formula never allocated, while seat 1 answers. The round must
+        // re-raise seat 0's own message, not wait forever for a reply that
+        // never comes.
         let v = |i: usize| Var::from_index(i);
-        let mut p = inprocessing_pool(vec![]);
-        p.solve_round(&[vec![], vec![]]);
-        p.solve_round(&[vec![v(2).positive()], vec![v(2).negative()]]);
+        let mut p = pool(2, vec![vec![v(0).positive(), v(1).positive()]], 2, true);
+        p.solve_round(&[vec![v(9).positive()], vec![v(0).negative()]]);
     }
 
     #[test]

@@ -8,16 +8,12 @@
 //! (a subset of the assumptions), which the upper layers use for MUS
 //! extraction and architecture-design diagnosis.
 //!
-//! At restart boundaries the solver additionally runs certified
-//! *inprocessing* (see the `simplify` submodule): subsumption and
-//! self-subsumption over occurrence lists, clause vivification, and bounded
-//! variable elimination under a freeze set, with every derived or deleted
-//! clause logged to the DRAT proof. Conflicts whose backjump would discard
-//! many levels can instead backtrack chronologically by a single level
-//! (`SolverConfig::chrono_threshold`).
-
-#[path = "simplify.rs"]
-mod simplify;
+//! The solver never removes a variable: any allocated variable may appear
+//! in a later clause or assumption, which is what incremental sessions
+//! rely on. Between solves, [`Solver::simplify`] reclaims clauses that
+//! root-level units (e.g. retired activation literals) have satisfied.
+//! Every derived or deleted clause is logged to the DRAT proof when
+//! recording is on.
 
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::heap::VarHeap;
@@ -80,27 +76,6 @@ pub struct SolverConfig {
     /// this value — there is no ambient entropy — so equal configs replay
     /// identical searches.
     pub random_seed: u64,
-    /// Enable restart-boundary inprocessing: subsumption/self-subsumption,
-    /// clause vivification, and bounded variable elimination (see
-    /// [`Solver::inprocess`]). Every simplification emits DRAT, so proofs
-    /// stay checkable with inprocessing on.
-    pub inprocessing_enabled: bool,
-    /// Restarts before the *first* inprocessing round (1 = after the first
-    /// restart). The gap doubles after every round, so a long search sees
-    /// O(log restarts) rounds rather than paying the pass cost linearly.
-    pub inprocess_interval: u64,
-    /// Unit-propagation budget per vivification pass; bounds the work one
-    /// inprocessing round spends probing clauses.
-    pub vivify_budget: u64,
-    /// Bounded variable elimination skips variables whose positive×negative
-    /// occurrence product exceeds this cap (keeps resolvent generation
-    /// quadratic only on genuinely cheap variables).
-    pub bve_product_limit: usize,
-    /// Chronological backtracking threshold: when a conflict's backjump
-    /// would skip more than this many decision levels, backtrack just one
-    /// level instead (Nadel & Ryvchin). `0` disables chronological
-    /// backtracking.
-    pub chrono_threshold: u32,
 }
 
 impl Default for SolverConfig {
@@ -118,11 +93,6 @@ impl Default for SolverConfig {
             default_polarity: false,
             random_decision_freq: 0.0,
             random_seed: 0,
-            inprocessing_enabled: true,
-            inprocess_interval: 4,
-            vivify_budget: 20_000,
-            bve_product_limit: 64,
-            chrono_threshold: 100,
         }
     }
 }
@@ -182,27 +152,6 @@ pub struct Solver {
     last_interrupted: bool,
     /// xorshift64* state for seeded decision randomness.
     rng_state: u64,
-    /// Variables exempt from bounded variable elimination: anything the
-    /// caller may still mention in future clauses or assumptions (the
-    /// freeze contract — see [`Solver::freeze_var`]). Assumption variables
-    /// are frozen automatically by [`Solver::solve_with`].
-    frozen: Vec<bool>,
-    /// Variables removed by bounded variable elimination. They no longer
-    /// occur in any live clause, are skipped by decision heuristics, and
-    /// may not appear in newly added clauses or assumptions; their model
-    /// values are restored by reconstruction from `elim_stack`.
-    eliminated: Vec<bool>,
-    /// Clauses deleted by variable elimination, with the pivot literal each
-    /// contained. Walked in reverse on every SAT outcome to extend the
-    /// model so it satisfies the *original* formula.
-    elim_stack: Vec<(Lit, Vec<Lit>)>,
-    /// Restarts since the last inprocessing round (cadence counter).
-    restarts_since_inprocess: u64,
-    /// Current restart gap before the next inprocessing round. Starts at
-    /// `config.inprocess_interval` and doubles after every round, so early
-    /// rounds strip the cheap redundancy while long searches are not
-    /// dominated by pass overhead. `0` means "not yet initialised".
-    inprocess_gap: u64,
     stats: Stats,
 }
 
@@ -258,11 +207,6 @@ impl Solver {
             interrupt: None,
             last_interrupted: false,
             rng_state,
-            frozen: Vec::new(),
-            eliminated: Vec::new(),
-            elim_stack: Vec::new(),
-            restarts_since_inprocess: 0,
-            inprocess_gap: 0,
             stats: Stats::default(),
         }
     }
@@ -358,49 +302,8 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.frozen.push(false);
-        self.eliminated.push(false);
         self.order.insert(v, &self.activity);
         v
-    }
-
-    /// Exempts a variable from bounded variable elimination, permanently.
-    ///
-    /// The freeze contract: any variable the caller may still mention in a
-    /// *future* `add_clause` or `solve_with` call must be frozen before
-    /// inprocessing can run, because an eliminated variable no longer exists
-    /// in the simplified formula (mentioning one afterwards panics).
-    /// Assumption variables are frozen automatically when passed to
-    /// [`Solver::solve_with`]; incremental encoders (e.g. `netarch-logic`)
-    /// freeze every variable they allocate.
-    pub fn freeze_var(&mut self, var: Var) {
-        self.frozen[var.index()] = true;
-    }
-
-    /// Re-admits a variable to bounded variable elimination, undoing
-    /// [`Solver::freeze_var`].
-    ///
-    /// The caller asserts that no *future* `add_clause` or `solve_with`
-    /// call will mention the variable (or that it will be re-frozen first):
-    /// once a later inprocessing round eliminates it, mentioning it panics.
-    /// This is how temporary pins — e.g. enumeration projections, which
-    /// only need their variables alive while blocking clauses are being
-    /// added — avoid exempting those variables from elimination for the
-    /// rest of an incremental session. Note that [`Solver::solve_with`]
-    /// freezes assumption variables permanently; thawing one of those
-    /// breaks that contract and is the caller's responsibility.
-    pub fn thaw_var(&mut self, var: Var) {
-        self.frozen[var.index()] = false;
-    }
-
-    /// True when the variable is exempt from variable elimination.
-    pub fn is_frozen(&self, var: Var) -> bool {
-        self.frozen[var.index()]
-    }
-
-    /// True when the variable has been removed by variable elimination.
-    pub fn is_eliminated(&self, var: Var) -> bool {
-        self.eliminated[var.index()]
     }
 
     /// Ensures at least `n` variables exist.
@@ -446,12 +349,6 @@ impl Solver {
             assert!(
                 l.var().index() < self.num_vars(),
                 "literal {l:?} references an unallocated variable"
-            );
-            assert!(
-                !self.eliminated[l.var().index()],
-                "literal {l:?} references an eliminated variable; variables \
-                 mentioned by future clauses must be frozen (Solver::freeze_var) \
-                 before inprocessing runs"
             );
         }
         c.sort_unstable();
@@ -528,15 +425,6 @@ impl Solver {
                 l.var().index() < self.num_vars(),
                 "assumption {l:?} references an unallocated variable"
             );
-            assert!(
-                !self.eliminated[l.var().index()],
-                "assumption {l:?} references an eliminated variable; freeze \
-                 variables assumed across solves (Solver::freeze_var)"
-            );
-            // Assumption variables are frozen permanently: callers reuse
-            // assumption literals across solves, so eliminating one between
-            // solves would invalidate the incremental session protocol.
-            self.frozen[l.var().index()] = true;
         }
         self.assumptions = assumptions.to_vec();
         self.backtrack_to(0);
@@ -562,10 +450,6 @@ impl Solver {
                     // keeping the solver immediately reusable.
                     self.model.clear();
                     self.model.extend_from_slice(&self.assigns);
-                    // Variables removed by elimination are unassigned in the
-                    // search; give them values satisfying the deleted
-                    // clauses so the model holds for the original formula.
-                    self.extend_model();
                     self.backtrack_to(0);
                     return SolveResult::Sat;
                 }
@@ -577,13 +461,6 @@ impl Solver {
                 SearchOutcome::Restart => {
                     self.stats.restarts += 1;
                     self.backtrack_to(0);
-                    // Restart boundaries are where inprocessing runs: the
-                    // trail is at root level, so clauses can be deleted,
-                    // strengthened, and resolved away without repair work.
-                    if !self.maybe_inprocess() {
-                        self.model.clear();
-                        return SolveResult::Unsat;
-                    }
                 }
                 SearchOutcome::BudgetExhausted => {
                     self.model.clear();
@@ -705,7 +582,6 @@ impl Solver {
         }
         true
     }
-
 
     // ------------------------------------------------------------------
     // Internals
@@ -985,7 +861,7 @@ impl Solver {
         let sign = (r >> 32) & 1 == 1;
         for off in 0..n {
             let v = Var::from_index((start + off) % n);
-            if self.assigns[v.index()] == LBool::Undef && !self.eliminated[v.index()] {
+            if self.assigns[v.index()] == LBool::Undef {
                 return Some(Lit::new(v, sign));
             }
         }
@@ -1003,12 +879,8 @@ impl Solver {
             }
         }
         if self.config.vsids_enabled {
-            // Eliminated variables are skipped (they occur in no live clause
-            // and get their values from model reconstruction); dropping them
-            // from the heap here is permanent, since they are never assigned
-            // and thus never re-inserted by `backtrack_to`.
             while let Some(v) = self.order.pop_max(&self.activity) {
-                if self.assigns[v.index()] == LBool::Undef && !self.eliminated[v.index()] {
+                if self.assigns[v.index()] == LBool::Undef {
                     return Some(Lit::new(v, self.polarity[v.index()]));
                 }
             }
@@ -1016,7 +888,7 @@ impl Solver {
         } else {
             (0..self.num_vars())
                 .map(Var::from_index)
-                .find(|v| self.assigns[v.index()] == LBool::Undef && !self.eliminated[v.index()])
+                .find(|v| self.assigns[v.index()] == LBool::Undef)
                 .map(|v| Lit::new(v, self.polarity[v.index()]))
         }
     }
@@ -1051,28 +923,7 @@ impl Solver {
                 // are not cleared on unassignment, so the value is identical
                 // either way.
                 let lbd = if learnt.len() == 1 { 1 } else { self.compute_lbd(&learnt) };
-                // Chronological backtracking: when the non-chronological
-                // backjump would discard many decision levels, step back a
-                // single level instead (Nadel & Ryvchin). The learnt clause
-                // is still asserting there — every non-asserting literal
-                // sits at a level ≤ backtrack_level < decision_level - 1 —
-                // and the trail stays level-monotone, so analysis invariants
-                // hold unchanged. Never applied inside the assumption
-                // prefix, where level indexing must stay aligned.
-                let mut target_level = backtrack_level;
-                let ct = self.config.chrono_threshold;
-                if ct > 0
-                    && learnt.len() > 1
-                    && self.decision_level() as usize > self.assumptions.len()
-                    && self.decision_level() - backtrack_level > ct
-                {
-                    let chrono = self.decision_level() - 1;
-                    if chrono > backtrack_level {
-                        target_level = chrono;
-                        self.stats.chrono_backtracks += 1;
-                    }
-                }
-                self.backtrack_to(target_level);
+                self.backtrack_to(backtrack_level);
                 let asserting = learnt[0];
                 if learnt.len() == 1 {
                     self.enqueue(asserting, ClauseRef::INVALID);

@@ -34,19 +34,15 @@ pub struct Stats {
     pub interrupts: u64,
     /// Decisions taken by the seeded random policy instead of VSIDS.
     pub random_decisions: u64,
-    /// Inprocessing rounds executed at restart boundaries.
-    pub inprocessings: u64,
-    /// Clauses deleted because another live clause subsumes them.
+    /// Always 0: the solver does no subsumption. Kept because per-layer
+    /// benchmark reports still read it.
     pub subsumed: u64,
-    /// Clauses strengthened by self-subsumption resolution.
-    pub strengthened: u64,
-    /// Variables removed by bounded variable elimination.
+    /// Always 0: the solver never eliminates a variable. Kept because
+    /// per-layer benchmark reports still read it.
     pub eliminated_vars: u64,
-    /// Clauses shortened by vivification probes.
+    /// Always 0: the solver does no vivification. Kept because per-layer
+    /// benchmark reports still read it.
     pub vivified: u64,
-    /// Conflicts resolved by chronological backtracking (one level) instead
-    /// of a far non-chronological backjump.
-    pub chrono_backtracks: u64,
 }
 
 impl Stats {
@@ -68,12 +64,9 @@ impl Stats {
         self.garbage_collected_clauses += other.garbage_collected_clauses;
         self.interrupts += other.interrupts;
         self.random_decisions += other.random_decisions;
-        self.inprocessings += other.inprocessings;
         self.subsumed += other.subsumed;
-        self.strengthened += other.strengthened;
         self.eliminated_vars += other.eliminated_vars;
         self.vivified += other.vivified;
-        self.chrono_backtracks += other.chrono_backtracks;
     }
 }
 
@@ -83,9 +76,7 @@ impl fmt::Display for Stats {
             f,
             "solves={} decisions={} propagations={} conflicts={} restarts={} \
              learnt={} deleted={} minimized_lits={} retired={} gc={} \
-             interrupts={} random_decisions={} \
-             inprocessings={} subsumed={} strengthened={} eliminated_vars={} \
-             vivified={} chrono_backtracks={}",
+             interrupts={} random_decisions={}",
             self.solves,
             self.decisions,
             self.propagations,
@@ -98,12 +89,6 @@ impl fmt::Display for Stats {
             self.garbage_collected_clauses,
             self.interrupts,
             self.random_decisions,
-            self.inprocessings,
-            self.subsumed,
-            self.strengthened,
-            self.eliminated_vars,
-            self.vivified,
-            self.chrono_backtracks,
         )
     }
 }
@@ -114,12 +99,12 @@ mod tests {
 
     #[test]
     fn absorb_adds_fieldwise() {
-        let mut a = Stats { solves: 2, conflicts: 7, eliminated_vars: 1, ..Stats::default() };
+        let mut a = Stats { solves: 2, conflicts: 7, restarts: 1, ..Stats::default() };
         let b = Stats { solves: 3, conflicts: 5, interrupts: 4, ..Stats::default() };
         a.absorb(&b);
         assert_eq!(a.solves, 5);
         assert_eq!(a.conflicts, 12);
-        assert_eq!(a.eliminated_vars, 1);
+        assert_eq!(a.restarts, 1);
         assert_eq!(a.interrupts, 4);
         // Absorbing the default is the identity.
         let before = a;

@@ -5,9 +5,9 @@
 //! (formula, assumptions) pairs — for 1, 2, and 4 seats, in deterministic
 //! mode (where every seat must reach a decisive verdict) and in racing mode
 //! (where cancelled seats may report `Unknown`, but decisive answers must
-//! still match the oracle), once with every variable frozen and once under
-//! hostile inprocessing with only the probed variables frozen.
-//! Deterministic repeat runs must be bit-identical.
+//! still match the oracle), once on the default configuration and once
+//! restarting after every conflict. Deterministic repeat runs must be
+//! bit-identical.
 //!
 //! All randomness is seeded — running the sweep twice explores the same
 //! formulas.
@@ -67,46 +67,26 @@ fn model_satisfies(case: &Case, assumptions: &[Lit], model: &[Option<bool>]) -> 
     case.clauses.iter().all(|c| c.iter().any(lit_true)) && assumptions.iter().all(lit_true)
 }
 
-/// Variables the case's probes assume — the only ones a caller must freeze.
-fn probe_vars(case: &Case) -> Vec<Var> {
-    let mut vars: Vec<Var> = case.probes.iter().flatten().map(|l| l.var()).collect();
-    vars.sort_unstable();
-    vars.dedup();
-    vars
-}
-
 #[test]
 fn pool_rounds_agree_with_sequential_oracle() {
-    // Two inputs. The default configuration with every variable frozen,
-    // and the most hostile inprocessing schedule (inprocess every restart,
-    // restart every conflict, chronological backtracking on) with only the
-    // probe variables frozen — the freeze set the engine hands its pools —
-    // so seat BVE eliminates variables and every SAT model must come back
-    // reconstructed.
-    let aggressive = SolverConfig {
-        inprocess_interval: 1,
-        restart_base: 1,
-        chrono_threshold: 1,
-        ..SolverConfig::default()
-    };
+    // Two inputs: the default configuration, and the most hostile restart
+    // schedule (restart after every conflict), so persistent seats answer
+    // later probes from the root after many restart boundaries.
+    let aggressive = SolverConfig { restart_base: 1, ..SolverConfig::default() };
     let mut rng = Rng::seed_from_u64(0x0092_0BE5);
-    let mut eliminated = 0;
+    let mut restarts = 0;
     for hostile in [false, true] {
         for seats in [1usize, 2, 4] {
             for deterministic in [true, false] {
                 for case_idx in 0..25 {
                     let case = gen_case(&mut rng, seats);
-                    let (base, frozen) = if hostile {
-                        (aggressive.clone(), probe_vars(&case))
-                    } else {
-                        (SolverConfig::default(), (0..case.num_vars).map(Var::from_index).collect())
-                    };
+                    let base =
+                        if hostile { aggressive.clone() } else { SolverConfig::default() };
                     let mut pool = ProbePool::new(ProbePoolConfig {
                         seats,
                         num_vars: case.num_vars,
                         clauses: Arc::new(case.clauses.clone()),
                         base,
-                        frozen,
                         deterministic,
                         seed: case_idx,
                         conflict_budget: None,
@@ -139,15 +119,14 @@ fn pool_rounds_agree_with_sequential_oracle() {
                     }
                     let stats = pool.finish();
                     if hostile {
-                        eliminated += stats.iter().map(|s| s.eliminated_vars).sum::<u64>();
+                        restarts += stats.iter().map(|s| s.restarts).sum::<u64>();
                     }
                 }
             }
         }
     }
-    // The hostile input proves nothing unless seats really eliminated
-    // variables whose values had to be reconstructed.
-    assert!(eliminated > 0, "hostile input never eliminated a variable");
+    // The hostile input proves nothing unless seats really restarted.
+    assert!(restarts > 0, "hostile input never restarted a seat");
 }
 
 #[test]
@@ -161,7 +140,6 @@ fn deterministic_pools_are_bit_identical_across_runs() {
                 num_vars: case.num_vars,
                 clauses: Arc::new(case.clauses.clone()),
                 base: SolverConfig::default(),
-                frozen: (0..case.num_vars).map(Var::from_index).collect(),
                 deterministic: true,
                 seed: 3,
                 conflict_budget: None,

