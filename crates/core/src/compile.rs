@@ -21,7 +21,7 @@ use crate::scenario::{Inventory, Objective, Pin, RoleRule, Scenario};
 use crate::types::{
     Capability, Category, Feature, HardwareId, HardwareKind, Resource, SystemId,
 };
-use netarch_logic::pb::{assert_pb_le_under, gte_outputs, weight_sum, PbTerm};
+use netarch_logic::pb::{assert_pb_le_under, gcd, gte_outputs, weight_sum, PbTerm};
 use netarch_logic::{Atom, ClauseSink, Encoder, Formula, GroupId, GroupedAssertions, Soft};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -145,6 +145,9 @@ impl Compiled {
     }
 }
 
+/// System demands per resource: `resource → [(system, amount)]`.
+type Demands = BTreeMap<Resource, Vec<(SystemId, u64)>>;
+
 struct Compiler<'a> {
     scenario: &'a Scenario,
     encoder: Encoder,
@@ -153,9 +156,10 @@ struct Compiler<'a> {
     next_atom: u32,
     system_atoms: BTreeMap<SystemId, Atom>,
     hardware_atoms: BTreeMap<HardwareId, Atom>,
-    /// Capacity-planning mode: the server count is a solver variable in
-    /// `[1, max]` instead of the fixed `inventory.num_servers`.
-    server_count: Option<netarch_logic::OrderInt>,
+    /// Capacity-planning mode: the server count is a solver variable
+    /// instead of the fixed `inventory.num_servers`, paired with the
+    /// requested fleet bound that rule descriptions quote.
+    server_count: Option<(netarch_logic::OrderInt, u64)>,
 }
 
 /// A compiled scenario whose server count is a decision variable —
@@ -170,9 +174,10 @@ pub struct CompiledCapacity {
 }
 
 /// Compiles a scenario with the server count as a variable in
-/// `[1, max_servers]`. Budget constraints, when present, price the fleet
-/// at the fixed `inventory.num_servers` (documented approximation: the
-/// capacity query answers fleet *size*, with cost reported afterwards).
+/// `[1, max_servers]`, cut down to the largest fleet any design can need.
+/// Budget constraints, when present, price the fleet at the fixed
+/// `inventory.num_servers` (documented approximation: the capacity query
+/// answers fleet *size*, with cost reported afterwards).
 /// The fleet bisection runs on the session solver alone, so the backend
 /// is always sequential.
 pub fn compile_capacity(
@@ -236,13 +241,11 @@ fn compile_inner(
     // produces is re-validated by the independent DRAT checker (and SAT
     // models re-evaluated), panicking on any discrepancy. Tests use this to
     // make a wrong diagnosis loud instead of silently wrong.
-    let mut encoder = Encoder::with_config(netarch_logic::EncodeConfig {
+    let encoder = Encoder::with_config(netarch_logic::EncodeConfig {
         verify_proofs: netarch_logic::proofs_requested(),
         backend,
         ..netarch_logic::EncodeConfig::default()
     });
-    let server_count = capacity_mode
-        .map(|max| netarch_logic::OrderInt::new(&mut encoder, 1, max.max(1)));
     let mut c = Compiler {
         scenario,
         encoder,
@@ -251,8 +254,13 @@ fn compile_inner(
         next_atom: 0,
         system_atoms: BTreeMap::new(),
         hardware_atoms: BTreeMap::new(),
-        server_count,
+        server_count: None,
     };
+    if let Some(max) = capacity_mode {
+        let hi = max.min(c.fleet_bound());
+        let n = netarch_logic::OrderInt::new(&mut c.encoder, 1, hi);
+        c.server_count = Some((n, max));
+    }
     c.allocate_atoms()?;
     c.compile_roles()?;
     c.compile_requirements()?;
@@ -282,7 +290,7 @@ fn compile_inner(
             objective_levels,
             stats,
         },
-        c.server_count,
+        c.server_count.map(|(n, _)| n),
     ))
 }
 
@@ -647,13 +655,12 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Resource contention: for each resource with demands, and each
-    /// capacity-defining hardware candidate, a guarded PB constraint.
-    fn compile_resources(&mut self) -> Result<(), CompileError> {
-        // Gather demands: (resource → [(system, amount)]).
-        let mut demands: BTreeMap<Resource, Vec<(SystemId, u64)>> = BTreeMap::new();
-        let specs: Vec<_> = self.catalog().systems().cloned().collect();
-        for spec in &specs {
+    /// Per-resource system demands and the workloads' peak cores. Cores
+    /// are listed whenever the workloads need any, even when no *system*
+    /// demands them.
+    fn resource_demands(&self) -> Result<(Demands, u64), CompileError> {
+        let mut demands = Demands::new();
+        for spec in self.catalog().systems() {
             for d in &spec.resources {
                 let amount = self.eval_amount(&spec.id, &d.amount)?;
                 if amount > 0 {
@@ -671,11 +678,45 @@ impl<'a> Compiler<'a> {
             .try_fold(0u64, |acc, w| acc.checked_add(w.peak_cores))
             .ok_or_else(|| CompileError::WeightOverflow("workload peak cores".into()))?;
         if fixed_cores > 0 {
-            // Workload cores must be checked against server capacity even
-            // when no *system* demands cores.
             demands.entry(Resource::Cores).or_default();
         }
+        Ok((demands, fixed_cores))
+    }
 
+    /// The largest fleet any design can need: for each server-scaled
+    /// resource and each server model with per-unit capacity, the fleet
+    /// that carries the workloads plus every system's demand; 1 when no
+    /// model has capacity. Capacity mode's fleet domain stops here, so
+    /// its size follows the scenario rather than the requested bound.
+    /// Demands that fail to evaluate fail the compile in
+    /// `compile_resources`, so the bound is moot for them.
+    fn fleet_bound(&self) -> u64 {
+        let Ok((demands, fixed_cores)) = self.resource_demands() else {
+            return 1;
+        };
+        let mut bound = 1;
+        for (resource, sys_demands) in &demands {
+            if governing_kind(resource) != HardwareKind::Server {
+                continue;
+            }
+            let fixed = if *resource == Resource::Cores { fixed_cores } else { 0 };
+            let demand = u128::from(fixed)
+                + sys_demands.iter().map(|&(_, amount)| u128::from(amount)).sum::<u128>();
+            for id in &self.scenario.inventory.server_candidates {
+                let per_unit = self.catalog().hardware(id).map_or(0, |h| h.capacity(resource));
+                if per_unit > 0 {
+                    let need = demand.div_ceil(u128::from(per_unit));
+                    bound = bound.max(u64::try_from(need).unwrap_or(u64::MAX));
+                }
+            }
+        }
+        bound
+    }
+
+    /// Resource contention: for each resource with demands, and each
+    /// capacity-defining hardware candidate, a guarded PB constraint.
+    fn compile_resources(&mut self) -> Result<(), CompileError> {
+        let (demands, fixed_cores) = self.resource_demands()?;
         for (resource, sys_demands) in demands {
             let kind = governing_kind(&resource);
             let candidates: Vec<HardwareId> = self.candidates_of_kind(kind).to_vec();
@@ -754,8 +795,7 @@ impl<'a> Compiler<'a> {
         sys_demands: &[(SystemId, u64)],
         fixed: u64,
     ) -> Result<(), CompileError> {
-        let n = self.server_count.clone().expect("capacity mode");
-        let max_n = n.hi();
+        let (n, max_n) = self.server_count.clone().expect("capacity mode");
         let candidates: Vec<HardwareId> =
             self.candidates_of_kind(HardwareKind::Server).to_vec();
         let terms: Vec<PbTerm> = sys_demands
@@ -1035,14 +1075,6 @@ impl<'a> Compiler<'a> {
                 Soft::new(weight, Formula::not(Formula::Atom(atom)))
             })
             .collect()
-    }
-}
-
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
     }
 }
 

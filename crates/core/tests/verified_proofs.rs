@@ -138,3 +138,23 @@ fn rule_subset_probes_are_certified() {
         .check_rule_subset(&["pin:require:SIMON", "pin:forbid:SIMON"])
         .unwrap());
 }
+
+#[test]
+fn budget_verdicts_are_certified() {
+    // The cheapest design is PINGMESH plus four NIC_PLAIN: $100 + 4 × $300.
+    enable_verification();
+    let mut engine = Engine::new(test_scenario().with_budget(1_000)).unwrap();
+    let outcome = engine.check().unwrap();
+    let diagnosis = outcome.diagnosis().expect("no design fits $1,000");
+    let labels: Vec<&str> = diagnosis.conflicts.iter().map(|c| c.label.as_str()).collect();
+    assert!(labels.contains(&"budget"), "diagnosis should name the budget, got {labels:?}");
+
+    let scenario = test_scenario().with_budget(1_300).with_objective(Objective::MinimizeCost);
+    let mut engine = Engine::new(scenario).unwrap();
+    let design = engine.check().unwrap().design().expect("$1,300 fits").clone();
+    assert!(design.total_cost_usd <= 1_300);
+    let result = engine.optimize().unwrap().expect("feasible");
+    assert_eq!(result.design.total_cost_usd, 1_300);
+    assert_eq!(result.design.selection(&Category::Monitoring).unwrap().as_str(), "PINGMESH");
+    assert_eq!(result.design.hardware_for(HardwareKind::Nic).unwrap().as_str(), "NIC_PLAIN");
+}

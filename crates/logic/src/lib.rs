@@ -7,7 +7,8 @@
 //! * a propositional [`Formula`] AST with first-class cardinality operators,
 //! * the Tseitin [`Encoder`] with selector-guarded assertion groups,
 //! * cardinality encodings (pairwise / sequential counter / totalizer),
-//! * pseudo-Boolean constraints via a generalized totalizer ([`pb`]),
+//! * pseudo-Boolean constraints ([`pb`]): binary-adder comparisons, and
+//!   generalized-totalizer outputs for bound probes,
 //! * weighted & lexicographic MaxSAT ([`maxsat`]) for
 //!   `Optimize(latency > Hardware cost > monitoring)`-style objectives,
 //! * order-encoded bounded integers ([`int`]) for capacity planning,

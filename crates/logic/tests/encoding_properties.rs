@@ -4,7 +4,8 @@
 //! of the AST semantics.
 
 use netarch_logic::pb::{
-    assert_pb_eq, assert_pb_ge, assert_pb_le, gte_outputs, reify_pb_le, PbTerm,
+    assert_pb_eq, assert_pb_ge, assert_pb_le, assert_pb_le_under, gte_outputs, reify_pb_le,
+    PbTerm,
 };
 use netarch_logic::{Atom, ClauseSink, CollectSink, Encoder, Formula, MaxSatAlgorithm, Soft};
 use netarch_rt::prop::{self, gen_vec, Config, Shrink};
@@ -249,6 +250,94 @@ fn mus_members_are_all_necessary() {
             Ok(())
         },
     );
+}
+
+#[test]
+fn guarded_pb_le_agrees_with_brute_force_at_adder_scale() {
+    // Up to 12 terms: long carry chains and bit columns shared by many
+    // terms, which the 5-term property above never reaches.
+    prop::check(
+        &Config::with_cases(24),
+        |rng| {
+            let weights = gen_adder_weights(rng);
+            let bound = gen_adder_bound(rng, &weights);
+            (weights, bound, rng.gen_range(1..=2usize))
+        },
+        |(weights, bound, guards)| {
+            let n = weights.len();
+            let mut s = Solver::new();
+            let terms: Vec<PbTerm> =
+                weights.iter().map(|&w| PbTerm::new(w, s.new_var().positive())).collect();
+            let guard: Vec<_> = (0..*guards).map(|_| s.new_var().positive()).collect();
+            assert_pb_le_under(&mut s, &guard, &terms, *bound);
+            for bits in 0u32..(1 << n) {
+                let sum = subset_sum(weights, bits);
+                let inputs = (0..n).map(|i| {
+                    if (bits >> i) & 1 == 1 {
+                        terms[i].lit
+                    } else {
+                        !terms[i].lit
+                    }
+                });
+                // Every guard true: exactly the sums within the bound.
+                let on: Vec<_> = inputs.clone().chain(guard.iter().copied()).collect();
+                prop_assert_eq!(
+                    s.solve_with(&on) == SolveResult::Sat,
+                    sum <= u128::from(*bound),
+                    "weights={:?} bound={} guards={} bits={:b}", weights, bound, guards, bits
+                );
+                // Any guard false: the constraint is off.
+                for off in 0..guard.len() {
+                    let guards_with_one_off = guard
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &g)| if i == off { !g } else { g });
+                    let assumptions: Vec<_> = inputs.clone().chain(guards_with_one_off).collect();
+                    prop_assert_eq!(
+                        s.solve_with(&assumptions),
+                        SolveResult::Sat,
+                        "guard {} off: weights={:?} bound={} bits={:b}", off, weights, bound, bits
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Adder-scale PB weights: up to 12 terms mixing a repeated weight,
+/// powers of two and three-digit values, in one case in five
+/// near-`u64::MAX` values, and in one case in three all scaled by a
+/// common factor.
+fn gen_adder_weights(rng: &mut Rng) -> Vec<u64> {
+    let repeated = rng.gen_range(1..100u64);
+    let huge = rng.gen_bool(0.2);
+    let mut weights = gen_vec(rng, 1..=12, |r| match r.gen_range(0..5u32) {
+        0 => repeated,
+        1 => 1 << r.gen_range(0..12u32),
+        _ if huge => u64::MAX - r.gen_range(0..3u64),
+        _ => r.gen_range(1..1000u64),
+    });
+    if rng.gen_bool(0.33) {
+        let factor = rng.gen_range(2..200u64);
+        for w in &mut weights {
+            *w = w.saturating_mul(factor);
+        }
+    }
+    weights
+}
+
+/// A bound below the weight total, so the adder is built: random, a
+/// reachable sum (the tightest boundary), or one short of the total.
+/// Terms heavier than the bound are common at the low end.
+fn gen_adder_bound(rng: &mut Rng, weights: &[u64]) -> u64 {
+    let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
+    let bound = match rng.gen_range(0..3u32) {
+        0 => u128::from(rng.next_u64()) % total.max(1),
+        1 => subset_sum(weights, rng.next_u32()),
+        _ => total.saturating_sub(1),
+    };
+    u64::try_from(bound).unwrap_or(u64::MAX)
 }
 
 /// Random PB weights: zeros, a repeated weight, small values, and in one

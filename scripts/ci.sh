@@ -38,6 +38,36 @@ trap 'rm -rf "$narch_tmp"' EXIT
 cargo run --release --offline -q --bin netarch -- export-narch "$narch_tmp" >/dev/null
 diff -r corpus "$narch_tmp"
 
+echo "== budgeted case study (CLI) =="
+# The exported case study at 64 servers under a $1,212,000 budget, read
+# through the .narch `budget_usd` path: check, optimize and capacity must
+# print their known verdicts and fleet size. Answers only, no timing.
+budget_tmp="$(mktemp -d)"
+trap 'rm -rf "$narch_tmp" "$budget_tmp"' EXIT
+sed -e 's/^    num_servers = .*/    num_servers = 64/' \
+    -e '/^  objectives = /a\  budget_usd = 1212000' \
+    "$narch_tmp/case_study.narch" > "$budget_tmp/case_study.narch"
+if ! grep -q '^    num_servers = 64$' "$budget_tmp/case_study.narch" ||
+    ! grep -q '^  budget_usd = 1212000$' "$budget_tmp/case_study.narch"; then
+    echo "error: could not set the fleet and budget in the exported case study" >&2
+    exit 1
+fi
+budget_files=("$narch_tmp"/systems/*.narch "$narch_tmp"/hardware/*.narch
+    "$narch_tmp/orderings.narch" "$budget_tmp/case_study.narch")
+budget_answer() { # <expected first line> <query> [trailing args]
+    local want="$1" query="$2" out
+    shift 2
+    out="$(cargo run --release --offline -q --bin netarch -- "$query" "${budget_files[@]}" "$@")"
+    if [ "${out%%$'\n'*}" != "$want" ]; then
+        echo "error: budgeted case study: netarch $query printed" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+}
+budget_answer "FEASIBLE" check
+budget_answer "OPTIMAL" optimize
+budget_answer "SERVERS NEEDED: 44" capacity 256
+
 echo "== DSL frontend throughput =="
 # Parse + lower the full text corpus; asserts the lowered catalog matches
 # the Rust-built one and that a full load stays under a second.

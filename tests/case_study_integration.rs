@@ -3,6 +3,7 @@
 //! versions of experiments E4/E5 (see EXPERIMENTS.md).
 
 use netarch::core::baseline::validate_design;
+use netarch::core::compile::compile_capacity;
 use netarch::core::prelude::*;
 use netarch::corpus::case_study;
 
@@ -176,6 +177,41 @@ fn forbidding_the_best_lb_switches_to_a_fabric_scheme() {
         "unexpected LB {lb}"
     );
     assert_eq!(validate_design(&scenario, &result.design), vec![]);
+}
+
+#[test]
+fn budgeted_case_study_checks_optimizes_and_plans_within_budget() {
+    // archbench's realistic-budget op: 64 servers, a budget 10% over
+    // their cheapest design.
+    let mut scenario = case_study::scenario().with_budget(1_212_000);
+    scenario.inventory.num_servers = 64;
+    let mut engine = Engine::new(scenario.clone()).expect("compiles");
+    let outcome = engine.check().expect("runs");
+    let design = outcome.design().expect("a design fits the budget");
+    assert!(design.total_cost_usd <= 1_212_000, "{}", design.total_cost_usd);
+    assert_eq!(validate_design(&scenario, design), vec![]);
+
+    let result = engine.optimize().expect("runs").expect("feasible");
+    assert!(result.design.total_cost_usd <= 1_212_000, "{}", result.design.total_cost_usd);
+    assert_eq!(validate_design(&scenario, &result.design), vec![]);
+
+    let plan = engine.plan_capacity(256).expect("compiles").expect("a fleet fits");
+    assert_eq!(plan.servers_needed, 44);
+}
+
+#[test]
+fn capacity_planning_is_bounded_by_the_scenario_not_the_request() {
+    // The fleet domain stops at the largest fleet any design needs: the
+    // 2,800 workload cores plus every system's core demand, on 64-core
+    // servers. A request for up to u64::MAX servers then allocates what
+    // one for 256 does and finds the same fleet.
+    let compiled = compile_capacity(&case_study::scenario(), u64::MAX).expect("compiles");
+    assert_eq!(compiled.server_count.hi(), 47);
+    let mut engine = Engine::new(case_study::scenario()).expect("compiles");
+    let bounded = engine.plan_capacity(256).expect("compiles").expect("a fleet fits");
+    let unbounded = engine.plan_capacity(u64::MAX).expect("compiles").expect("a fleet fits");
+    assert_eq!(bounded.servers_needed, 44);
+    assert_eq!(unbounded.servers_needed, 44);
 }
 
 /// Rule labels blamed when the case study with a $1,000,000 budget and
