@@ -14,7 +14,7 @@
 //! runs.
 
 use netarch_logic::backend::{PortfolioOptions, SolveBackend};
-use netarch_logic::maxsat::{minimize, MaxSatAlgorithm, MaxSatOutcome, Soft};
+use netarch_logic::maxsat::{minimize, MaxSatOutcome, Soft};
 use netarch_logic::{Atom, EncodeConfig, Encoder, Formula};
 use netarch_rt::Rng;
 use std::time::Instant;
@@ -108,7 +108,7 @@ fn run_descent(shape: &DescentShape, backend: SolveBackend) -> (f64, u64) {
         e.assert(h);
     }
     let start = Instant::now();
-    let outcome = minimize(&mut e, &shape.soft, MaxSatAlgorithm::LinearGte);
+    let outcome = minimize(&mut e, &shape.soft);
     let elapsed = start.elapsed().as_secs_f64();
     match outcome {
         MaxSatOutcome::Optimal { cost, .. } => (elapsed, cost),

@@ -1,10 +1,10 @@
 //! # netarch-bench
 //!
-//! Experiment runners and Criterion benches regenerating every figure,
-//! listing, and evaluation claim of the paper. Each `exp_*` binary prints
-//! the paper-shaped rows recorded in EXPERIMENTS.md; the Criterion
-//! benches measure the performance dimensions (solve time scaling,
-//! encoding growth, solver ablations).
+//! Experiment runners and benches regenerating every figure, listing, and
+//! evaluation claim of the paper. Each `exp_*` binary prints the
+//! paper-shaped rows recorded in EXPERIMENTS.md; the benches (on the
+//! `netarch_rt::bench` harness) measure the performance dimensions (solve
+//! time scaling, encoding growth, solver throughput).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -244,7 +244,6 @@ fn compile_inner(
     let encoder = Encoder::with_config(netarch_logic::EncodeConfig {
         verify_proofs: netarch_logic::proofs_requested(),
         backend,
-        ..netarch_logic::EncodeConfig::default()
     });
     let mut c = Compiler {
         scenario,

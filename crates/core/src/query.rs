@@ -31,7 +31,7 @@ use crate::scenario::Scenario;
 use crate::solution::Design;
 use crate::types::{Dimension, SystemId};
 use netarch_logic::maxsat::{compile_softs, minimize_under, MaxSatOutcome};
-use netarch_logic::{CompiledSofts, Formula, Soft};
+use netarch_logic::{Formula, Soft};
 use netarch_sat::{Lit, SolveResult};
 
 /// Retired activation literals tolerated before the session compacts its
@@ -113,11 +113,6 @@ pub struct OptimizedDesign {
 pub struct Engine {
     scenario: Scenario,
     compiled: Compiled,
-    /// Objective levels (their violation literals) with display labels,
-    /// compiled into the session on the first `optimize`.
-    objective_cache: Option<Vec<(String, CompiledSofts)>>,
-    /// The implicit parsimony level, compiled alongside the objectives.
-    parsimony_cache: Option<CompiledSofts>,
     /// Memoized `optimize` verdict. The scenario is immutable for the
     /// engine's lifetime and queries are non-destructive, so the
     /// lexicographic optimum is a session constant: computed on the first
@@ -159,8 +154,6 @@ impl Engine {
         Ok(Engine {
             scenario,
             compiled,
-            objective_cache: None,
-            parsimony_cache: None,
             optimize_cache: None,
             enumerate_cache: Vec::new(),
             capacity_cache: Vec::new(),
@@ -209,37 +202,6 @@ impl Engine {
             self.compiled.encoder.collect_garbage();
             self.retired_since_gc = 0;
         }
-    }
-
-    /// Compiles the objective stack (and the implicit parsimony level)
-    /// into the session, once.
-    fn ensure_objective_cache(&mut self) -> Result<(), CompileError> {
-        if self.objective_cache.is_some() {
-            return Ok(());
-        }
-        let levels: Vec<(String, Vec<Soft>)> = self
-            .compiled
-            .objective_levels
-            .iter()
-            .map(|l| (format!("{:?}", l.objective), l.softs.clone()))
-            .collect();
-        let mut cache = Vec::with_capacity(levels.len());
-        for (name, softs) in levels {
-            let cs = compile_softs(&mut self.compiled.encoder, softs)
-                .map_err(|_| CompileError::ObjectiveOverflow)?;
-            cache.push((name, cs));
-        }
-        let parsimony: Vec<Soft> = self
-            .compiled
-            .system_atoms
-            .values()
-            .map(|&a| Soft::new(1, Formula::not(Formula::Atom(a))))
-            .collect();
-        let parsimony = compile_softs(&mut self.compiled.encoder, parsimony)
-            .map_err(|_| CompileError::ObjectiveOverflow)?;
-        self.objective_cache = Some(cache);
-        self.parsimony_cache = Some(parsimony);
-        Ok(())
     }
 
     fn extract_design(&self) -> Design {
@@ -316,28 +278,42 @@ impl Engine {
             self.optimize_cache = Some(Err(diagnosis.clone()));
             return Ok(Err(diagnosis));
         }
-        self.ensure_objective_cache()?;
+        // Compile the objective stack into the session, then the implicit
+        // parsimony level (prefer designs without gratuitous selections).
+        // Every verdict that gets here is memoized unless a level fails,
+        // which the feasibility probe rules out, so this runs once.
+        let mut objectives = Vec::with_capacity(self.compiled.objective_levels.len());
+        for level in &self.compiled.objective_levels {
+            let softs = compile_softs(&mut self.compiled.encoder, level.softs.clone())
+                .map_err(|_| CompileError::ObjectiveOverflow)?;
+            objectives.push((format!("{:?}", level.objective), softs));
+        }
+        let parsimony: Vec<Soft> = self
+            .compiled
+            .system_atoms
+            .values()
+            .map(|&a| Soft::new(1, Formula::not(Formula::Atom(a))))
+            .collect();
+        let parsimony = compile_softs(&mut self.compiled.encoder, parsimony)
+            .map_err(|_| CompileError::ObjectiveOverflow)?;
         let gate = self.compiled.encoder.new_selector();
         let mut levels = Vec::new();
         // Each completed level's hardened bound references its (dormant by
         // default) totalizer, so its activation literal joins the base
         // assumptions for every later level.
-        let cache = self.objective_cache.as_ref().expect("built above");
-        for (name, softs) in cache {
-            match minimize_under(&mut self.compiled.encoder, softs, &base, gate) {
+        for (objective, softs) in objectives {
+            match minimize_under(&mut self.compiled.encoder, &softs, &base, gate) {
                 MaxSatOutcome::Optimal { cost, .. } => {
-                    levels.push(LevelReport { objective: name.clone(), penalty: cost });
                     base.push(softs.activation());
+                    levels.push(LevelReport { objective, penalty: cost });
                 }
                 other => {
                     self.compiled.encoder.retire(gate);
-                    return Err(internal_level_error(name, &other));
+                    return Err(internal_level_error(&objective, &other));
                 }
             }
         }
-        // Parsimony: prefer designs without gratuitous selections.
-        let parsimony = self.parsimony_cache.as_ref().expect("built above");
-        match minimize_under(&mut self.compiled.encoder, parsimony, &base, gate) {
+        match minimize_under(&mut self.compiled.encoder, &parsimony, &base, gate) {
             MaxSatOutcome::Optimal { .. } => {}
             other => {
                 self.compiled.encoder.retire(gate);

@@ -116,7 +116,7 @@ fn requirement_conflict_diagnosis_is_certified() {
 
 #[test]
 fn optimization_runs_fully_verified() {
-    // MaxSAT drives many solves (bound tightening / core-guided rounds);
+    // MaxSAT drives many solves (the descent's bound probes);
     // all of them flow through the verified encoder.
     enable_verification();
     let scenario =

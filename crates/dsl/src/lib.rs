@@ -53,10 +53,10 @@
 //! The *syntax* layer (lexer, spans, generic block parser) lives in
 //! [`netarch_rt::text`]; this crate assigns meaning: [`lower`] turns
 //! blocks into [`netarch_core`] `Catalog` / `Scenario` / [`QuerySpec`]
-//! values with span-carrying diagnostics, and [`print`] pretty-prints
-//! those values back to canonical `.narch` text. The two are inverse:
-//! `lower(parse(print(x))) == x`, which the corpus conformance suite and
-//! the crate's property tests enforce.
+//! values with span-carrying diagnostics, and [`print`](mod@print)
+//! pretty-prints those values back to canonical `.narch` text. The two are
+//! inverse: `lower(parse(print(x))) == x`, which the corpus conformance
+//! suite and the crate's property tests enforce.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

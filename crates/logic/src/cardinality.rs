@@ -1,15 +1,15 @@
 //! Cardinality constraint encodings.
 //!
-//! Three encodings with different size/propagation tradeoffs:
+//! One policy, chosen from `n` and `k`:
 //!
-//! * **Pairwise** — for at-most-one over few literals: O(n²) binary clauses,
-//!   no auxiliary variables, perfect propagation.
-//! * **Sequential counter** (Sinz 2005) — assert-only at-most-k with
-//!   O(n·k) clauses and auxiliaries.
-//! * **Totalizer** (Bailleux & Boutaouy 2003) — a balanced merge tree whose
-//!   outputs `o_j ⇔ (at least j inputs true)` hold in *both* directions,
-//!   enabling reified cardinality and assumption-based bound tightening
-//!   (used by the MaxSAT engine and the preference optimizer).
+//! * **Pairwise** — at-most-one over at most eight literals: O(n²) binary
+//!   clauses, no auxiliary variables, perfect propagation.
+//! * **Sequential counter** (Sinz 2005) — every other asserted at-most-k,
+//!   with O(n·k) clauses and auxiliaries.
+//! * **Totalizer** (Bailleux & Boutaouy 2003) — for reified bounds: a
+//!   balanced merge tree whose outputs `o_j ⇔ (at least j inputs true)`
+//!   hold in *both* directions, so the encoder can read a bound under
+//!   either polarity.
 //!
 //! The paper's engine leans on these for "exactly one system per role" and
 //! resource-exclusivity rules (§2.2 "Resource contention").
@@ -17,22 +17,9 @@
 use crate::sink::ClauseSink;
 use netarch_sat::Lit;
 
-/// Which cardinality encoding to emit.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CardEncoding {
-    /// Choose automatically from `n` and `k`.
-    #[default]
-    Auto,
-    /// Pairwise (only valid for `k == 1`).
-    Pairwise,
-    /// Sinz sequential counter.
-    SequentialCounter,
-    /// Bailleux-Boutaouy totalizer.
-    Totalizer,
-}
-
-/// Asserts that at most `k` of `lits` are true.
-pub fn assert_at_most(sink: &mut impl ClauseSink, lits: &[Lit], k: u32, enc: CardEncoding) {
+/// Asserts that at most `k` of `lits` are true: pairwise for `k = 1` over
+/// at most eight literals, a sequential counter otherwise.
+pub fn assert_at_most(sink: &mut impl ClauseSink, lits: &[Lit], k: u32) {
     let n = lits.len();
     if k as usize >= n {
         return; // trivially satisfied
@@ -43,29 +30,15 @@ pub fn assert_at_most(sink: &mut impl ClauseSink, lits: &[Lit], k: u32, enc: Car
         }
         return;
     }
-    match enc {
-        CardEncoding::Pairwise => {
-            assert_eq!(k, 1, "pairwise encoding only supports k = 1");
-            pairwise_amo(sink, lits);
-        }
-        CardEncoding::SequentialCounter => sequential_at_most(sink, lits, k),
-        CardEncoding::Totalizer => {
-            let outputs = totalizer_outputs(sink, lits);
-            // outputs[j] ⇔ at least j+1 true; forbid reaching k+1.
-            sink.add_clause(&[!outputs[k as usize]]);
-        }
-        CardEncoding::Auto => {
-            if k == 1 && n <= 8 {
-                pairwise_amo(sink, lits);
-            } else {
-                sequential_at_most(sink, lits, k);
-            }
-        }
+    if k == 1 && n <= 8 {
+        pairwise_amo(sink, lits);
+    } else {
+        sequential_at_most(sink, lits, k);
     }
 }
 
 /// Asserts that at least `k` of `lits` are true.
-pub fn assert_at_least(sink: &mut impl ClauseSink, lits: &[Lit], k: u32, enc: CardEncoding) {
+pub fn assert_at_least(sink: &mut impl ClauseSink, lits: &[Lit], k: u32) {
     let n = lits.len() as u32;
     if k == 0 {
         return;
@@ -77,18 +50,13 @@ pub fn assert_at_least(sink: &mut impl ClauseSink, lits: &[Lit], k: u32, enc: Ca
     }
     // ≥k of x  ⇔  ≤ n-k of ¬x
     let negated: Vec<Lit> = lits.iter().map(|&l| !l).collect();
-    let enc = if enc == CardEncoding::Pairwise {
-        CardEncoding::Auto // pairwise cannot express the complement bound
-    } else {
-        enc
-    };
-    assert_at_most(sink, &negated, n - k, enc);
+    assert_at_most(sink, &negated, n - k);
 }
 
 /// Asserts that exactly `k` of `lits` are true.
-pub fn assert_exactly(sink: &mut impl ClauseSink, lits: &[Lit], k: u32, enc: CardEncoding) {
-    assert_at_most(sink, lits, k, enc);
-    assert_at_least(sink, lits, k, enc);
+pub fn assert_exactly(sink: &mut impl ClauseSink, lits: &[Lit], k: u32) {
+    assert_at_most(sink, lits, k);
+    assert_at_least(sink, lits, k);
 }
 
 /// Pairwise at-most-one: one binary clause per literal pair.
@@ -237,28 +205,23 @@ mod tests {
     fn at_most_counts_models_all_encodings() {
         for n in 2..=6usize {
             for k in 1..n as u32 {
-                for enc in [
-                    CardEncoding::SequentialCounter,
-                    CardEncoding::Totalizer,
-                    CardEncoding::Auto,
-                ] {
-                    let count =
-                        count_projected(|s, xs| assert_at_most(s, xs, k, enc), n);
-                    assert_eq!(
-                        count,
-                        binomial_sum_le(n, k as usize),
-                        "AMK n={n} k={k} enc={enc:?}"
-                    );
-                }
+                let expected = binomial_sum_le(n, k as usize);
+                let sequential = count_projected(|s, xs| sequential_at_most(s, xs, k), n);
+                assert_eq!(sequential, expected, "sequential counter n={n} k={k}");
+                let totalizer = count_projected(
+                    |s, xs| {
+                        let outputs = totalizer_outputs(s, xs);
+                        // outputs[j] ⇔ at least j+1 true; forbid reaching k+1.
+                        s.add_clause([!outputs[k as usize]]);
+                    },
+                    n,
+                );
+                assert_eq!(totalizer, expected, "totalizer n={n} k={k}");
+                let policy = count_projected(|s, xs| assert_at_most(s, xs, k), n);
+                assert_eq!(policy, expected, "assert_at_most n={n} k={k}");
             }
-        }
-    }
-
-    #[test]
-    fn pairwise_amo_counts_models() {
-        for n in 2..=6usize {
-            let count = count_projected(|s, xs| assert_at_most(s, xs, 1, CardEncoding::Pairwise), n);
-            assert_eq!(count, n + 1);
+            let pairwise = count_projected(pairwise_amo, n);
+            assert_eq!(pairwise, n + 1, "pairwise n={n}");
         }
     }
 
@@ -267,7 +230,7 @@ mod tests {
         for n in 2..=6usize {
             for k in 1..=n as u32 {
                 let count = count_projected(
-                    |s, xs| assert_at_least(s, xs, k, CardEncoding::Auto),
+                    |s, xs| assert_at_least(s, xs, k),
                     n,
                 );
                 let expected: usize =
@@ -282,7 +245,7 @@ mod tests {
         for n in 2..=6usize {
             for k in 0..=n as u32 {
                 let count = count_projected(
-                    |s, xs| assert_exactly(s, xs, k, CardEncoding::Auto),
+                    |s, xs| assert_exactly(s, xs, k),
                     n,
                 );
                 assert_eq!(count, binomial(n, k as usize), "EXK n={n} k={k}");
@@ -323,7 +286,7 @@ mod tests {
     fn at_most_zero_forces_all_false() {
         let mut s = Solver::new();
         let xs = inputs(&mut s, 3);
-        assert_at_most(&mut s, &xs, 0, CardEncoding::Auto);
+        assert_at_most(&mut s, &xs, 0);
         assert_eq!(s.solve(), SolveResult::Sat);
         for &x in &xs {
             assert_eq!(s.model_lit_value(x), Some(false));
@@ -334,8 +297,8 @@ mod tests {
     fn trivial_bounds_emit_nothing() {
         let mut sink = CollectSink::default();
         let xs: Vec<Lit> = (0..3).map(|_| sink.fresh_lit()).collect();
-        assert_at_most(&mut sink, &xs, 3, CardEncoding::Auto);
-        assert_at_least(&mut sink, &xs, 0, CardEncoding::Auto);
+        assert_at_most(&mut sink, &xs, 3);
+        assert_at_least(&mut sink, &xs, 0);
         assert!(sink.clauses.is_empty());
     }
 
@@ -343,7 +306,7 @@ mod tests {
     fn sequential_counter_size_is_linear_in_n_times_k() {
         let mut sink = CollectSink::default();
         let xs: Vec<Lit> = (0..40).map(|_| sink.fresh_lit()).collect();
-        assert_at_most(&mut sink, &xs, 3, CardEncoding::SequentialCounter);
+        sequential_at_most(&mut sink, &xs, 3);
         // O(n*k) clauses: generous bound to catch superlinear regressions.
         assert!(sink.clauses.len() < 40 * 3 * 4, "got {}", sink.clauses.len());
     }

@@ -7,7 +7,7 @@
 
 use crate::ast::{Atom, Formula};
 use crate::backend::SolveBackend;
-use crate::cardinality::{self, CardEncoding};
+use crate::cardinality;
 use crate::sink::ClauseSink;
 use netarch_sat::{
     Lit, ProbePool, ProbePoolConfig, SolveResult, Solver, SolverConfig, Stats, Var,
@@ -17,8 +17,6 @@ use std::sync::Arc;
 /// Encoder configuration.
 #[derive(Clone, Debug, Default)]
 pub struct EncodeConfig {
-    /// Cardinality encoding for top-level (asserted) bounds.
-    pub card_encoding: CardEncoding,
     /// Verified-solving mode: record DRAT proofs, mirror every asserted
     /// clause, and validate each verdict with the independent checker —
     /// panicking on any discrepancy. Intended for tests (see
@@ -217,18 +215,15 @@ impl Encoder {
             }
             Formula::AtMost(k, parts) => {
                 let lits: Vec<Lit> = parts.iter().map(|p| self.lit_for(p)).collect();
-                let enc = self.config.card_encoding;
-                cardinality::assert_at_most(self, &lits, *k, enc);
+                cardinality::assert_at_most(self, &lits, *k);
             }
             Formula::AtLeast(k, parts) => {
                 let lits: Vec<Lit> = parts.iter().map(|p| self.lit_for(p)).collect();
-                let enc = self.config.card_encoding;
-                cardinality::assert_at_least(self, &lits, *k, enc);
+                cardinality::assert_at_least(self, &lits, *k);
             }
             Formula::Exactly(k, parts) => {
                 let lits: Vec<Lit> = parts.iter().map(|p| self.lit_for(p)).collect();
-                let enc = self.config.card_encoding;
-                cardinality::assert_exactly(self, &lits, *k, enc);
+                cardinality::assert_exactly(self, &lits, *k);
             }
             other => {
                 let l = self.lit_for(other);
@@ -540,7 +535,7 @@ impl Encoder {
 
     /// Value of `atom` in the latest model; `None` when the atom never
     /// reached the solver or is unassigned. Reads a probe seat's model when
-    /// one is installed (see [`Encoder::install_model_override`]).
+    /// the racing MaxSAT descent installed one as the session's witness.
     pub fn atom_value(&self, atom: Atom) -> Option<bool> {
         let v = (*self.atom_vars.get(atom.index())?)?;
         self.model_lit_value(v.positive())

@@ -1,23 +1,20 @@
 //! Formula-level model enumeration.
 //!
 //! Enumerates satisfying assignments of the asserted constraints projected
-//! onto a chosen set of atoms. The architecture engine uses this to list
-//! *equivalence classes* of designs: two solver models that agree on all
-//! decision atoms are the same design (paper §6).
+//! onto a chosen set of atoms: two solver models that agree on every
+//! projected atom count once, the way two models that agree on all decision
+//! atoms are the same design (paper §6).
 //!
-//! Two flavors:
-//!
-//! * [`enumerate_models`] adds permanent blocking clauses, so it takes the
-//!   encoder by value and consumes it (one-shot use).
-//! * [`enumerate_models_under`] gates every blocking clause behind an
-//!   activation literal, so an incremental session can enumerate, retire
-//!   the gate, and keep using the same solver.
+//! [`enumerate_models`] adds permanent blocking clauses, so it takes the
+//! encoder by value and consumes it (one-shot use); the sweep streams a
+//! spec's variants with it. An incremental session that must keep its
+//! solver gates its own blocking clauses instead, as
+//! `netarch_core::query::Engine::enumerate_designs` does.
 
 use crate::ast::Atom;
 use crate::encoder::Encoder;
-use crate::sink::ClauseSink;
 use netarch_sat::enumerate::enumerate_projected;
-use netarch_sat::{Lit, SolveResult};
+use netarch_sat::Lit;
 
 /// One projected model: each atom with its value.
 pub type AtomModel = Vec<(Atom, bool)>;
@@ -54,52 +51,6 @@ pub fn enumerate_models(
     ModelList { models, truncated: result.truncated }
 }
 
-/// Enumerates up to `limit` models projected onto `atoms` under the base
-/// assumption set, without consuming the encoder: every blocking clause is
-/// gated behind `gate` (and only binds while `gate` is assumed), so the
-/// caller retires the gate afterwards and the session solver is back to
-/// the base theory. `truncated` is true when the limit stopped enumeration
-/// while further projected models exist.
-pub fn enumerate_models_under(
-    encoder: &mut Encoder,
-    atoms: &[Atom],
-    base: &[Lit],
-    gate: Lit,
-    limit: usize,
-) -> ModelList {
-    let mut assumptions: Vec<Lit> = Vec::with_capacity(base.len() + 1);
-    assumptions.extend_from_slice(base);
-    assumptions.push(gate);
-    let atom_lits: Vec<Lit> = atoms.iter().map(|&a| encoder.atom_lit(a)).collect();
-    let mut models: Vec<AtomModel> = Vec::new();
-    while models.len() < limit {
-        match encoder.solve_with(&assumptions) {
-            SolveResult::Sat => {
-                let model: AtomModel = atoms
-                    .iter()
-                    .map(|&a| (a, encoder.atom_value(a).unwrap_or(false)))
-                    .collect();
-                // Gated blocking clause: flip at least one projected value.
-                let mut blocking: Vec<Lit> = Vec::with_capacity(atom_lits.len() + 1);
-                blocking.push(!gate);
-                blocking.extend(
-                    model
-                        .iter()
-                        .zip(&atom_lits)
-                        .map(|(&(_, value), &l)| if value { !l } else { l }),
-                );
-                models.push(model);
-                ClauseSink::add_clause(encoder, &blocking);
-            }
-            SolveResult::Unsat => return ModelList { models, truncated: false },
-            SolveResult::Unknown => return ModelList { models, truncated: true },
-        }
-    }
-    let truncated =
-        limit > 0 && encoder.solve_with(&assumptions) == SolveResult::Sat;
-    ModelList { models, truncated }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,47 +80,6 @@ mod tests {
         e.assert(&Formula::not(a(0)));
         let result = enumerate_models(e, &[Atom(0)], &[], 4);
         assert!(result.models.is_empty());
-    }
-
-    #[test]
-    fn gated_enumeration_leaves_the_session_reusable() {
-        let mut e = Encoder::new();
-        e.assert(&Formula::or([a(0), a(1)]));
-        e.assert(&Formula::iff(a(2), a(0)));
-        let g1 = e.new_selector();
-        let r1 = enumerate_models_under(&mut e, &[Atom(0), Atom(1)], &[], g1, 16);
-        assert!(!r1.truncated);
-        assert_eq!(r1.models.len(), 3);
-        e.retire(g1);
-        // Blocking clauses from the first pass no longer bind: a second
-        // gated enumeration over the same session finds the same space.
-        let g2 = e.new_selector();
-        let r2 = enumerate_models_under(&mut e, &[Atom(0), Atom(1)], &[], g2, 16);
-        assert_eq!(r2.models.len(), 3);
-        let sort = |mut ms: Vec<AtomModel>| {
-            ms.sort();
-            ms
-        };
-        assert_eq!(sort(r1.models), sort(r2.models));
-    }
-
-    #[test]
-    fn gated_enumeration_respects_base_and_reports_truncation() {
-        let mut e = Encoder::new();
-        e.assert(&Formula::or([a(0), a(1), a(2)]));
-        let sel = e.new_selector();
-        e.assert_under(sel, &Formula::not(a(0)));
-        let gate = e.new_selector();
-        let r = enumerate_models_under(
-            &mut e,
-            &[Atom(0), Atom(1), Atom(2)],
-            &[sel],
-            gate,
-            2,
-        );
-        assert_eq!(r.models.len(), 2);
-        assert!(r.truncated, "3 models exist with a0 false; limit 2 truncates");
-        assert!(r.models.iter().all(|m| m[0] == (Atom(0), false)));
     }
 
     #[test]

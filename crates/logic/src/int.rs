@@ -8,8 +8,9 @@
 //! * conditional lower bounds — "if the demand reaches `s`, then the
 //!   server count must be at least `⌈s/c⌉`" is one binary clause per
 //!   generalized-totalizer output;
-//! * minimization — `x - lo` equals the number of true `q_k`, so
-//!   minimizing `x` is uniform-weight MaxSAT over `¬q_k`.
+//! * bound probes — assuming `¬q_k` caps `x` below `k` for one solve, so
+//!   `Engine::plan_capacity` bisects on [`OrderInt::ge_const`] assumptions
+//!   without adding a clause.
 //!
 //! The architecture engine uses this for capacity planning ("what is the
 //! smallest server fleet that fits these workloads and systems?").
@@ -52,23 +53,6 @@ impl OrderInt {
         self.hi
     }
 
-    /// The threshold literals, ascending (`x ≥ lo+1`, `x ≥ lo+2`, …).
-    pub fn thresholds(&self) -> &[Lit] {
-        &self.thresholds
-    }
-
-    /// A literal equivalent to `x ≥ k`. Returns `None` when the bound is
-    /// trivially true (`k ≤ lo`, caller needs no constraint) — trivially
-    /// false bounds (`k > hi`) also return `None` via `Err`-free design:
-    /// use [`OrderInt::ge_const`] to distinguish.
-    pub fn ge_lit(&self, k: u64) -> Option<Lit> {
-        if k <= self.lo || k > self.hi {
-            None
-        } else {
-            Some(self.thresholds[(k - self.lo - 1) as usize])
-        }
-    }
-
     /// Three-way classification of the bound `x ≥ k`.
     pub fn ge_const(&self, k: u64) -> Bound {
         if k <= self.lo {
@@ -80,39 +64,6 @@ impl OrderInt {
         }
     }
 
-    /// Asserts `x ≥ k`.
-    pub fn assert_ge(&self, sink: &mut impl ClauseSink, k: u64) {
-        match self.ge_const(k) {
-            Bound::AlwaysTrue => {}
-            Bound::AlwaysFalse => sink.add_clause(&[]),
-            Bound::Lit(l) => sink.add_clause(&[l]),
-        }
-    }
-
-    /// Asserts `x ≤ k`.
-    pub fn assert_le(&self, sink: &mut impl ClauseSink, k: u64) {
-        match self.ge_const(k + 1) {
-            Bound::AlwaysTrue => sink.add_clause(&[]), // x ≥ k+1 always: contradiction
-            Bound::AlwaysFalse => {}
-            Bound::Lit(l) => sink.add_clause(&[!l]),
-        }
-    }
-
-    /// Asserts `x = k`.
-    pub fn assert_eq(&self, sink: &mut impl ClauseSink, k: u64) {
-        self.assert_ge(sink, k);
-        self.assert_le(sink, k);
-    }
-
-    /// Asserts `guard → (x ≥ k)`.
-    pub fn assert_ge_under(&self, sink: &mut impl ClauseSink, guard: Lit, k: u64) {
-        match self.ge_const(k) {
-            Bound::AlwaysTrue => {}
-            Bound::AlwaysFalse => sink.add_clause(&[!guard]),
-            Bound::Lit(l) => sink.add_clause(&[!guard, l]),
-        }
-    }
-
     /// Reads the value from a satisfying model.
     pub fn value(&self, model: &dyn Fn(Lit) -> Option<bool>) -> u64 {
         let above = self
@@ -121,12 +72,6 @@ impl OrderInt {
             .take_while(|&&l| model(l) == Some(true))
             .count() as u64;
         self.lo + above
-    }
-
-    /// Soft constraints whose uniform-weight minimization minimizes `x`:
-    /// one `¬q_k` wish per threshold.
-    pub fn minimization_wishes(&self) -> Vec<Lit> {
-        self.thresholds.iter().map(|&l| !l).collect()
     }
 }
 
@@ -146,123 +91,34 @@ mod tests {
     use super::*;
     use netarch_sat::{SolveResult, Solver};
 
-    fn model_fn(s: &Solver) -> impl Fn(Lit) -> Option<bool> + '_ {
-        |l| s.model_lit_value(l)
-    }
-
     #[test]
     fn domain_and_thresholds() {
         let mut s = Solver::new();
         let x = OrderInt::new(&mut s, 3, 7);
         assert_eq!(x.lo(), 3);
         assert_eq!(x.hi(), 7);
-        assert_eq!(x.thresholds().len(), 4);
         assert_eq!(x.ge_const(3), Bound::AlwaysTrue);
         assert_eq!(x.ge_const(8), Bound::AlwaysFalse);
         assert!(matches!(x.ge_const(5), Bound::Lit(_)));
     }
 
     #[test]
-    fn eq_pins_the_value() {
+    fn threshold_assumptions_pin_the_value() {
+        // The capacity search's probe: assume `x ≥ k` and `¬(x ≥ k+1)`,
+        // then read the value back from the model.
+        let mut s = Solver::new();
+        let x = OrderInt::new(&mut s, 3, 7);
         for k in 3..=7u64 {
-            let mut s = Solver::new();
-            let x = OrderInt::new(&mut s, 3, 7);
-            x.assert_eq(&mut s, k);
-            assert_eq!(s.solve(), SolveResult::Sat);
-            assert_eq!(x.value(&model_fn(&s)), k);
+            let mut assumptions = Vec::new();
+            if let Bound::Lit(q) = x.ge_const(k) {
+                assumptions.push(q);
+            }
+            if let Bound::Lit(q) = x.ge_const(k + 1) {
+                assumptions.push(!q);
+            }
+            assert_eq!(s.solve_with(&assumptions), SolveResult::Sat);
+            assert_eq!(x.value(&|l| s.model_lit_value(l)), k);
         }
-    }
-
-    #[test]
-    fn contradictory_bounds_are_unsat() {
-        let mut s = Solver::new();
-        let x = OrderInt::new(&mut s, 0, 10);
-        x.assert_ge(&mut s, 7);
-        x.assert_le(&mut s, 6);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn out_of_domain_bounds() {
-        let mut s = Solver::new();
-        let x = OrderInt::new(&mut s, 2, 5);
-        x.assert_ge(&mut s, 6); // impossible
-        assert_eq!(s.solve(), SolveResult::Unsat);
-
-        let mut s = Solver::new();
-        let x = OrderInt::new(&mut s, 2, 5);
-        x.assert_le(&mut s, 1); // impossible (x ≥ 2 by domain)
-        assert_eq!(s.solve(), SolveResult::Unsat);
-
-        let mut s = Solver::new();
-        let x = OrderInt::new(&mut s, 2, 5);
-        x.assert_le(&mut s, 9); // trivial
-        x.assert_ge(&mut s, 1); // trivial
-        assert_eq!(s.solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn guarded_lower_bound() {
-        let mut s = Solver::new();
-        let guard = s.new_var().positive();
-        let x = OrderInt::new(&mut s, 0, 8);
-        x.assert_ge_under(&mut s, guard, 5);
-        // Guard off: x can be 0.
-        x.assert_le(&mut s, 0);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.model_lit_value(guard), Some(false));
-        // Force the guard: now UNSAT (x ≤ 0 but must be ≥ 5).
-        s.add_clause([guard]);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn minimization_wishes_drive_value_down() {
-        use crate::encoder::Encoder;
-        use crate::maxsat::{minimize, MaxSatAlgorithm, Soft};
-        use crate::{Atom, Formula};
-        // x ∈ [0, 12], constraint x ≥ 9 when a0 (forced true).
-        let mut e = Encoder::new();
-        e.assert(&Formula::Atom(Atom(0)));
-        let guard = e.atom_lit(Atom(0));
-        let x = OrderInt::new(&mut e, 0, 12);
-        x.assert_ge_under(&mut e, guard, 9);
-        // Wish every threshold false; optimum violates exactly 9 wishes.
-        let softs: Vec<Soft> = x
-            .minimization_wishes()
-            .into_iter()
-            .enumerate()
-            .map(|(i, _)| {
-                // Express the wish at the Formula level through a private
-                // atom equated to the threshold literal.
-                let atom = Atom(1000 + i as u32);
-                let a = e.atom_lit(atom);
-                let q = x.thresholds()[i];
-                netarch_logic_test_glue(&mut e, a, q);
-                Soft::new(1, Formula::not(Formula::Atom(atom)))
-            })
-            .collect();
-        match minimize(&mut e, &softs, MaxSatAlgorithm::LinearGte) {
-            crate::maxsat::MaxSatOutcome::Optimal { cost, .. } => assert_eq!(cost, 9),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(x.value(&|l| e.solver().model_lit_value(l)), 9);
-    }
-
-    /// Equates an atom literal with an arbitrary solver literal.
-    fn netarch_logic_test_glue(sink: &mut impl ClauseSink, a: Lit, b: Lit) {
-        sink.add_clause(&[!a, b]);
-        sink.add_clause(&[a, !b]);
-    }
-
-    #[test]
-    fn value_reads_partial_chains_correctly() {
-        let mut s = Solver::new();
-        let x = OrderInt::new(&mut s, 0, 3);
-        x.assert_ge(&mut s, 2);
-        x.assert_le(&mut s, 2);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(x.value(&model_fn(&s)), 2);
     }
 
     #[test]

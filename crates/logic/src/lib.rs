@@ -6,17 +6,18 @@
 //!
 //! * a propositional [`Formula`] AST with first-class cardinality operators,
 //! * the Tseitin [`Encoder`] with selector-guarded assertion groups,
-//! * cardinality encodings (pairwise / sequential counter / totalizer),
-//! * pseudo-Boolean constraints ([`pb`]): binary-adder comparisons, and
-//!   generalized-totalizer outputs for bound probes,
-//! * weighted & lexicographic MaxSAT ([`maxsat`]) for
+//! * cardinality encodings ([`cardinality`]): one size-based policy for
+//!   asserted bounds, a totalizer for reified ones,
+//! * pseudo-Boolean constraints ([`pb`]): guarded binary-adder `≤`
+//!   comparisons, and generalized-totalizer outputs for bound probes,
+//! * weighted MaxSAT by linear descent ([`maxsat`]), run level by level for
 //!   `Optimize(latency > Hardware cost > monitoring)`-style objectives,
 //! * order-encoded bounded integers ([`int`]) for capacity planning,
 //! * minimal unsatisfiable subset extraction ([`mus`]) for diagnosis,
-//! * projected model enumeration ([`enumerate`]) for design equivalence
-//!   classes,
-//! * solve-then-check verified solving ([`verify`]): SAT models are
-//!   re-evaluated and UNSAT verdicts must carry a DRAT proof the
+//! * projected model enumeration ([`enumerate`]) for the sweep's variant
+//!   streams,
+//! * the encoder's verify mode ([`verify`]): every SAT model is
+//!   re-evaluated and every UNSAT verdict must carry a DRAT proof the
 //!   independent checker accepts.
 
 #![forbid(unsafe_code)]
@@ -36,10 +37,9 @@ pub mod verify;
 
 pub use ast::{Atom, Formula};
 pub use backend::{backend_from_env, threads_requested, PortfolioOptions, SolveBackend};
-pub use cardinality::CardEncoding;
 pub use encoder::{EncodeConfig, Encoder};
 pub use int::{Bound, OrderInt};
-pub use maxsat::{CompiledSofts, MaxSatAlgorithm, MaxSatOutcome, Soft, WeightOverflow};
+pub use maxsat::{CompiledSofts, MaxSatOutcome, Soft, WeightOverflow};
 pub use mus::{GroupId, GroupedAssertions};
 pub use sink::{ClauseSink, CollectSink};
-pub use verify::{proofs_requested, verified_solve, Verified, VerifyError};
+pub use verify::{proofs_requested, VerifyError};

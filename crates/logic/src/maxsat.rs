@@ -1,23 +1,16 @@
-//! Weighted and lexicographic MaxSAT.
+//! Weighted MaxSAT by linear GTE descent.
 //!
-//! Two algorithms over the same [`Encoder`]:
-//!
-//! * **Linear GTE descent** — find a first model, build a generalized
-//!   totalizer over the violation literals saturated at that model's cost,
-//!   then binary-search the achievable costs below it using assumptions;
-//!   the last SAT model is optimal. Works for arbitrary weights.
-//! * **Fu-Malik** — core-guided: repeatedly extract unsat cores over the
-//!   soft constraints' assumption literals, relax each core with fresh
-//!   blocking variables plus an exactly-one constraint. Implemented for
-//!   uniform weights (the classic algorithm); the dispatcher falls back to
-//!   linear descent otherwise.
+//! Find a first model, build a generalized totalizer over the violation
+//! literals saturated at that model's cost, then binary-search the
+//! achievable costs below it using assumptions; the last SAT model is
+//! optimal. Works for arbitrary weights.
 //!
 //! Lexicographic optimization (`Optimize(latency > Hardware cost >
-//! monitoring)` in the paper's Listing 3) minimizes objective levels in
-//! order, hardening each optimum before descending to the next level.
+//! monitoring)` in the paper's Listing 3) runs one [`minimize_under`]
+//! descent per objective level in order, each hardening its optimum before
+//! the next level descends (see `netarch_core::query::Engine::optimize`).
 
 use crate::ast::Formula;
-use crate::cardinality::{self, CardEncoding};
 use crate::encoder::Encoder;
 use crate::pb::{gte_outputs, PbTerm};
 use crate::sink::ClauseSink;
@@ -37,17 +30,6 @@ impl Soft {
     pub fn new(weight: u64, formula: Formula) -> Soft {
         Soft { weight, formula }
     }
-}
-
-/// Optimization algorithm selector.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum MaxSatAlgorithm {
-    /// Linear SAT→UNSAT descent over a generalized totalizer.
-    #[default]
-    LinearGte,
-    /// Core-guided Fu-Malik (uniform weights; falls back to linear
-    /// descent for non-uniform weights).
-    FuMalik,
 }
 
 /// Result of a MaxSAT call.
@@ -70,26 +52,6 @@ pub enum MaxSatOutcome {
 /// Sum of the soft weights, or `None` when it overflows `u64`.
 fn checked_total(soft: &[Soft]) -> Option<u64> {
     soft.iter().try_fold(0u64, |acc, s| acc.checked_add(s.weight))
-}
-
-/// Minimizes the total weight of violated soft constraints, leaving the
-/// optimal model loaded in the encoder's solver and the optimum enforced
-/// as a hard bound (so later optimization levels preserve it).
-pub fn minimize(
-    encoder: &mut Encoder,
-    soft: &[Soft],
-    algorithm: MaxSatAlgorithm,
-) -> MaxSatOutcome {
-    if checked_total(soft).is_none() {
-        return MaxSatOutcome::WeightOverflow;
-    }
-    let uniform = soft
-        .windows(2)
-        .all(|w| w[0].weight == w[1].weight);
-    match algorithm {
-        MaxSatAlgorithm::FuMalik if uniform && !soft.is_empty() => fu_malik(encoder, soft),
-        _ => linear_gte(encoder, soft),
-    }
 }
 
 /// A soft-constraint objective compiled once for reuse across queries.
@@ -474,122 +436,30 @@ fn model_cost_in(encoder: &Encoder, soft: &[Soft], model: &[Option<bool>]) -> u6
         .sum()
 }
 
-/// Destructive linear descent: compiles the totalizer in place and hardens
-/// the optimum permanently. The gate is the always-true literal, so the
-/// gated hardening clauses in [`minimize_under`] strip to permanent units
-/// at level 0 — identical behavior to a dedicated ungated implementation.
-fn linear_gte(encoder: &mut Encoder, soft: &[Soft]) -> MaxSatOutcome {
+/// Minimizes the total weight of violated soft constraints in one shot,
+/// leaving the optimal model loaded in the encoder's solver and the optimum
+/// enforced as a permanent hard bound (so a later call on the same encoder
+/// preserves it).
+///
+/// The gate is the always-true literal, so the gated hardening clauses in
+/// [`minimize_under`] strip to permanent units at level 0.
+pub fn minimize(encoder: &mut Encoder, soft: &[Soft]) -> MaxSatOutcome {
+    if checked_total(soft).is_none() {
+        return MaxSatOutcome::WeightOverflow;
+    }
     // An unsatisfiable theory is HardUnsat even without softs, and needs
-    // no totalizer. (On a portfolio backend the descent below re-proves
-    // feasibility on its probe pool.)
+    // no totalizer.
     if encoder.solve_with(&[]) != SolveResult::Sat {
         return MaxSatOutcome::HardUnsat;
     }
     if soft.is_empty() {
         return MaxSatOutcome::Optimal { cost: 0, violated: Vec::new() };
     }
-    let compiled = match compile_softs(encoder, soft.to_vec()) {
-        Ok(c) => c,
-        Err(WeightOverflow) => return MaxSatOutcome::WeightOverflow,
+    let Ok(compiled) = compile_softs(encoder, soft.to_vec()) else {
+        return MaxSatOutcome::WeightOverflow;
     };
     let gate = encoder.true_lit();
     minimize_under(encoder, &compiled, &[], gate)
-}
-
-/// Classic Fu-Malik for uniform weights.
-fn fu_malik(encoder: &mut Encoder, soft: &[Soft]) -> MaxSatOutcome {
-    let weight = soft[0].weight;
-    // Each soft constraint's current "satisfaction disjunct" literals:
-    // its Tseitin literal plus one blocking variable per relaxation round.
-    let mut disjuncts: Vec<Vec<Lit>> = soft
-        .iter()
-        .map(|s| vec![encoder.lit_for(&s.formula)])
-        .collect();
-    // Assumption literal per soft constraint guarding the clause
-    // `a_i → (formula_i ∨ blockers…)`; replaced whenever the disjunction
-    // grows.
-    let mut assumption_of: Vec<Lit> = Vec::with_capacity(soft.len());
-    for d in &disjuncts {
-        let a = encoder.new_selector();
-        let mut clause = vec![!a];
-        clause.extend(d);
-        ClauseSink::add_clause(encoder, &clause);
-        assumption_of.push(a);
-    }
-
-    let mut rounds = 0u64;
-    loop {
-        let result = {
-            let assumptions: Vec<Lit> = assumption_of.clone();
-            encoder.solve_with(&assumptions)
-        };
-        match result {
-            SolveResult::Sat => {
-                let cost = rounds * weight;
-                // Model currently satisfies all (relaxed) softs; compute
-                // which original formulas are violated.
-                let violated = violated_indices(encoder, soft);
-                debug_assert_eq!(violated.len() as u64, rounds);
-                return MaxSatOutcome::Optimal { cost, violated };
-            }
-            SolveResult::Unknown => {
-                // Treat as UNSAT-undetermined: fall back to linear descent.
-                return linear_gte(encoder, soft);
-            }
-            SolveResult::Unsat => {
-                let core: Vec<Lit> = encoder.solver().unsat_core().to_vec();
-                let members: Vec<usize> = assumption_of
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| core.contains(a))
-                    .map(|(i, _)| i)
-                    .collect();
-                if members.is_empty() {
-                    // Hard constraints alone are inconsistent.
-                    return MaxSatOutcome::HardUnsat;
-                }
-                // Relax every core member with a fresh blocking var and
-                // constrain exactly-one blocking var true.
-                let mut blockers = Vec::with_capacity(members.len());
-                for &i in &members {
-                    let b = encoder.new_selector();
-                    blockers.push(b);
-                    disjuncts[i].push(b);
-                    // Replace the guard: retire the old assumption literal
-                    // and emit a new guarded clause with the extended
-                    // disjunction.
-                    let old = assumption_of[i];
-                    ClauseSink::add_clause(encoder, &[!old]); // retire
-                    let a = encoder.new_selector();
-                    assumption_of[i] = a;
-                    let mut clause = vec![!a];
-                    clause.extend(&disjuncts[i]);
-                    ClauseSink::add_clause(encoder, &clause);
-                }
-                cardinality::assert_exactly(encoder, &blockers, 1, CardEncoding::Auto);
-                rounds += 1;
-            }
-        }
-    }
-}
-
-/// Lexicographic multi-level minimization: minimizes each level in order,
-/// hardening its optimum before moving on. Returns per-level outcomes, or
-/// `None` when any level fails to optimize (hard-UNSAT or weight overflow).
-pub fn minimize_lex(
-    encoder: &mut Encoder,
-    levels: &[Vec<Soft>],
-    algorithm: MaxSatAlgorithm,
-) -> Option<Vec<MaxSatOutcome>> {
-    let mut outcomes = Vec::with_capacity(levels.len());
-    for level in levels {
-        let outcome = minimize(encoder, level, algorithm);
-        if !matches!(outcome, MaxSatOutcome::Optimal { .. }) {
-            return None;
-        }
-        outcomes.push(outcome);
-    }
-    Some(outcomes)
 }
 
 #[cfg(test)]
@@ -607,29 +477,25 @@ mod tests {
 
     #[test]
     fn all_softs_satisfiable_costs_zero() {
-        for alg in [MaxSatAlgorithm::LinearGte, MaxSatAlgorithm::FuMalik] {
-            let mut e = Encoder::new();
-            e.assert(&Formula::or([a(0), a(1)]));
-            let soft = softs(&[(1, a(0)), (1, a(1))]);
-            let outcome = minimize(&mut e, &soft, alg);
-            assert_eq!(outcome, MaxSatOutcome::Optimal { cost: 0, violated: vec![] }, "{alg:?}");
-        }
+        let mut e = Encoder::new();
+        e.assert(&Formula::or([a(0), a(1)]));
+        let soft = softs(&[(1, a(0)), (1, a(1))]);
+        let outcome = minimize(&mut e, &soft);
+        assert_eq!(outcome, MaxSatOutcome::Optimal { cost: 0, violated: vec![] });
     }
 
     #[test]
     fn forced_violation_of_cheapest() {
-        for alg in [MaxSatAlgorithm::LinearGte, MaxSatAlgorithm::FuMalik] {
-            // a0 xor a1 forced; soft wants both; both weight 1 → cost 1.
-            let mut e = Encoder::new();
-            e.assert(&Formula::xor(a(0), a(1)));
-            let soft = softs(&[(1, a(0)), (1, a(1))]);
-            match minimize(&mut e, &soft, alg) {
-                MaxSatOutcome::Optimal { cost, violated } => {
-                    assert_eq!(cost, 1, "{alg:?}");
-                    assert_eq!(violated.len(), 1);
-                }
-                other => panic!("unexpected {other:?}"),
+        // a0 xor a1 forced; soft wants both; both weight 1 → cost 1.
+        let mut e = Encoder::new();
+        e.assert(&Formula::xor(a(0), a(1)));
+        let soft = softs(&[(1, a(0)), (1, a(1))]);
+        match minimize(&mut e, &soft) {
+            MaxSatOutcome::Optimal { cost, violated } => {
+                assert_eq!(cost, 1);
+                assert_eq!(violated.len(), 1);
             }
+            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -640,7 +506,7 @@ mod tests {
         let mut e = Encoder::new();
         e.assert(&Formula::not(Formula::and([a(0), a(1)])));
         let soft = softs(&[(5, a(0)), (1, a(1))]);
-        match minimize(&mut e, &soft, MaxSatAlgorithm::LinearGte) {
+        match minimize(&mut e, &soft) {
             MaxSatOutcome::Optimal { cost, violated } => {
                 assert_eq!(cost, 1);
                 assert_eq!(violated, vec![1]);
@@ -653,29 +519,11 @@ mod tests {
 
     #[test]
     fn hard_unsat_detected() {
-        for alg in [MaxSatAlgorithm::LinearGte, MaxSatAlgorithm::FuMalik] {
-            let mut e = Encoder::new();
-            e.assert(&a(0));
-            e.assert(&Formula::not(a(0)));
-            let soft = softs(&[(1, a(1))]);
-            assert_eq!(minimize(&mut e, &soft, alg), MaxSatOutcome::HardUnsat, "{alg:?}");
-        }
-    }
-
-    #[test]
-    fn fu_malik_multi_core() {
-        // Three pairwise-conflicting atoms, softs want all three;
-        // at most one can hold → cost 2.
         let mut e = Encoder::new();
-        e.assert(&Formula::at_most(1, [a(0), a(1), a(2)]));
-        let soft = softs(&[(1, a(0)), (1, a(1)), (1, a(2))]);
-        match minimize(&mut e, &soft, MaxSatAlgorithm::FuMalik) {
-            MaxSatOutcome::Optimal { cost, violated } => {
-                assert_eq!(cost, 2);
-                assert_eq!(violated.len(), 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        e.assert(&a(0));
+        e.assert(&Formula::not(a(0)));
+        let soft = softs(&[(1, a(1))]);
+        assert_eq!(minimize(&mut e, &soft), MaxSatOutcome::HardUnsat);
     }
 
     #[test]
@@ -719,7 +567,7 @@ mod tests {
             for h in &hard {
                 e.assert(h);
             }
-            let outcome = minimize(&mut e, &soft, MaxSatAlgorithm::LinearGte);
+            let outcome = minimize(&mut e, &soft);
             match (best, outcome) {
                 (None, MaxSatOutcome::HardUnsat) => {}
                 (Some(b), MaxSatOutcome::Optimal { cost, .. }) => {
@@ -733,16 +581,14 @@ mod tests {
     #[test]
     fn lexicographic_respects_priority() {
         // a0 and a1 conflict. Level 1 prefers a0; level 2 prefers a1.
-        // Lexicographic: satisfy level 1 (a0), then level 2 must break.
+        // Each one-shot minimize hardens its optimum, so minimizing the
+        // levels in order satisfies level 1 (a0) and level 2 must break.
         let mut e = Encoder::new();
         e.assert(&Formula::not(Formula::and([a(0), a(1)])));
-        let levels = vec![
-            softs(&[(1, a(0))]),
-            softs(&[(1, a(1))]),
-        ];
-        let outcomes = minimize_lex(&mut e, &levels, MaxSatAlgorithm::LinearGte).expect("feasible");
-        assert_eq!(outcomes[0], MaxSatOutcome::Optimal { cost: 0, violated: vec![] });
-        assert_eq!(outcomes[1], MaxSatOutcome::Optimal { cost: 1, violated: vec![0] });
+        let first = minimize(&mut e, &softs(&[(1, a(0))]));
+        assert_eq!(first, MaxSatOutcome::Optimal { cost: 0, violated: vec![] });
+        let second = minimize(&mut e, &softs(&[(1, a(1))]));
+        assert_eq!(second, MaxSatOutcome::Optimal { cost: 1, violated: vec![0] });
         assert_eq!(e.atom_value(Atom(0)), Some(true));
         assert_eq!(e.atom_value(Atom(1)), Some(false));
     }
@@ -751,12 +597,10 @@ mod tests {
     fn lexicographic_reversed_priority_flips_outcome() {
         let mut e = Encoder::new();
         e.assert(&Formula::not(Formula::and([a(0), a(1)])));
-        let levels = vec![
-            softs(&[(1, a(1))]),
-            softs(&[(1, a(0))]),
-        ];
-        let outcomes = minimize_lex(&mut e, &levels, MaxSatAlgorithm::LinearGte).expect("feasible");
-        assert_eq!(outcomes[0], MaxSatOutcome::Optimal { cost: 0, violated: vec![] });
+        let first = minimize(&mut e, &softs(&[(1, a(1))]));
+        assert_eq!(first, MaxSatOutcome::Optimal { cost: 0, violated: vec![] });
+        let second = minimize(&mut e, &softs(&[(1, a(0))]));
+        assert_eq!(second, MaxSatOutcome::Optimal { cost: 1, violated: vec![0] });
         assert_eq!(e.atom_value(Atom(1)), Some(true));
         assert_eq!(e.atom_value(Atom(0)), Some(false));
     }
@@ -764,18 +608,12 @@ mod tests {
     #[test]
     fn overflowing_weights_are_refused_not_wrapped() {
         // u64::MAX + 2 wraps to 1 with unchecked summation, which would
-        // silently truncate the totalizer. Both algorithms must refuse.
-        for alg in [MaxSatAlgorithm::LinearGte, MaxSatAlgorithm::FuMalik] {
-            let mut e = Encoder::new();
-            e.assert(&Formula::or([a(0), a(1)]));
-            let soft = softs(&[(u64::MAX, a(0)), (2, a(1))]);
-            assert_eq!(minimize(&mut e, &soft, alg), MaxSatOutcome::WeightOverflow, "{alg:?}");
-        }
-        // minimize_lex reports the failure by aborting.
+        // silently truncate the totalizer.
         let mut e = Encoder::new();
-        e.assert(&a(0));
-        let levels = vec![softs(&[(u64::MAX, a(0)), (1, a(1))])];
-        assert!(minimize_lex(&mut e, &levels, MaxSatAlgorithm::LinearGte).is_none());
+        e.assert(&Formula::or([a(0), a(1)]));
+        let soft = softs(&[(u64::MAX, a(0)), (2, a(1))]);
+        assert_eq!(minimize(&mut e, &soft), MaxSatOutcome::WeightOverflow);
+        assert!(compile_softs(&mut e, soft).is_err());
     }
 
     #[test]
@@ -784,7 +622,7 @@ mod tests {
         let mut e = Encoder::new();
         e.assert(&Formula::xor(a(0), a(1)));
         let soft = softs(&[(u64::MAX - 1, a(0)), (1, a(1))]);
-        match minimize(&mut e, &soft, MaxSatAlgorithm::LinearGte) {
+        match minimize(&mut e, &soft) {
             MaxSatOutcome::Optimal { cost, violated } => {
                 assert_eq!(cost, 1);
                 assert_eq!(violated, vec![1]);
@@ -931,14 +769,5 @@ mod tests {
             minimize_under(&mut e, &compiled, &[sel], gate),
             MaxSatOutcome::HardUnsat
         );
-    }
-
-    #[test]
-    fn lexicographic_hard_unsat_propagates() {
-        let mut e = Encoder::new();
-        e.assert(&a(0));
-        e.assert(&Formula::not(a(0)));
-        let levels = vec![softs(&[(1, a(1))])];
-        assert!(minimize_lex(&mut e, &levels, MaxSatAlgorithm::LinearGte).is_none());
     }
 }

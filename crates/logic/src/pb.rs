@@ -1,7 +1,7 @@
 //! Pseudo-Boolean (weighted sum) constraints.
 //!
-//! Comparisons `Σ wᵢ·xᵢ ⋈ bound` (`≤`, `≥`, `=`, guarded and reified) are
-//! encoded as a **binary adder** plus comparator (Eén–Sörensson 2006;
+//! Guarded comparisons `guard → Σ wᵢ·xᵢ ≤ bound` ([`assert_pb_le_under`])
+//! are encoded as a **binary adder** plus comparator (Eén–Sörensson 2006;
 //! Warners 1998): the weights' bit columns are summed with full and half
 //! adders into output bits, and one clause per 0-bit of the bound rules
 //! out every larger sum. Its size grows with the weights' bit count times
@@ -172,18 +172,21 @@ fn merge_nodes(
     outputs
 }
 
-/// Emits `guard → Σ wᵢ·xᵢ ≤ bound` as a binary adder plus comparator
-/// (Eén–Sörensson 2006; Warners 1998), whose size grows with the weights'
-/// bit count rather than with the bound.
+/// Asserts `(g₁ ∧ … ∧ gₖ) → Σ wᵢ·xᵢ ≤ bound` for the `guard` literals (a
+/// rule's group selector, a hardware choice; none for an unconditional
+/// bound) as a binary adder plus comparator (Eén–Sörensson 2006; Warners
+/// 1998), whose size grows with the weights' bit count rather than with
+/// the bound.
 ///
 /// Zero weights drop out, and each term heavier than the bound gets one
 /// guard-weakened clause forbidding it, so unit propagation still refutes
 /// a single over-budget term. The remaining weights and the bound are
-/// divided by the weights' gcd; [`adder`] sums the quotients into output
-/// bits, and each 0-bit of the bound gets one guard-weakened comparator
-/// clause. The adder itself is unguarded: it only defines fresh output
-/// bits, which every input assignment satisfies.
-fn le_under(sink: &mut impl ClauseSink, guard: &[Lit], terms: &[PbTerm], bound: u128) {
+/// divided by the weights' gcd; a binary adder sums the quotients into
+/// output bits, and each 0-bit of the bound gets one guard-weakened
+/// comparator clause. The adder itself is unguarded: it only defines fresh
+/// output bits, which every input assignment satisfies.
+pub fn assert_pb_le_under(sink: &mut impl ClauseSink, guard: &[Lit], terms: &[PbTerm], bound: u64) {
+    let bound = u128::from(bound);
     if total(terms) <= bound {
         return; // trivially satisfied
     }
@@ -297,65 +300,6 @@ fn add_bits(sink: &mut impl ClauseSink, inputs: &[Lit]) -> (Lit, Lit) {
     (sum, carry)
 }
 
-/// Asserts `Σ wᵢ·xᵢ ≤ bound`.
-pub fn assert_pb_le(sink: &mut impl ClauseSink, terms: &[PbTerm], bound: u64) {
-    le_under(sink, &[], terms, u128::from(bound));
-}
-
-/// Asserts `(g₁ ∧ … ∧ gₖ) → Σ wᵢ·xᵢ ≤ bound` for the `guard` literals
-/// (a rule's group selector, a hardware choice): the adder itself is
-/// unguarded, and only the clauses that enforce the bound carry the guard.
-pub fn assert_pb_le_under(sink: &mut impl ClauseSink, guard: &[Lit], terms: &[PbTerm], bound: u64) {
-    le_under(sink, guard, terms, u128::from(bound));
-}
-
-/// `terms` with every literal negated: `Σ wᵢ·xᵢ ≥ b ⇔ Σ wᵢ·¬xᵢ ≤ total - b`.
-fn complemented(terms: &[PbTerm]) -> Vec<PbTerm> {
-    terms
-        .iter()
-        .map(|&t| PbTerm::new(t.weight, !t.lit))
-        .collect()
-}
-
-/// Asserts `Σ wᵢ·xᵢ ≥ bound` (via the complement sum).
-pub fn assert_pb_ge(sink: &mut impl ClauseSink, terms: &[PbTerm], bound: u64) {
-    if bound == 0 {
-        return;
-    }
-    let total = total(terms);
-    let bound = u128::from(bound);
-    if total < bound {
-        // Unsatisfiable: emit the empty clause.
-        sink.add_clause(&[]);
-        return;
-    }
-    le_under(sink, &[], &complemented(terms), total - bound);
-}
-
-/// Asserts `Σ wᵢ·xᵢ = bound`.
-pub fn assert_pb_eq(sink: &mut impl ClauseSink, terms: &[PbTerm], bound: u64) {
-    assert_pb_le(sink, terms, bound);
-    assert_pb_ge(sink, terms, bound);
-}
-
-/// Creates a literal `p` such that `p ⇔ (Σ wᵢ·xᵢ ≤ bound)`.
-///
-/// Composed from two one-directional encodings guarded by `p`:
-/// `p → (sum ≤ bound)` and `¬p → (sum ≥ bound + 1)`.
-pub fn reify_pb_le(sink: &mut impl ClauseSink, terms: &[PbTerm], bound: u64) -> Lit {
-    let p = sink.fresh_lit();
-    let total = total(terms);
-    let bound = u128::from(bound);
-    if total <= bound {
-        sink.add_clause(&[p]);
-        return p;
-    }
-    le_under(sink, &[p], terms, bound);
-    // ¬p → sum ≥ bound+1, i.e. complement sum ≤ total - bound - 1.
-    le_under(sink, &[!p], &complemented(terms), total - bound - 1);
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,47 +312,10 @@ mod tests {
             .collect()
     }
 
-    /// Brute-force check: for every input assignment, constraint result
-    /// must equal the arithmetic comparison.
-    fn check_all_assignments(
-        weights: &[u64],
-        bound: u64,
-        build: impl Fn(&mut Solver, &[PbTerm]),
-        cmp: impl Fn(u64, u64) -> bool,
-    ) {
-        let n = weights.len();
-        for bits in 0u32..(1 << n) {
-            let mut s = Solver::new();
-            let terms = inputs(&mut s, weights);
-            build(&mut s, &terms);
-            for (i, t) in terms.iter().enumerate() {
-                if (bits >> i) & 1 == 1 {
-                    s.add_clause([t.lit]);
-                } else {
-                    s.add_clause([!t.lit]);
-                }
-            }
-            let sum: u64 = terms
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| (bits >> i) & 1 == 1)
-                .map(|(_, t)| t.weight)
-                .sum();
-            let expected = if cmp(sum, bound) {
-                SolveResult::Sat
-            } else {
-                SolveResult::Unsat
-            };
-            assert_eq!(
-                s.solve(),
-                expected,
-                "weights={weights:?} bound={bound} bits={bits:b} sum={sum}"
-            );
-        }
-    }
-
     #[test]
     fn pb_le_exhaustive() {
+        // For every input assignment, the unguarded `≤` must be SAT exactly
+        // when the arithmetic sum is within the bound.
         for (weights, bound) in [
             (vec![1u64, 1, 1], 2u64),
             (vec![2, 3, 4], 5),
@@ -418,84 +325,24 @@ mod tests {
             (vec![3, 3, 3, 3], 6),
             (vec![10, 1], 0),
         ] {
-            check_all_assignments(
-                &weights,
-                bound,
-                |s, t| assert_pb_le(s, t, bound),
-                |sum, b| sum <= b,
-            );
-        }
-    }
-
-    #[test]
-    fn pb_ge_exhaustive() {
-        for (weights, bound) in [
-            (vec![1u64, 1, 1], 2u64),
-            (vec![2, 3, 4], 5),
-            (vec![1, 2, 4, 8], 9),
-            (vec![3, 3, 3], 9),
-            (vec![4, 4], 1),
-        ] {
-            check_all_assignments(
-                &weights,
-                bound,
-                |s, t| assert_pb_ge(s, t, bound),
-                |sum, b| sum >= b,
-            );
-        }
-    }
-
-    #[test]
-    fn pb_eq_exhaustive() {
-        for (weights, bound) in [
-            (vec![1u64, 1, 1], 2u64),
-            (vec![2, 3, 4], 5),
-            (vec![1, 2, 4], 7),
-            (vec![2, 2, 2], 3), // odd target with even weights: only UNSAT rows
-        ] {
-            check_all_assignments(
-                &weights,
-                bound,
-                |s, t| assert_pb_eq(s, t, bound),
-                |sum, b| sum == b,
-            );
-        }
-    }
-
-    #[test]
-    fn pb_ge_unreachable_bound_is_unsat() {
-        let mut s = Solver::new();
-        let terms = inputs(&mut s, &[1, 2]);
-        assert_pb_ge(&mut s, &terms, 10);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn reified_pb_le_both_directions() {
-        for (weights, bound) in [(vec![2u64, 3, 4], 5u64), (vec![1, 1, 1], 1), (vec![5, 2], 4)] {
-            let n = weights.len();
-            for bits in 0u32..(1 << n) {
+            for bits in 0u32..(1 << weights.len()) {
                 let mut s = Solver::new();
                 let terms = inputs(&mut s, &weights);
-                let p = reify_pb_le(&mut s, &terms, bound);
+                assert_pb_le_under(&mut s, &[], &terms, bound);
+                let mut sum = 0;
                 for (i, t) in terms.iter().enumerate() {
                     if (bits >> i) & 1 == 1 {
                         s.add_clause([t.lit]);
+                        sum += t.weight;
                     } else {
                         s.add_clause([!t.lit]);
                     }
                 }
-                assert_eq!(s.solve(), SolveResult::Sat);
-                let sum: u64 = terms
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| (bits >> i) & 1 == 1)
-                    .map(|(_, t)| t.weight)
-                    .sum();
+                let expected = if sum <= bound { SolveResult::Sat } else { SolveResult::Unsat };
                 assert_eq!(
-                    s.model_lit_value(p),
-                    Some(sum <= bound),
-                    "weights={weights:?} bound={bound} bits={bits:b}"
+                    s.solve(),
+                    expected,
+                    "weights={weights:?} bound={bound} bits={bits:b} sum={sum}"
                 );
             }
         }
@@ -532,7 +379,7 @@ mod tests {
     fn zero_weight_terms_are_ignored() {
         let mut s = Solver::new();
         let terms = inputs(&mut s, &[0, 0, 3]);
-        assert_pb_le(&mut s, &terms, 2);
+        assert_pb_le_under(&mut s, &[], &terms, 2);
         // x2 has weight 3 > bound 2, so x2 is forced false; x0/x1 free.
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.model_lit_value(terms[2].lit), Some(false));
@@ -544,7 +391,7 @@ mod tests {
         let terms: Vec<PbTerm> = (0..3)
             .map(|_| PbTerm::new(1, sink.fresh_lit()))
             .collect();
-        assert_pb_le(&mut sink, &terms, 3);
+        assert_pb_le_under(&mut sink, &[], &terms, 3);
         assert!(sink.clauses.is_empty());
     }
 

@@ -1,16 +1,14 @@
 //! Solve-then-check: SAT solving with independently verified answers.
 //!
-//! [`verified_solve`] is the paranoid entry point into the solver stack:
-//! every SAT answer is re-validated against the clause list (the model must
-//! satisfy every clause), and every UNSAT answer must come with a DRAT
-//! proof that the independent checker in `netarch_sat::checker` accepts —
-//! propagation code the solver itself does not share, so a solver bug
-//! cannot self-certify. Checker failures surface as a distinct
-//! [`VerifyError`] instead of a wrong verdict.
-//!
-//! The [`Encoder`](crate::Encoder) exposes the same discipline as an opt-in
-//! mode (`EncodeConfig::verify_proofs`), which `netarch-core` switches on
-//! under the `NETARCH_VERIFY_PROOFS` environment variable (see
+//! In the [`Encoder`](crate::Encoder)'s verify mode
+//! (`EncodeConfig::verify_proofs`), every verdict passes through
+//! [`check_outcome`]: a SAT answer is re-validated against the clause list
+//! (the model must satisfy every clause), and an UNSAT answer must come
+//! with a DRAT proof that the independent checker in `netarch_sat::checker`
+//! accepts — propagation code the solver itself does not share, so a
+//! solver bug cannot self-certify. Checker failures surface as a distinct
+//! [`VerifyError`] instead of a wrong verdict. `netarch-core` switches the
+//! mode on under the `NETARCH_VERIFY_PROOFS` environment variable (see
 //! [`proofs_requested`]).
 
 use netarch_sat::{
@@ -42,17 +40,8 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// A solve outcome the independent checker has vouched for.
-pub struct Verified {
-    /// The (now certified) solver verdict.
-    pub result: SolveResult,
-    /// The solver after the run: read the model after SAT, the unsat core
-    /// after UNSAT.
-    pub solver: Solver,
-}
-
-/// Solves `clauses` under `assumptions` with proof logging on, then
-/// independently validates the answer.
+/// Validates an already-produced outcome of a recording solver against the
+/// clause list it was (externally) built from.
 ///
 /// - SAT: the model is checked against every clause.
 /// - UNSAT with no assumptions: the recorded DRAT refutation is replayed
@@ -61,25 +50,6 @@ pub struct Verified {
 ///   clause (`¬a₁ ∨ … ∨ ¬aₖ`) must be entailed
 ///   (`check_refutation_under_assumptions`).
 /// - Unknown (budget exhaustion) makes no claim, so nothing is checked.
-pub fn verified_solve(
-    num_vars: usize,
-    clauses: &[Vec<Lit>],
-    assumptions: &[Lit],
-) -> Result<Verified, VerifyError> {
-    let mut solver = Solver::new();
-    solver.record_proof();
-    solver.ensure_vars(num_vars);
-    for clause in clauses {
-        solver.add_clause(clause.iter().copied());
-    }
-    let result = solver.solve_with(assumptions);
-    check_outcome(&solver, num_vars.max(solver.num_vars()), clauses, assumptions, result)?;
-    Ok(Verified { result, solver })
-}
-
-/// Validates an already-produced outcome of a recording solver against the
-/// clause list it was (externally) built from. Shared by [`verified_solve`]
-/// and the encoder's verify mode.
 pub fn check_outcome(
     solver: &Solver,
     num_vars: usize,
@@ -135,12 +105,30 @@ mod tests {
         Lit::from_dimacs(v).unwrap()
     }
 
+    /// Solves `clauses` under `assumptions` on a recording solver and
+    /// checks the verdict against the same clauses.
+    fn solve_and_check(
+        num_vars: usize,
+        clauses: &[Vec<Lit>],
+        assumptions: &[Lit],
+    ) -> (SolveResult, Solver) {
+        let mut solver = Solver::new();
+        solver.record_proof();
+        solver.ensure_vars(num_vars);
+        for clause in clauses {
+            solver.add_clause(clause.iter().copied());
+        }
+        let result = solver.solve_with(assumptions);
+        check_outcome(&solver, num_vars, clauses, assumptions, result).unwrap();
+        (result, solver)
+    }
+
     #[test]
     fn sat_outcome_is_verified() {
         let clauses = vec![vec![lit(1), lit(2)], vec![lit(-1)]];
-        let v = verified_solve(2, &clauses, &[]).unwrap();
-        assert_eq!(v.result, SolveResult::Sat);
-        assert_eq!(v.solver.model_value(Var::from_index(1)), Some(true));
+        let (result, solver) = solve_and_check(2, &clauses, &[]);
+        assert_eq!(result, SolveResult::Sat);
+        assert_eq!(solver.model_value(Var::from_index(1)), Some(true));
     }
 
     #[test]
@@ -150,23 +138,20 @@ mod tests {
                 lit(-1),
                 lit(-2),
             ]];
-        let v = verified_solve(2, &clauses, &[]).unwrap();
-        assert_eq!(v.result, SolveResult::Unsat);
+        assert_eq!(solve_and_check(2, &clauses, &[]).0, SolveResult::Unsat);
     }
 
     #[test]
     fn assumption_unsat_outcome_is_verified() {
         let clauses = vec![vec![lit(-1), lit(3)], vec![lit(-2), lit(-3)]];
-        let v = verified_solve(3, &clauses, &[lit(1), lit(2)]).unwrap();
-        assert_eq!(v.result, SolveResult::Unsat);
-        assert!(!v.solver.unsat_core().is_empty());
+        let (result, solver) = solve_and_check(3, &clauses, &[lit(1), lit(2)]);
+        assert_eq!(result, SolveResult::Unsat);
+        assert!(!solver.unsat_core().is_empty());
     }
 
     #[test]
     fn empty_clause_outcome_is_verified() {
-        let clauses = vec![vec![]];
-        let v = verified_solve(1, &clauses, &[]).unwrap();
-        assert_eq!(v.result, SolveResult::Unsat);
+        assert_eq!(solve_and_check(1, &[vec![]], &[]).0, SolveResult::Unsat);
     }
 
     #[test]

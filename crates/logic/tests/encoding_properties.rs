@@ -3,11 +3,8 @@
 //! and model count (projected on atoms) must match brute-force evaluation
 //! of the AST semantics.
 
-use netarch_logic::pb::{
-    assert_pb_eq, assert_pb_ge, assert_pb_le, assert_pb_le_under, gte_outputs, reify_pb_le,
-    PbTerm,
-};
-use netarch_logic::{Atom, ClauseSink, CollectSink, Encoder, Formula, MaxSatAlgorithm, Soft};
+use netarch_logic::pb::{assert_pb_le_under, gte_outputs, PbTerm};
+use netarch_logic::{Atom, ClauseSink, CollectSink, Encoder, Formula, Soft};
 use netarch_rt::prop::{self, gen_vec, Config, Shrink};
 use netarch_rt::{prop_assert, prop_assert_eq, Rng};
 use netarch_sat::{SolveResult, Solver};
@@ -173,7 +170,7 @@ fn maxsat_linear_is_optimal() {
             }
             let mut e = Encoder::new();
             e.assert(hard);
-            let outcome = netarch_logic::maxsat::minimize(&mut e, &soft, MaxSatAlgorithm::LinearGte);
+            let outcome = netarch_logic::maxsat::minimize(&mut e, &soft);
             match (best, outcome) {
                 (None, netarch_logic::MaxSatOutcome::HardUnsat) => {}
                 (Some(b), netarch_logic::MaxSatOutcome::Optimal { cost, .. }) => {
@@ -182,38 +179,6 @@ fn maxsat_linear_is_optimal() {
                 (expected, got) => {
                     prop_assert!(false, "expected {:?}, got {:?}", expected, got)
                 }
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn fu_malik_matches_linear_on_uniform_weights() {
-    prop::check(
-        &Config::with_cases(192),
-        |rng| (gen_formula(rng), gen_vec(rng, 1..=3, gen_formula)),
-        |(F(hard), soft_formulas)| {
-            let soft: Vec<Soft> = soft_formulas
-                .iter()
-                .map(|F(f)| Soft::new(1, f.clone()))
-                .collect();
-            let mut e1 = Encoder::new();
-            e1.assert(hard);
-            let r1 = netarch_logic::maxsat::minimize(&mut e1, &soft, MaxSatAlgorithm::LinearGte);
-            let mut e2 = Encoder::new();
-            e2.assert(hard);
-            let r2 = netarch_logic::maxsat::minimize(&mut e2, &soft, MaxSatAlgorithm::FuMalik);
-            match (r1, r2) {
-                (
-                    netarch_logic::MaxSatOutcome::Optimal { cost: c1, .. },
-                    netarch_logic::MaxSatOutcome::Optimal { cost: c2, .. },
-                ) => prop_assert_eq!(c1, c2, "hard={}", hard),
-                (
-                    netarch_logic::MaxSatOutcome::HardUnsat,
-                    netarch_logic::MaxSatOutcome::HardUnsat,
-                ) => {}
-                (x, y) => prop_assert!(false, "mismatch {:?} vs {:?}", x, y),
             }
             Ok(())
         },
@@ -415,49 +380,22 @@ fn pb_constraints_agree_with_brute_force() {
             (weights, bound)
         },
         |(weights, bound)| {
-            let n = weights.len();
-            let bound = *bound;
-            // One solver per constraint; each input assignment is assumed.
-            let inputs = |s: &mut Solver| -> Vec<PbTerm> {
-                weights.iter().map(|&w| PbTerm::new(w, s.new_var().positive())).collect()
-            };
-            let encode = |build: &dyn Fn(&mut Solver, &[PbTerm])| {
-                let mut s = Solver::new();
-                let terms = inputs(&mut s);
-                build(&mut s, &terms);
-                (s, terms)
-            };
-            let assume = |terms: &[PbTerm], bits: u32| -> Vec<_> {
-                (0..n)
-                    .map(|i| if (bits >> i) & 1 == 1 { terms[i].lit } else { !terms[i].lit })
-                    .collect()
-            };
-            let mut le = encode(&|s, t| assert_pb_le(s, t, bound));
-            let mut ge = encode(&|s, t| assert_pb_ge(s, t, bound));
-            let mut eq = encode(&|s, t| assert_pb_eq(s, t, bound));
-            let mut reified = Solver::new();
-            let reified_terms = inputs(&mut reified);
-            let p = reify_pb_le(&mut reified, &reified_terms, bound);
-            let b = u128::from(bound);
-            for bits in 0u32..(1 << n) {
-                let sum = subset_sum(weights, bits);
-                for ((s, terms), holds, kind) in [
-                    (&mut le, sum <= b, "le"),
-                    (&mut ge, sum >= b, "ge"),
-                    (&mut eq, sum == b, "eq"),
-                ] {
-                    let got = s.solve_with(&assume(terms, bits)) == SolveResult::Sat;
-                    prop_assert_eq!(
-                        got, holds,
-                        "{} weights={:?} bound={} bits={:b}", kind, weights, bound, bits
-                    );
-                }
-                let assumptions = assume(&reified_terms, bits);
-                prop_assert_eq!(reified.solve_with(&assumptions), SolveResult::Sat);
+            // One unguarded `≤`; each input assignment is assumed.
+            let mut s = Solver::new();
+            let terms: Vec<PbTerm> =
+                weights.iter().map(|&w| PbTerm::new(w, s.new_var().positive())).collect();
+            assert_pb_le_under(&mut s, &[], &terms, *bound);
+            for bits in 0u32..(1 << weights.len()) {
+                let assumptions: Vec<_> = terms
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| if (bits >> i) & 1 == 1 { t.lit } else { !t.lit })
+                    .collect();
+                let got = s.solve_with(&assumptions) == SolveResult::Sat;
                 prop_assert_eq!(
-                    reified.model_lit_value(p),
-                    Some(sum <= b),
-                    "reify weights={:?} bound={} bits={:b}", weights, bound, bits
+                    got,
+                    subset_sum(weights, bits) <= u128::from(*bound),
+                    "weights={:?} bound={} bits={:b}", weights, bound, bits
                 );
             }
             Ok(())

@@ -1,20 +1,22 @@
-//! Metamorphic tests for the MaxSAT layer.
+//! Metamorphic and oracle tests for the MaxSAT layer.
 //!
-//! Instead of an oracle, these tests apply meaning-preserving (or
-//! meaning-shifting-in-a-known-way) transformations to random weighted
-//! MaxSAT instances and assert the relation between the optima:
+//! Most tests apply meaning-preserving (or meaning-shifting-in-a-known-way)
+//! transformations to random weighted MaxSAT instances and assert the
+//! relation between the optima:
 //!
 //! * permuting the soft constraints never changes the optimum,
 //! * duplicating a soft constraint is equivalent to doubling its weight,
 //! * adding a soft constraint satisfied by an optimal model never changes
-//!   the optimum,
-//! * both algorithms (linear GTE descent, Fu-Malik) agree on the optimum.
+//!   the optimum.
 //!
-//! Every variant solves on a fresh `Encoder` — the optimizers harden their
+//! One test pins the optimum itself: the linear descent must reach the
+//! brute-force optimum over every assignment of the instance's atoms.
+//!
+//! Every variant solves on a fresh `Encoder` — the optimizer hardens its
 //! optimum into the solver, so encoders cannot be reused across variants.
 
 use netarch_logic::maxsat::{self, MaxSatOutcome};
-use netarch_logic::{Atom, Encoder, Formula, MaxSatAlgorithm, Soft};
+use netarch_logic::{Atom, Encoder, Formula, Soft};
 use netarch_rt::prop::{self, gen_vec, Config};
 use netarch_rt::{impl_shrink_struct, prop_assert_eq, Rng};
 
@@ -73,9 +75,9 @@ fn encoder_for(raw: &RawInstance) -> Encoder {
 }
 
 /// Optimum cost on a fresh encoder; `None` when the hard part is UNSAT.
-fn optimum(raw: &RawInstance, soft: &[Soft], alg: MaxSatAlgorithm) -> Option<u64> {
+fn optimum(raw: &RawInstance, soft: &[Soft]) -> Option<u64> {
     let mut e = encoder_for(raw);
-    match maxsat::minimize(&mut e, soft, alg) {
+    match maxsat::minimize(&mut e, soft) {
         MaxSatOutcome::Optimal { cost, .. } => Some(cost),
         MaxSatOutcome::HardUnsat => None,
         MaxSatOutcome::WeightOverflow => {
@@ -104,13 +106,11 @@ fn permuting_soft_order_never_changes_the_optimum() {
             for i in (1..permuted.len()).rev() {
                 permuted.swap(i, r.gen_range(0..=i));
             }
-            for alg in [MaxSatAlgorithm::LinearGte, MaxSatAlgorithm::FuMalik] {
-                prop_assert_eq!(
-                    optimum(&inst, &base, alg),
-                    optimum(&inst, &permuted, alg),
-                    "permutation changed the optimum"
-                );
-            }
+            prop_assert_eq!(
+                optimum(&inst, &base),
+                optimum(&inst, &permuted),
+                "permutation changed the optimum"
+            );
             Ok(())
         },
     );
@@ -141,8 +141,8 @@ fn duplicating_a_soft_equals_doubling_its_weight() {
             doubled[pick].weight *= 2;
 
             prop_assert_eq!(
-                optimum(&inst, &duplicated, MaxSatAlgorithm::LinearGte),
-                optimum(&inst, &doubled, MaxSatAlgorithm::LinearGte),
+                optimum(&inst, &duplicated),
+                optimum(&inst, &doubled),
                 "duplicate soft is not equivalent to doubled weight"
             );
             Ok(())
@@ -166,7 +166,7 @@ fn adding_a_soft_satisfied_by_an_optimal_model_preserves_the_optimum() {
 
             // Solve the base instance and keep the optimal model around.
             let mut e = encoder_for(&inst);
-            let base_cost = match maxsat::minimize(&mut e, &base, MaxSatAlgorithm::LinearGte) {
+            let base_cost = match maxsat::minimize(&mut e, &base) {
                 MaxSatOutcome::Optimal { cost, .. } => cost,
                 // Nothing to compare (tiny weights cannot overflow).
                 _ => return Ok(()),
@@ -186,7 +186,7 @@ fn adding_a_soft_satisfied_by_an_optimal_model_preserves_the_optimum() {
             let mut extended = base;
             extended.push(extra);
             prop_assert_eq!(
-                optimum(&inst, &extended, MaxSatAlgorithm::LinearGte),
+                optimum(&inst, &extended),
                 Some(base_cost),
                 "satisfied extra soft changed the optimum"
             );
@@ -195,19 +195,39 @@ fn adding_a_soft_satisfied_by_an_optimal_model_preserves_the_optimum() {
     );
 }
 
+/// The brute-force optimum over every assignment of the instance's atoms;
+/// `None` when no assignment satisfies the hard part.
+fn brute_force_optimum(raw: &RawInstance, soft: &[Soft]) -> Option<u64> {
+    (0u32..1 << raw.num_atoms)
+        .filter_map(|bits| {
+            let value = |a: Atom| (bits >> a.0) & 1 == 1;
+            let holds = |&(a, pos): &RawLit| value(Atom(a)) == pos;
+            if !raw.hard.iter().all(|clause| clause.iter().any(holds)) {
+                return None;
+            }
+            Some(soft.iter().filter(|s| !s.formula.eval(&value)).map(|s| s.weight).sum())
+        })
+        .min()
+}
+
 #[test]
-fn both_algorithms_agree_on_uniform_weight_instances() {
-    // Fu-Malik only runs its core-guided loop on uniform weights; force
-    // them uniform so the differential actually exercises both code paths.
+fn linear_descent_reaches_the_brute_force_optimum() {
+    // The generator's instances have at most 5 atoms, so the oracle
+    // enumerates all of their assignments. Uniform weights make many
+    // assignments tie; mixed weights make the descent bisect over uneven
+    // achievable sums.
     prop::check(&Config::with_cases(64), gen_instance, |inst| {
         let inst = normalize(inst);
+        let mixed = softs(&inst.soft);
         let uniform: Vec<Soft> =
-            softs(&inst.soft).into_iter().map(|s| Soft::new(1, s.formula)).collect();
-        prop_assert_eq!(
-            optimum(&inst, &uniform, MaxSatAlgorithm::LinearGte),
-            optimum(&inst, &uniform, MaxSatAlgorithm::FuMalik),
-            "algorithms disagree on the optimum"
-        );
+            mixed.iter().map(|s| Soft::new(1, s.formula.clone())).collect();
+        for (kind, soft) in [("uniform", &uniform), ("mixed", &mixed)] {
+            prop_assert_eq!(
+                optimum(&inst, soft),
+                brute_force_optimum(&inst, soft),
+                "{} weights: descent missed the optimum", kind
+            );
+        }
         Ok(())
     });
 }

@@ -10,7 +10,7 @@
 //! instances.
 
 use netarch_logic::backend::{PortfolioOptions, SolveBackend};
-use netarch_logic::maxsat::{minimize, MaxSatAlgorithm, MaxSatOutcome, Soft};
+use netarch_logic::maxsat::{minimize, MaxSatOutcome, Soft};
 use netarch_logic::{Atom, EncodeConfig, Encoder, Formula};
 use netarch_rt::Rng;
 
@@ -55,7 +55,7 @@ fn optimize(instance: &Instance, backend: SolveBackend) -> (MaxSatOutcome, Vec<O
     for h in &instance.hard {
         e.assert(h);
     }
-    let outcome = minimize(&mut e, &instance.soft, MaxSatAlgorithm::LinearGte);
+    let outcome = minimize(&mut e, &instance.soft);
     let model = (0..instance.num_atoms).map(|i| e.atom_value(Atom(i))).collect();
     (outcome, model)
 }

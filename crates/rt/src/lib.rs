@@ -14,8 +14,8 @@
 //! * [`prop`] — a minimal property-testing harness: seeded case
 //!   generation, an iteration budget, failure-seed reporting, and basic
 //!   shrinking for integers and vectors.
-//! * [`bench`] — a warmup+measure timing harness reporting min, median,
-//!   and p95 per benchmark.
+//! * [`bench`](mod@bench) — a warmup+measure timing harness reporting min,
+//!   median, and p95 per benchmark.
 //! * [`text`] — a lexer with line/column spans and a recursive-descent
 //!   parser for HCL-ish block syntax (the `.narch` scenario frontend's
 //!   syntax layer; semantics live in `netarch-dsl`).

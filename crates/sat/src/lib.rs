@@ -18,9 +18,10 @@
 //! - parallel solving on a probe pool ([`probes`]): persistent diversified
 //!   workers racing rounds of assumption probes under first-winner-cancels,
 //! - root-level garbage collection of clauses satisfied by retired
-//!   activation literals ([`Solver::simplify`]),
-//! - DIMACS CNF I/O,
-//! - per-feature ablation switches in [`SolverConfig`].
+//!   activation literals ([`Solver::simplify`]).
+//!
+//! [`SolverConfig`] holds only the knobs the probe pool varies to
+//! diversify its seats; every other search parameter is fixed.
 //!
 //! ```
 //! use netarch_sat::{Solver, SolveResult};
@@ -39,7 +40,6 @@
 
 mod clause;
 pub mod checker;
-pub mod dimacs;
 pub mod enumerate;
 mod heap;
 mod lit;

@@ -8,17 +8,11 @@
 //! *deletes* as a DRAT proof: a sequence of clause additions, each checkable
 //! by reverse unit propagation (RUP) or the resolution-asymmetric-tautology
 //! (RAT) criterion, plus deletion hints. The independent verifier lives in
-//! [`crate::checker`]; this module defines the proof representation, the
-//! [`ProofSink`] trait the solver logs through, and the standard text and
-//! binary DRAT serialization formats.
-//!
-//! Text DRAT is DIMACS-like: an addition is a clause line (`1 -2 0`), a
-//! deletion is prefixed with `d` (`d 1 -2 0`). Binary DRAT prefixes each
-//! step with `a` (0x61) or `d` (0x64) and encodes each literal as the
-//! variable-length 7-bit integer of `2·|lit| + sign`, zero-terminated.
+//! [`crate::checker`] and reads the proof in memory; this module defines
+//! the proof representation and the [`ProofSink`] trait the solver logs
+//! through.
 
 use crate::lit::Lit;
-use std::fmt::Write as _;
 
 /// One step of a DRAT proof.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,49 +65,6 @@ pub struct DratProof {
     steps: Vec<ProofStep>,
 }
 
-/// Errors from parsing serialized DRAT proofs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ProofParseError {
-    /// A token in a text proof was neither an integer nor `d`.
-    BadToken {
-        /// 1-based line number of the offending token.
-        line: usize,
-        /// The token as read.
-        token: String,
-    },
-    /// A literal's magnitude exceeded the representable range.
-    LiteralOutOfRange {
-        /// The out-of-range value.
-        value: i64,
-    },
-    /// Input ended in the middle of a step (missing terminating `0`).
-    UnterminatedStep,
-    /// A binary proof step began with a byte other than `a`/`d`.
-    BadStepTag {
-        /// The unexpected tag byte.
-        tag: u8,
-    },
-}
-
-impl std::fmt::Display for ProofParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProofParseError::BadToken { line, token } => {
-                write!(f, "unexpected proof token {token:?} on line {line}")
-            }
-            ProofParseError::LiteralOutOfRange { value } => {
-                write!(f, "proof literal {value} out of range")
-            }
-            ProofParseError::UnterminatedStep => write!(f, "proof ended inside a step"),
-            ProofParseError::BadStepTag { tag } => {
-                write!(f, "binary proof step tag {tag:#04x} is neither 'a' nor 'd'")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProofParseError {}
-
 impl DratProof {
     /// Creates an empty proof.
     pub fn new() -> DratProof {
@@ -135,8 +86,8 @@ impl DratProof {
         self.steps.is_empty()
     }
 
-    /// Appends a step directly (used by parsers and tests; the solver goes
-    /// through the [`ProofSink`] methods).
+    /// Appends a step directly (used by tests; the solver goes through the
+    /// [`ProofSink`] methods).
     pub fn push(&mut self, step: ProofStep) {
         self.steps.push(step);
     }
@@ -158,107 +109,6 @@ impl DratProof {
     pub fn num_deletions(&self) -> usize {
         self.steps.len() - self.num_additions()
     }
-
-    /// Renders the proof in text DRAT format.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for step in &self.steps {
-            if let ProofStep::Delete(_) = step {
-                out.push_str("d ");
-            }
-            for lit in step.clause() {
-                let _ = write!(out, "{} ", lit.to_dimacs());
-            }
-            out.push_str("0\n");
-        }
-        out
-    }
-
-    /// Parses a text DRAT proof. Lines starting with `c` are comments;
-    /// steps may span lines, exactly like DIMACS clauses.
-    pub fn parse_text(input: &str) -> Result<DratProof, ProofParseError> {
-        let mut proof = DratProof::new();
-        let mut current: Vec<Lit> = Vec::new();
-        let mut deleting = false;
-        let mut mid_step = false;
-        for (line_index, line) in input.lines().enumerate() {
-            let line_no = line_index + 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('c') {
-                continue;
-            }
-            for token in trimmed.split_whitespace() {
-                if token == "d" && !mid_step {
-                    deleting = true;
-                    mid_step = true;
-                    continue;
-                }
-                let value: i64 = token.parse().map_err(|_| ProofParseError::BadToken {
-                    line: line_no,
-                    token: token.to_string(),
-                })?;
-                if value == 0 {
-                    let clause = std::mem::take(&mut current);
-                    proof.push(if deleting {
-                        ProofStep::Delete(clause)
-                    } else {
-                        ProofStep::Add(clause)
-                    });
-                    deleting = false;
-                    mid_step = false;
-                } else {
-                    mid_step = true;
-                    let lit = Lit::from_dimacs(value)
-                        .ok_or(ProofParseError::LiteralOutOfRange { value })?;
-                    current.push(lit);
-                }
-            }
-        }
-        if mid_step {
-            return Err(ProofParseError::UnterminatedStep);
-        }
-        Ok(proof)
-    }
-
-    /// Renders the proof in binary DRAT format.
-    pub fn to_binary(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for step in &self.steps {
-            out.push(if step.is_add() { b'a' } else { b'd' });
-            for lit in step.clause() {
-                push_varint(&mut out, binary_code(*lit));
-            }
-            out.push(0);
-        }
-        out
-    }
-
-    /// Parses a binary DRAT proof.
-    pub fn parse_binary(input: &[u8]) -> Result<DratProof, ProofParseError> {
-        let mut proof = DratProof::new();
-        let mut bytes = input.iter().copied().peekable();
-        while let Some(tag) = bytes.next() {
-            let deleting = match tag {
-                b'a' => false,
-                b'd' => true,
-                other => return Err(ProofParseError::BadStepTag { tag: other }),
-            };
-            let mut clause = Vec::new();
-            loop {
-                let code = read_varint(&mut bytes)?;
-                if code == 0 {
-                    break;
-                }
-                clause.push(lit_from_binary(code)?);
-            }
-            proof.push(if deleting {
-                ProofStep::Delete(clause)
-            } else {
-                ProofStep::Add(clause)
-            });
-        }
-        Ok(proof)
-    }
 }
 
 impl ProofSink for DratProof {
@@ -271,60 +121,9 @@ impl ProofSink for DratProof {
     }
 }
 
-/// The binary-DRAT unsigned mapping: `2·|lit| + (lit < 0)` over DIMACS
-/// numbering, i.e. `(var_index + 1) << 1 | negative`.
-fn binary_code(lit: Lit) -> u64 {
-    let magnitude = (lit.var().index() as u64 + 1) << 1;
-    magnitude | u64::from(lit.is_negative())
-}
-
-fn lit_from_binary(code: u64) -> Result<Lit, ProofParseError> {
-    let magnitude = (code >> 1) as i64;
-    let value = if code & 1 == 1 { -magnitude } else { magnitude };
-    Lit::from_dimacs(value).ok_or(ProofParseError::LiteralOutOfRange { value })
-}
-
-fn push_varint(out: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = (value & 0x7F) as u8;
-        value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn read_varint(
-    bytes: &mut std::iter::Peekable<impl Iterator<Item = u8>>,
-) -> Result<u64, ProofParseError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = bytes.next().ok_or(ProofParseError::UnterminatedStep)?;
-        let chunk = u64::from(byte & 0x7F);
-        // The tenth chunk lands at shift 63, where only its low bit fits in
-        // a u64; a wider chunk must be rejected here (shifting would
-        // silently drop its high bits, decoding to a wrong literal).
-        if shift > 57 && chunk >> (64 - shift) != 0 {
-            return Err(ProofParseError::LiteralOutOfRange { value: i64::MAX });
-        }
-        value |= chunk << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(ProofParseError::LiteralOutOfRange { value: i64::MAX });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lit::Var;
 
     fn lit(v: i64) -> Lit {
         Lit::from_dimacs(v).unwrap()
@@ -342,113 +141,5 @@ mod tests {
         assert!(p.adds_empty_clause());
         assert_eq!(p.steps()[0], ProofStep::Add(vec![lit(1), lit(-2)]));
         assert_eq!(p.steps()[1], ProofStep::Delete(vec![lit(3)]));
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let mut p = DratProof::new();
-        p.add_clause(&[lit(1), lit(-2), lit(3)]);
-        p.delete_clause(&[lit(-1), lit(2)]);
-        p.add_clause(&[lit(-3)]);
-        p.add_clause(&[]);
-        let text = p.to_text();
-        assert!(text.contains("d -1 2 0"));
-        assert_eq!(DratProof::parse_text(&text).unwrap(), p);
-    }
-
-    #[test]
-    fn text_parse_tolerates_comments_and_linebreaks() {
-        let p = DratProof::parse_text("c comment\n1 -2\nc mid-step comment\n3 0\nd 1\n0\n").unwrap();
-        assert_eq!(p.steps()[0], ProofStep::Add(vec![lit(1), lit(-2), lit(3)]));
-        assert_eq!(p.steps()[1], ProofStep::Delete(vec![lit(1)]));
-    }
-
-    #[test]
-    fn text_parse_errors() {
-        assert!(matches!(
-            DratProof::parse_text("1 x 0\n"),
-            Err(ProofParseError::BadToken { .. })
-        ));
-        assert!(matches!(
-            DratProof::parse_text("1 2\n"),
-            Err(ProofParseError::UnterminatedStep)
-        ));
-        assert!(matches!(
-            DratProof::parse_text("9999999999 0\n"),
-            Err(ProofParseError::LiteralOutOfRange { .. })
-        ));
-        // `d` not at the start of a step is a bad token.
-        assert!(matches!(
-            DratProof::parse_text("1 d 2 0\n"),
-            Err(ProofParseError::BadToken { .. })
-        ));
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let mut p = DratProof::new();
-        p.add_clause(&[lit(1), lit(-2), lit(300)]);
-        p.delete_clause(&[lit(-1)]);
-        p.add_clause(&[]);
-        let bin = p.to_binary();
-        assert_eq!(bin[0], b'a');
-        assert_eq!(DratProof::parse_binary(&bin).unwrap(), p);
-    }
-
-    #[test]
-    fn binary_varint_width() {
-        // DIMACS literal 64 maps to 128, which needs two varint bytes.
-        let big = Var::from_index(63).positive();
-        let mut p = DratProof::new();
-        p.add_clause(&[big]);
-        let bin = p.to_binary();
-        assert_eq!(bin, vec![b'a', 0x80, 0x01, 0x00]);
-        assert_eq!(DratProof::parse_binary(&bin).unwrap(), p);
-    }
-
-    #[test]
-    fn binary_parse_errors() {
-        assert!(matches!(
-            DratProof::parse_binary(&[b'x', 0x02, 0x00]),
-            Err(ProofParseError::BadStepTag { tag: b'x' })
-        ));
-        assert!(matches!(
-            DratProof::parse_binary(&[b'a', 0x02]),
-            Err(ProofParseError::UnterminatedStep)
-        ));
-        assert!(matches!(
-            DratProof::parse_binary(&[b'a', 0x82]),
-            Err(ProofParseError::UnterminatedStep)
-        ));
-    }
-
-    #[test]
-    fn binary_varint_overflow_is_rejected() {
-        // Nine continuation chunks put the terminating chunk at shift 63,
-        // where only one payload bit fits. A wider terminator must error
-        // instead of silently truncating to a wrong literal.
-        let mut oversized = vec![b'a'];
-        oversized.extend(std::iter::repeat_n(0x80, 9));
-        oversized.push(0x02);
-        assert!(matches!(
-            DratProof::parse_binary(&oversized),
-            Err(ProofParseError::LiteralOutOfRange { .. })
-        ));
-        // Eleven chunks overflow outright regardless of payload.
-        let mut too_long = vec![b'a'];
-        too_long.extend(std::iter::repeat_n(0x80, 10));
-        too_long.push(0x01);
-        assert!(matches!(
-            DratProof::parse_binary(&too_long),
-            Err(ProofParseError::LiteralOutOfRange { .. })
-        ));
-    }
-
-    #[test]
-    fn empty_proof_roundtrips_both_ways() {
-        let p = DratProof::new();
-        assert_eq!(DratProof::parse_text(&p.to_text()).unwrap(), p);
-        assert_eq!(DratProof::parse_binary(&p.to_binary()).unwrap(), p);
-        assert!(!p.adds_empty_clause());
     }
 }

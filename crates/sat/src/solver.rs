@@ -43,27 +43,21 @@ struct Watcher {
     blocker: Lit,
 }
 
-/// Tunable solver parameters. The defaults match common CDCL practice.
+/// Activity decay for learnt clauses, applied after each conflict.
+const CLAUSE_DECAY: f64 = 0.999;
+/// Initial cap on learnt clauses, as a fraction of problem clauses.
+const LEARNT_SIZE_FACTOR: f64 = 1.0 / 3.0;
+/// Growth of the learnt-clause cap at each reduction.
+const LEARNT_SIZE_INC: f64 = 1.1;
+
+/// The search knobs a probe seat may vary (see `probes`); the defaults are
+/// the session solver's and match common CDCL practice.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
     /// Multiplicative VSIDS decay applied after each conflict.
     pub var_decay: f64,
-    /// Activity decay for learnt clauses.
-    pub clause_decay: f64,
     /// Conflicts before the first restart (scaled by the Luby sequence).
     pub restart_base: u64,
-    /// Disable restarts entirely (ablation switch).
-    pub restarts_enabled: bool,
-    /// Disable learnt-clause deletion (ablation switch).
-    pub reduce_enabled: bool,
-    /// Disable VSIDS, falling back to lowest-index decisions (ablation switch).
-    pub vsids_enabled: bool,
-    /// Disable learned-clause minimization (ablation switch).
-    pub minimize_enabled: bool,
-    /// Initial cap on learnt clauses, as a fraction of problem clauses.
-    pub learnt_size_factor: f64,
-    /// Growth of the learnt-clause cap at each reduction.
-    pub learnt_size_inc: f64,
     /// Initial saved phase for fresh variables (probe-seat diversification:
     /// a seat that starts "all true" explores the opposite corner of the
     /// search space from the default "all false" seat).
@@ -82,14 +76,7 @@ impl Default for SolverConfig {
     fn default() -> SolverConfig {
         SolverConfig {
             var_decay: 0.95,
-            clause_decay: 0.999,
             restart_base: 100,
-            restarts_enabled: true,
-            reduce_enabled: true,
-            vsids_enabled: true,
-            minimize_enabled: true,
-            learnt_size_factor: 1.0 / 3.0,
-            learnt_size_inc: 1.1,
             default_polarity: false,
             random_decision_freq: 0.0,
             random_seed: 0,
@@ -430,17 +417,12 @@ impl Solver {
         self.backtrack_to(0);
         self.stats.solves += 1;
 
-        let mut max_learnt =
-            (self.db.num_original() as f64 * self.config.learnt_size_factor).max(100.0);
+        let mut max_learnt = (self.db.num_original() as f64 * LEARNT_SIZE_FACTOR).max(100.0);
         let mut restart_num = 0u64;
         let budget_start = self.stats.conflicts;
 
         loop {
-            let restart_limit = if self.config.restarts_enabled {
-                luby(restart_num) * self.config.restart_base
-            } else {
-                u64::MAX
-            };
+            let restart_limit = luby(restart_num) * self.config.restart_base;
             restart_num += 1;
             match self.search(restart_limit, &mut max_learnt, budget_start) {
                 SearchOutcome::Sat => {
@@ -736,9 +718,7 @@ impl Solver {
             debug_assert_ne!(cref, ClauseRef::INVALID);
         }
 
-        if self.config.minimize_enabled {
-            self.minimize(&mut learnt);
-        }
+        self.minimize(&mut learnt);
 
         // Compute backtrack level: the second-highest level in the clause.
         let backtrack_level = if learnt.len() == 1 {
@@ -814,7 +794,7 @@ impl Solver {
 
     fn decay_activities(&mut self) {
         self.var_inc /= self.config.var_decay;
-        self.clause_inc /= self.config.clause_decay;
+        self.clause_inc /= CLAUSE_DECAY;
     }
 
     fn backtrack_to(&mut self, target_level: u32) {
@@ -878,19 +858,12 @@ impl Solver {
                 }
             }
         }
-        if self.config.vsids_enabled {
-            while let Some(v) = self.order.pop_max(&self.activity) {
-                if self.assigns[v.index()] == LBool::Undef {
-                    return Some(Lit::new(v, self.polarity[v.index()]));
-                }
+        while let Some(v) = self.order.pop_max(&self.activity) {
+            if self.assigns[v.index()] == LBool::Undef {
+                return Some(Lit::new(v, self.polarity[v.index()]));
             }
-            None
-        } else {
-            (0..self.num_vars())
-                .map(Var::from_index)
-                .find(|v| self.assigns[v.index()] == LBool::Undef)
-                .map(|v| Lit::new(v, self.polarity[v.index()]))
         }
+        None
     }
 
     fn search(
@@ -945,9 +918,9 @@ impl Solver {
                 if conflicts_this_restart >= restart_limit && self.decision_level() > 0 {
                     return SearchOutcome::Restart;
                 }
-                if self.config.reduce_enabled && self.db.num_learnt() as f64 >= *max_learnt {
+                if self.db.num_learnt() as f64 >= *max_learnt {
                     self.reduce_db();
-                    *max_learnt *= self.config.learnt_size_inc;
+                    *max_learnt *= LEARNT_SIZE_INC;
                 }
                 // Extend with pending assumptions before free decisions.
                 let level = self.decision_level() as usize;

@@ -105,24 +105,18 @@ fn every_random_unsat_verdict_has_a_checkable_proof() {
 }
 
 #[test]
-fn ablated_configs_also_produce_checkable_proofs() {
-    // Minimization and deletion are the instrumentation sites most likely
-    // to desynchronize the proof from the clause database; run them both
-    // ways, and with restarts off and after every conflict.
+fn restart_every_conflict_also_produces_checkable_proofs() {
+    // Restarting after every conflict crosses the most restart boundaries
+    // a search can, each one a chance to desynchronize the proof from the
+    // clause database.
     prop::check(&Config::with_cases(128), gen_formula, |f| {
         let (num_vars, raw) = normalize(f);
         let clauses = to_lits(&raw);
-        for config in [
-            SolverConfig { minimize_enabled: false, ..SolverConfig::default() },
-            SolverConfig { reduce_enabled: false, ..SolverConfig::default() },
-            SolverConfig { restarts_enabled: false, ..SolverConfig::default() },
-            SolverConfig { restart_base: 1, ..SolverConfig::default() },
-        ] {
-            let mut s = recording_solver(num_vars, &clauses, config);
-            if s.solve() == SolveResult::Unsat {
-                let proof = s.recorded_proof().expect("recording was enabled");
-                prop_assert_eq!(check_refutation(num_vars, &clauses, proof), Ok(()));
-            }
+        let config = SolverConfig { restart_base: 1, ..SolverConfig::default() };
+        let mut s = recording_solver(num_vars, &clauses, config);
+        if s.solve() == SolveResult::Unsat {
+            let proof = s.recorded_proof().expect("recording was enabled");
+            prop_assert_eq!(check_refutation(num_vars, &clauses, proof), Ok(()));
         }
         Ok(())
     });
@@ -220,7 +214,7 @@ fn simplify_keeps_proofs_checkable() {
 }
 
 #[test]
-fn pigeonhole_proofs_check_and_roundtrip() {
+fn pigeonhole_proofs_check() {
     for n in 3..=6 {
         let (num_vars, clauses) = pigeonhole_clauses(n);
         let mut s = recording_solver(num_vars, &clauses, SolverConfig::default());
@@ -228,12 +222,6 @@ fn pigeonhole_proofs_check_and_roundtrip() {
         let proof = s.take_proof().unwrap();
         assert!(proof.adds_empty_clause(), "php({n}) refutation must conclude");
         assert_eq!(check_refutation(num_vars, &clauses, &proof), Ok(()), "php({n})");
-        // The serialized forms carry the same proof.
-        let text = DratProof::parse_text(&proof.to_text()).unwrap();
-        let binary = DratProof::parse_binary(&proof.to_binary()).unwrap();
-        assert_eq!(text, proof);
-        assert_eq!(binary, proof);
-        assert_eq!(check_refutation(num_vars, &clauses, &text), Ok(()));
     }
 }
 

@@ -7,7 +7,7 @@
 
 use netarch_rt::prop::{self, gen_vec, Config};
 use netarch_rt::{prop_assert, prop_assert_eq, Rng};
-use netarch_sat::{dimacs, enumerate, Lit, SolveResult, Solver, SolverConfig, Var};
+use netarch_sat::{enumerate, Lit, SolveResult, Solver, SolverConfig, Var};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -100,25 +100,17 @@ fn agrees_with_brute_force() {
 }
 
 #[test]
-fn ablated_configs_agree_with_brute_force() {
+fn restart_every_conflict_agrees_with_brute_force() {
+    // Restart after every conflict: the most restart boundaries a search
+    // can cross.
     prop::check(&Config::with_cases(256), gen_formula, |f| {
         let (num_vars, clauses) = normalize(f);
-        for config in [
-            SolverConfig { vsids_enabled: false, ..SolverConfig::default() },
-            SolverConfig { restarts_enabled: false, ..SolverConfig::default() },
-            SolverConfig { minimize_enabled: false, ..SolverConfig::default() },
-            SolverConfig { reduce_enabled: false, ..SolverConfig::default() },
-            // Restart after every conflict: the most restart boundaries a
-            // search can cross.
-            SolverConfig { restart_base: 1, ..SolverConfig::default() },
-        ] {
-            let mut s = build_solver(num_vars, &clauses, config);
-            let expected = brute_force_sat(num_vars, &clauses);
-            let got = s.solve();
-            prop_assert_eq!(got == SolveResult::Sat, expected);
-            if got == SolveResult::Sat {
-                prop_assert!(model_satisfies(&s, &clauses));
-            }
+        let config = SolverConfig { restart_base: 1, ..SolverConfig::default() };
+        let mut s = build_solver(num_vars, &clauses, config);
+        let got = s.solve();
+        prop_assert_eq!(got == SolveResult::Sat, brute_force_sat(num_vars, &clauses));
+        if got == SolveResult::Sat {
+            prop_assert!(model_satisfies(&s, &clauses));
         }
         Ok(())
     });
@@ -194,27 +186,6 @@ fn enumeration_counts_match_brute_force() {
             Ok(())
         },
     );
-}
-
-#[test]
-fn dimacs_roundtrip_preserves_satisfiability() {
-    prop::check(&Config::with_cases(256), gen_formula, |f| {
-        let (num_vars, clauses) = normalize(f);
-        let cnf = dimacs::Cnf {
-            num_vars,
-            clauses: clauses
-                .iter()
-                .map(|c| c.iter().map(|&(v, pos)| Lit::new(Var::from_index(v), pos)).collect())
-                .collect(),
-        };
-        let reparsed = dimacs::parse(&dimacs::write(&cnf)).unwrap();
-        let mut s1 = Solver::new();
-        let mut s2 = Solver::new();
-        dimacs::load_into(&mut s1, &cnf);
-        dimacs::load_into(&mut s2, &reparsed);
-        prop_assert_eq!(s1.solve(), s2.solve());
-        Ok(())
-    });
 }
 
 #[test]

@@ -29,6 +29,11 @@ else
     echo "WARNING: clippy not installed; lint step SKIPPED (set CI=1 to make this fatal)" >&2
 fi
 
+echo "== rustdoc =="
+# Broken, ambiguous or private intra-doc links fail here, so a doc link to
+# a deleted item cannot land.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== narch conformance =="
 # The committed .narch corpus must stay in lockstep with the Rust
 # builders: regenerate from the corpus crate and require a byte-identical
