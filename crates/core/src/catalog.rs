@@ -4,20 +4,67 @@
 
 use crate::component::{HardwareSpec, SystemSpec};
 use crate::error::CatalogError;
+use crate::fingerprint::Fingerprint;
 use crate::ordering::{OrderingEdge, PreferenceOrder};
 use crate::types::{Capability, Category, HardwareId, HardwareKind, SystemId};
 use netarch_rt::impl_json_struct;
+use netarch_rt::json::{field, FromJson, Json, JsonError, ToJson};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// The knowledge catalog.
-#[derive(Clone, Default, Debug)]
+///
+/// Clones are cheap: they share one copy of the content until one of
+/// them mutates, which then copies it (copy-on-write). The content digest
+/// ([`crate::fingerprint::fingerprint_catalog`]) is memoized beside the
+/// shared content, so every clone of an unmodified catalog, on any
+/// thread, computes it at most once between them.
+#[derive(Clone, Default)]
 pub struct Catalog {
+    content: Arc<Content>,
+}
+
+#[derive(Clone, Default)]
+struct Content {
     systems: BTreeMap<SystemId, SystemSpec>,
     hardware: BTreeMap<HardwareId, HardwareSpec>,
     order: PreferenceOrder,
+    /// Digest of the three maps above; emptied by every mutation.
+    digest: OnceLock<Fingerprint>,
 }
 
-impl_json_struct!(Catalog { systems, hardware, order });
+impl fmt::Debug for Catalog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Catalog")
+            .field("systems", &self.content.systems)
+            .field("hardware", &self.content.hardware)
+            .field("order", &self.content.order)
+            .finish()
+    }
+}
+
+impl ToJson for Catalog {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("systems".to_string(), self.content.systems.to_json()),
+            ("hardware".to_string(), self.content.hardware.to_json()),
+            ("order".to_string(), self.content.order.to_json()),
+        ])
+    }
+}
+
+impl FromJson for Catalog {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        let content = Content {
+            systems: field(j, "systems")?,
+            hardware: field(j, "hardware")?,
+            order: field(j, "order")?,
+            digest: OnceLock::new(),
+        };
+        Ok(Catalog { content: Arc::new(content) })
+    }
+}
 
 impl Catalog {
     /// Creates an empty catalog.
@@ -25,21 +72,34 @@ impl Catalog {
         Catalog::default()
     }
 
+    /// The one way to mutable content: unshares it from other clones and
+    /// forgets the memoized digest.
+    fn content_mut(&mut self) -> &mut Content {
+        let content = Arc::make_mut(&mut self.content);
+        content.digest = OnceLock::new();
+        content
+    }
+
+    /// The memoized content digest, shared by every clone of this content.
+    pub(crate) fn digest_memo(&self) -> &OnceLock<Fingerprint> {
+        &self.content.digest
+    }
+
     /// Registers a system encoding; rejects duplicate ids.
     pub fn add_system(&mut self, spec: SystemSpec) -> Result<(), CatalogError> {
-        if self.systems.contains_key(&spec.id) {
+        if self.content.systems.contains_key(&spec.id) {
             return Err(CatalogError::DuplicateSystem(spec.id));
         }
-        self.systems.insert(spec.id.clone(), spec);
+        self.content_mut().systems.insert(spec.id.clone(), spec);
         Ok(())
     }
 
     /// Registers a hardware encoding; rejects duplicate ids.
     pub fn add_hardware(&mut self, spec: HardwareSpec) -> Result<(), CatalogError> {
-        if self.hardware.contains_key(&spec.id) {
+        if self.content.hardware.contains_key(&spec.id) {
             return Err(CatalogError::DuplicateHardware(spec.id));
         }
-        self.hardware.insert(spec.id.clone(), spec);
+        self.content_mut().hardware.insert(spec.id.clone(), spec);
         Ok(())
     }
 
@@ -47,72 +107,73 @@ impl Catalog {
     /// rules-of-thumb about unknown systems are probably typos.
     pub fn add_ordering(&mut self, edge: OrderingEdge) -> Result<(), CatalogError> {
         for endpoint in [&edge.better, &edge.worse] {
-            if !self.systems.contains_key(endpoint) {
+            if !self.content.systems.contains_key(endpoint) {
                 return Err(CatalogError::UnknownSystem(endpoint.clone()));
             }
         }
-        self.order.add(edge);
+        self.content_mut().order.add(edge);
         Ok(())
     }
 
     /// Looks up a system.
     pub fn system(&self, id: &SystemId) -> Option<&SystemSpec> {
-        self.systems.get(id)
+        self.content.systems.get(id)
     }
 
     /// Looks up a hardware model.
     pub fn hardware(&self, id: &HardwareId) -> Option<&HardwareSpec> {
-        self.hardware.get(id)
+        self.content.hardware.get(id)
     }
 
     /// All systems, ordered by id.
     pub fn systems(&self) -> impl Iterator<Item = &SystemSpec> {
-        self.systems.values()
+        self.content.systems.values()
     }
 
     /// All hardware, ordered by id.
     pub fn hardware_specs(&self) -> impl Iterator<Item = &HardwareSpec> {
-        self.hardware.values()
+        self.content.hardware.values()
     }
 
     /// Systems of a category.
     pub fn systems_in(&self, category: &Category) -> Vec<&SystemSpec> {
-        self.systems.values().filter(|s| &s.category == category).collect()
+        self.systems().filter(|s| &s.category == category).collect()
     }
 
     /// Systems claiming a capability.
     pub fn systems_solving(&self, capability: &Capability) -> Vec<&SystemSpec> {
-        self.systems.values().filter(|s| s.solves(capability)).collect()
+        self.systems().filter(|s| s.solves(capability)).collect()
     }
 
     /// Hardware models of a kind.
     pub fn hardware_of_kind(&self, kind: HardwareKind) -> Vec<&HardwareSpec> {
-        self.hardware.values().filter(|h| h.kind == kind).collect()
+        self.hardware_specs().filter(|h| h.kind == kind).collect()
     }
 
     /// The preference order.
     pub fn order(&self) -> &PreferenceOrder {
-        &self.order
+        &self.content.order
     }
 
     /// Number of systems.
     pub fn num_systems(&self) -> usize {
-        self.systems.len()
+        self.content.systems.len()
     }
 
     /// Number of hardware models.
     pub fn num_hardware(&self) -> usize {
-        self.hardware.len()
+        self.content.hardware.len()
     }
 
     /// Validates referential integrity: every system id mentioned in
     /// conflicts, conditions, and ordering edges must be registered.
     /// Returns all dangling references.
     pub fn validate(&self) -> Vec<CatalogError> {
+        let systems = &self.content.systems;
         let mut errors = Vec::new();
-        for spec in self.systems.values() {
+        for spec in systems.values() {
             for other in &spec.conflicts {
-                if !self.systems.contains_key(other) {
+                if !systems.contains_key(other) {
                     errors.push(CatalogError::DanglingReference {
                         from: spec.id.clone(),
                         to: other.clone(),
@@ -121,7 +182,7 @@ impl Catalog {
             }
             for req in &spec.requires {
                 for referenced in req.condition.referenced_systems() {
-                    if !self.systems.contains_key(referenced) {
+                    if !systems.contains_key(referenced) {
                         errors.push(CatalogError::DanglingReference {
                             from: spec.id.clone(),
                             to: referenced.clone(),
@@ -139,19 +200,17 @@ impl Catalog {
     /// metric is that this grows linearly with the component count.
     pub fn spec_size(&self) -> usize {
         let system_units: usize = self
-            .systems
-            .values()
+            .systems()
             .map(|s| {
                 1 + s.solves.len() + s.requires.len() + s.conflicts.len() + s.resources.len()
                     + s.provides.len()
             })
             .sum();
         let hardware_units: usize = self
-            .hardware
-            .values()
+            .hardware_specs()
             .map(|h| 1 + h.features.len() + h.numeric.len())
             .sum();
-        system_units + hardware_units + self.order.edges().len()
+        system_units + hardware_units + self.order().edges().len()
     }
 }
 
@@ -199,43 +258,44 @@ impl Catalog {
     /// Applies a delta atomically: on error the catalog is unchanged.
     pub fn apply(&mut self, delta: CatalogDelta) -> Result<(), CatalogError> {
         let mut next = self.clone();
+        let content = next.content_mut();
         for id in &delta.remove_systems {
-            if next.systems.remove(id).is_none() {
+            if content.systems.remove(id).is_none() {
                 return Err(CatalogError::UnknownSystem(id.clone()));
             }
         }
         for spec in delta.upsert_systems {
-            next.systems.insert(spec.id.clone(), spec);
+            content.systems.insert(spec.id.clone(), spec);
         }
         for id in &delta.remove_hardware {
-            if next.hardware.remove(id).is_none() {
-                return Err(CatalogError::DuplicateHardware(id.clone()));
+            if content.hardware.remove(id).is_none() {
+                return Err(CatalogError::UnknownHardware(id.clone()));
             }
         }
         for spec in delta.upsert_hardware {
-            next.hardware.insert(spec.id.clone(), spec);
+            content.hardware.insert(spec.id.clone(), spec);
         }
         // Drop edges touching removed systems; then append new edges.
         let removed: std::collections::BTreeSet<&SystemId> =
             delta.remove_systems.iter().collect();
-        let kept: Vec<OrderingEdge> = next
+        let kept: Vec<OrderingEdge> = content
             .order
             .edges()
             .iter()
             .filter(|e| !removed.contains(&e.better) && !removed.contains(&e.worse))
             .cloned()
             .collect();
-        next.order = PreferenceOrder::new();
+        content.order = PreferenceOrder::new();
         for e in kept {
-            next.order.add(e);
+            content.order.add(e);
         }
         for e in delta.add_orderings {
             for endpoint in [&e.better, &e.worse] {
-                if !next.systems.contains_key(endpoint) {
+                if !content.systems.contains_key(endpoint) {
                     return Err(CatalogError::UnknownSystem(endpoint.clone()));
                 }
             }
-            next.order.add(e);
+            content.order.add(e);
         }
         // Referential integrity of the result.
         let errors = next.validate();
@@ -398,6 +458,48 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, CatalogError::UnknownSystem(_)));
+    }
+
+    #[test]
+    fn delta_removing_unknown_hardware_names_it() {
+        let mut c = Catalog::new();
+        let err = c
+            .apply(CatalogDelta {
+                remove_hardware: vec![HardwareId::new("GHOST")],
+                ..CatalogDelta::default()
+            })
+            .unwrap_err();
+        assert_eq!(err, CatalogError::UnknownHardware(HardwareId::new("GHOST")));
+        assert_eq!(err.to_string(), "unknown hardware GHOST");
+    }
+
+    #[test]
+    fn clones_share_content_and_digest_until_one_mutates() {
+        let original = catalog_with(&["A", "B"]);
+        let digest = crate::fingerprint::fingerprint_catalog(&original);
+        let mut clone = original.clone();
+        assert!(Arc::ptr_eq(&original.content, &clone.content));
+        assert_eq!(clone.digest_memo().get(), Some(&digest), "clones share the memo");
+
+        // A rejected mutation neither unshares nor forgets.
+        clone
+            .add_system(SystemSpec::builder("A", Category::NetworkStack).build())
+            .unwrap_err();
+        assert!(Arc::ptr_eq(&original.content, &clone.content));
+
+        clone.add_ordering(OrderingEdge::strict("A", "B", Dimension::Throughput)).unwrap();
+        assert!(!Arc::ptr_eq(&original.content, &clone.content));
+        assert_eq!(clone.digest_memo().get(), None, "a mutation forgets the digest");
+        assert_eq!(original.digest_memo().get(), Some(&digest));
+        assert_eq!(original.order().edges().len(), 0);
+    }
+
+    #[test]
+    fn debug_prints_content_not_the_memo() {
+        let digested = catalog_with(&["A"]);
+        crate::fingerprint::fingerprint_catalog(&digested);
+        assert_eq!(format!("{digested:?}"), format!("{:?}", catalog_with(&["A"])));
+        assert!(!format!("{digested:?}").contains("digest"));
     }
 
     #[test]

@@ -10,8 +10,10 @@ pub enum CatalogError {
     DuplicateSystem(SystemId),
     /// A hardware id was registered twice.
     DuplicateHardware(HardwareId),
-    /// An edge or rule references a system not in the catalog.
+    /// An edge, rule or removal references a system not in the catalog.
     UnknownSystem(SystemId),
+    /// A removal references a hardware model not in the catalog.
+    UnknownHardware(HardwareId),
     /// A spec references another spec that is not registered.
     DanglingReference {
         /// The spec holding the reference.
@@ -27,6 +29,7 @@ impl fmt::Display for CatalogError {
             CatalogError::DuplicateSystem(id) => write!(f, "duplicate system id {id}"),
             CatalogError::DuplicateHardware(id) => write!(f, "duplicate hardware id {id}"),
             CatalogError::UnknownSystem(id) => write!(f, "unknown system {id}"),
+            CatalogError::UnknownHardware(id) => write!(f, "unknown hardware {id}"),
             CatalogError::DanglingReference { from, to } => {
                 write!(f, "system {from} references unknown system {to}")
             }

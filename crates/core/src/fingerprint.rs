@@ -15,12 +15,11 @@
 //! own (over its canonical JSON serialization, which is deterministic —
 //! struct fields serialize in declaration order and maps in key order)
 //! and the per-section digests are then folded into catalog / context /
-//! full digests. The shared-corpus structure this hash-consing exposes is
-//! what a multi-tenant service routes on: two users posing different
-//! questions over the *same catalog* produce different full fingerprints
-//! but the same [`ScenarioFingerprint::catalog`] component, so their
-//! sessions can be co-located where learned clauses and branching
-//! activity transfer best.
+//! full digests. Two users posing different questions over the *same
+//! catalog* produce different full fingerprints but the same
+//! [`ScenarioFingerprint::catalog`] component. The catalog digest is
+//! memoized in the catalog itself, so in-process requests that share a
+//! catalog object digest it once.
 //!
 //! The hash is 128-bit FNV-1a with a SplitMix-style finalizer on the
 //! commutative paths. It is not cryptographic: a cache keyed by it trusts
@@ -51,11 +50,11 @@ impl fmt::Debug for Fingerprint {
 
 /// The layered digest of one scenario.
 ///
-/// `full` keys exact-match caching (same digest ⇒ a warm compiled session
-/// can answer); `catalog` keys session-affinity routing (same corpus ⇒
-/// co-locate, even when workload/pins/objectives differ); `context` is
-/// everything but the catalog, so `full` is a pure function of the other
-/// two.
+/// `full` keys exact-match caching and routing (same digest ⇒ a warm
+/// compiled session can answer); `catalog` identifies the corpus (same
+/// for every question posed over it, whatever the workload, pins or
+/// objectives); `context` is everything but the catalog, so `full` is a
+/// pure function of the other two.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ScenarioFingerprint {
     /// Digest of the whole scenario.
@@ -134,7 +133,15 @@ fn ordered(tag: &str, digests: impl Iterator<Item = u128>) -> u128 {
 /// unordered multiset of fragment digests. Catalog maps are already
 /// id-sorted, but the combination does not rely on it — a catalog
 /// assembled in any insertion order digests identically.
+///
+/// The digest is memoized in the catalog's shared content, so it is
+/// computed once per distinct catalog object, however many clones of it
+/// requests carry.
 pub fn fingerprint_catalog(catalog: &Catalog) -> Fingerprint {
+    *catalog.digest_memo().get_or_init(|| digest_catalog(catalog))
+}
+
+fn digest_catalog(catalog: &Catalog) -> Fingerprint {
     let systems = unordered("systems", catalog.systems().map(|s| fragment("system", s)));
     let hardware = unordered(
         "hardware",

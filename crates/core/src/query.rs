@@ -25,7 +25,7 @@
 use crate::compile::{
     compile_capacity, compile_with_backend, Compiled, CompiledCapacity, CompileStats,
 };
-use crate::error::CompileError;
+use crate::error::{CatalogError, CompileError};
 use crate::ordering::Comparison;
 use crate::scenario::Scenario;
 use crate::solution::Design;
@@ -465,7 +465,10 @@ impl Engine {
                     )],
                     ..crate::catalog::CatalogDelta::default()
                 })
-                .map_err(|_| CompileError::UnknownSystem(better.clone()))?;
+                .map_err(|e| match e {
+                    CatalogError::UnknownSystem(id) => CompileError::UnknownSystem(id),
+                    other => CompileError::InvalidCatalog(vec![other]),
+                })?;
             let mut engine = Engine::new(scenario)?;
             Ok(engine.optimize()?.ok().map(|r| r.design))
         };

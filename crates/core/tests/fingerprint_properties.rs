@@ -16,7 +16,7 @@
 //!    iteration accidents. Pinned by golden constants that any
 //!    rebuild, rerun, or refactor must reproduce.
 
-use netarch_core::fingerprint::fingerprint_scenario;
+use netarch_core::fingerprint::{fingerprint_catalog, fingerprint_scenario};
 use netarch_core::prelude::*;
 use netarch_rt::json::{FromJson, ToJson};
 use netarch_rt::prop::{self, gen_vec, Config};
@@ -344,6 +344,103 @@ fn every_single_atom_mutation_moves_the_fingerprint() {
                 );
             }
         }
+        Ok(())
+    });
+}
+
+/// A catalog plus a sequence of edits to apply to a clone of it.
+#[derive(Debug, Clone)]
+struct EditSeed {
+    content: Seed,
+    edits: Vec<u8>,
+}
+
+impl_shrink_struct!(EditSeed { content, edits });
+
+fn gen_edit_seed(rng: &mut Rng) -> EditSeed {
+    EditSeed {
+        content: gen_seed(rng),
+        edits: gen_vec(rng, 1..=8, |r| r.gen_range(0..=u8::MAX)),
+    }
+}
+
+/// Applies edit `code` (number `step` of its sequence) through one of the
+/// catalog's four mutators, or through an `apply` the catalog rejects.
+fn edit_catalog(catalog: &mut Catalog, step: usize, code: u8) -> Result<(), String> {
+    let ids: Vec<SystemId> = catalog.systems().map(|s| s.id.clone()).collect();
+    let pick = ids[usize::from(code / 5) % ids.len()].clone();
+    match code % 5 {
+        0 => catalog
+            .add_system(
+                SystemSpec::builder(format!("NEW_{step}"), Category::Monitoring)
+                    .solves("cap_monitoring")
+                    .cost(u64::from(code))
+                    .build(),
+            )
+            .map_err(|e| e.to_string()),
+        1 => catalog
+            .add_hardware(
+                HardwareSpec::builder(format!("NEWNIC_{step}"), HardwareKind::Nic)
+                    .cost(u64::from(code))
+                    .build(),
+            )
+            .map_err(|e| e.to_string()),
+        2 => catalog
+            .add_ordering(OrderingEdge::strict(
+                pick,
+                ids[0].clone(),
+                if code < 128 { Dimension::Latency } else { Dimension::Isolation },
+            ))
+            .map_err(|e| e.to_string()),
+        3 => {
+            let mut spec = catalog.system(&pick).unwrap().clone();
+            spec.cost_usd += 1 + u64::from(code);
+            catalog
+                .apply(netarch_core::catalog::CatalogDelta::update_system(spec))
+                .map_err(|e| e.to_string())
+        }
+        _ => {
+            // The delta fails only after upserting a system, so `apply`
+            // must roll back a partly edited copy.
+            let before = catalog.to_json();
+            let rejected = catalog.apply(netarch_core::catalog::CatalogDelta {
+                upsert_systems: vec![SystemSpec::builder("DOOMED", Category::Firewall).build()],
+                remove_hardware: vec![HardwareId::new("GHOST")],
+                ..Default::default()
+            });
+            prop_assert_eq!(
+                rejected,
+                Err(CatalogError::UnknownHardware(HardwareId::new("GHOST"))),
+                "removing unknown hardware"
+            );
+            prop_assert_eq!(catalog.to_json(), before, "a rejected apply changed the catalog");
+            Ok(())
+        }
+    }
+}
+
+#[test]
+fn catalog_clones_memoize_the_digest_of_their_own_content() {
+    // Copy-on-write: a clone shares the original's content and memoized
+    // digest until it mutates. After every edit the clone's digest must be
+    // that of its content rebuilt from JSON (no stale memo), and the
+    // original must keep both its content and its digest.
+    prop::check(&Config::with_cases(48), gen_edit_seed, |seed| {
+        let original = build_scenario(&seed.content, false).catalog;
+        let original_json = original.to_json();
+        let original_fp = fingerprint_catalog(&original);
+        let mut clone = original.clone();
+        for (step, &code) in seed.edits.iter().enumerate() {
+            edit_catalog(&mut clone, step, code)?;
+            let rebuilt = Catalog::from_json(&clone.to_json()).expect("catalog roundtrips");
+            prop_assert_eq!(
+                fingerprint_catalog(&clone),
+                fingerprint_catalog(&rebuilt),
+                "edit {step} ({code}) left a stale digest on the clone"
+            );
+        }
+        prop_assert_eq!(original.to_json(), original_json, "editing a clone changed the original");
+        prop_assert_eq!(fingerprint_catalog(&original), original_fp, "the original's digest moved");
         Ok(())
     });
 }

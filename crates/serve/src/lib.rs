@@ -13,9 +13,10 @@
 //!    compile-and-solve to solve-only.
 //! 2. **Scenarios repeat, nearly.** Tenants iterate: same catalog, a
 //!    tweaked workload or budget. Content-addressed fingerprints
-//!    ([`netarch_core::fingerprint`]) make exact repeats cache hits, and
-//!    catalog-component affinity routes near-repeats to the shard whose
-//!    sessions learned clauses on the same corpus.
+//!    ([`netarch_core::fingerprint`]) make exact repeats cache hits. A
+//!    near-repeat is new content that compiles its own session, so it
+//!    gains nothing from landing beside its relatives; routing spreads
+//!    distinct scenarios instead.
 //! 3. **Sessions are single-threaded but independent.** One engine
 //!    serves one request at a time; N engines across N worker threads
 //!    scale throughput without touching the solver.
@@ -24,10 +25,11 @@
 //! threads ("shards"), each holding a small LRU of warm engine sessions
 //! keyed by full scenario fingerprint. Routing is stateless and
 //! deterministic: with caching on, a request goes to shard
-//! `catalog_fingerprint % shards`; with caching off, requests round-robin
-//! by id. Determinism end to end — same request tape, same answers, same
-//! hit/miss/eviction counts, regardless of thread interleaving — is a
-//! test invariant, not an aspiration (see `tests/service_determinism.rs`).
+//! `full_fingerprint % shards`, where an exact repeat finds its warm
+//! session; with caching off, requests round-robin by id. Determinism
+//! end to end — same request tape, same answers, same hit/miss/eviction
+//! counts, regardless of thread interleaving — is a test invariant, not
+//! an aspiration (see `tests/service_determinism.rs`).
 //!
 //! [`replay`] generates deterministic request tapes (cold / repeat /
 //! near-variant mixes from a seeded PRNG) for load tests and the

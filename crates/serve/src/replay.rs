@@ -17,9 +17,9 @@
 //!   caching on this is the warm path: same full fingerprint, same
 //!   shard, warm session.
 //! - **variant**: an earlier scenario with a mutated context (fleet
-//!   size, a param, the budget). Same catalog fingerprint — routed to
-//!   the same shard as its relatives — but a different full
-//!   fingerprint, so it compiles, then becomes warm for its own repeats.
+//!   size, a param, the budget). Same catalog fingerprint but a
+//!   different full fingerprint, so it routes on its own, compiles, then
+//!   becomes warm for its own repeats.
 
 use netarch_core::prelude::*;
 use netarch_rt::json::Json;
@@ -140,11 +140,11 @@ fn next_cold(pool: &[Scenario], cursor: &mut usize) -> Scenario {
 }
 
 /// Mutates a base scenario's context without touching its catalog: the
-/// variant routes to the same shard (same catalog fingerprint) but is
-/// new content (new full fingerprint). The per-request nonce guarantees
-/// newness even when the drawn mutation happens to reproduce an earlier
-/// one — a variant always means a genuine compile; warm traffic comes
-/// from the repeat class.
+/// variant shares the base's catalog fingerprint but is new content (new
+/// full fingerprint). The per-request nonce guarantees newness even when
+/// the drawn mutation happens to reproduce an earlier one — a variant
+/// always means a genuine compile; warm traffic comes from the repeat
+/// class.
 fn mutate(rng: &mut Rng, base: &Scenario, id: u64) -> Scenario {
     let scenario = base.clone().with_param("variant_nonce", id as f64);
     match rng.gen_range(0..3u32) {

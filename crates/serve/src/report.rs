@@ -50,9 +50,9 @@ pub fn mean_micros(responses: &[Response], keep: impl Fn(&Response) -> bool) -> 
     }
 }
 
-/// Builds the service summary: request/class/cache counters, per-class
-/// latency, throughput, and the warm-over-cold speedup that the cache
-/// is measured by.
+/// Builds the service summary: request/class/cache counters, each
+/// shard's request and hit counts, per-class latency, throughput, and
+/// the warm-over-cold speedup that the cache is measured by.
 pub fn summary(responses: &[Response], stats: &ServiceStats, elapsed_micros: u64) -> Json {
     let count_class = |class: RequestClass| {
         responses.iter().filter(|r| r.class == class).count() as u64
@@ -93,6 +93,11 @@ pub fn summary(responses: &[Response], stats: &ServiceStats, elapsed_micros: u64
         "sessions_retained": stats.shards.iter().map(|s| s.sessions_retained).sum::<u64>(),
         "learnt_clauses": stats.learnt_clauses(),
         "shards": stats.shards.len() as u64,
+        "per_shard": stats
+            .shards
+            .iter()
+            .map(|s| jobj! { "requests": s.requests, "cache_hits": s.cache_hits })
+            .collect::<Vec<Json>>(),
         "qps": qps,
         "elapsed_ms": elapsed_micros as f64 / 1000.0,
         "latency": latency_json(all),
@@ -139,6 +144,27 @@ mod tests {
         assert_eq!(percentile(&sample, 99.0), 100);
         assert_eq!(percentile(&[], 50.0), 0);
         assert_eq!(percentile(&[7], 99.0), 7);
+    }
+
+    #[test]
+    fn summary_keeps_per_shard_counts_through_strip_timing() {
+        use crate::service::ShardStats;
+        let stats = ServiceStats {
+            shards: vec![
+                ShardStats { requests: 3, cache_hits: 1, ..ShardStats::default() },
+                ShardStats { requests: 2, cache_hits: 0, ..ShardStats::default() },
+            ],
+        };
+        let stripped = strip_timing(&summary(&[], &stats, 1));
+        let per_shard = stripped.get("per_shard").and_then(Json::as_array).unwrap();
+        let counts: Vec<(u64, u64)> = per_shard
+            .iter()
+            .map(|s| {
+                let count = |key| s.get(key).and_then(Json::as_u64).unwrap();
+                (count("requests"), count("cache_hits"))
+            })
+            .collect();
+        assert_eq!(counts, [(3, 1), (2, 0)]);
     }
 
     #[test]

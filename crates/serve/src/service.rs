@@ -8,14 +8,15 @@
 //! optimize/enumerate answers.
 //!
 //! **Routing is stateless and deterministic.** With caching on, a
-//! request goes to shard `catalog_fingerprint mod shards`: exact repeats
-//! land where their warm session lives, and near-variants (same catalog,
-//! tweaked context) land beside their relatives, so one shard's LRU
-//! concentrates a tenant's iteration loop instead of scattering it.
-//! With caching off, requests round-robin by id. Neither mode consults
-//! runtime state, so the shard assignment — and with the sequential
-//! backend, every answer and counter — is a pure function of the
-//! request tape. The differential and determinism suites hold the
+//! request goes to shard `full_fingerprint mod shards`: an exact repeat
+//! lands where its warm session lives, and distinct scenarios spread
+//! over every shard even when they share one catalog. Sessions are keyed
+//! by full fingerprint and share nothing, so co-locating a catalog's
+//! near-variants would buy no reuse and would pile a one-catalog tape
+//! onto one shard. With caching off, requests round-robin by id. Neither
+//! mode consults runtime state, so the shard assignment — and with the
+//! sequential backend, every answer and counter — is a pure function of
+//! the request tape. The differential and determinism suites hold the
 //! service to exactly that.
 //!
 //! **Eviction is logical-clock LRU.** Each worker stamps cache entries
@@ -183,14 +184,14 @@ impl Service {
 
     /// Routes one request to its shard.
     ///
-    /// Cache on: by catalog fingerprint, so repeats and near-variants of
-    /// one corpus share a shard (session affinity). Cache off: round-robin
-    /// by id — no affinity to exploit, so spread the load evenly.
+    /// Cache on: by full fingerprint, so an exact repeat reaches the shard
+    /// holding its warm session and distinct scenarios spread evenly.
+    /// Cache off: round-robin by id.
     pub fn submit(&mut self, request: Request) {
         let fingerprint = fingerprint_scenario(&request.scenario);
         let shards = self.job_txs.len() as u64;
         let shard = if self.config.cache {
-            (fingerprint.catalog.0 % u128::from(shards)) as usize
+            (fingerprint.full.0 % u128::from(shards)) as usize
         } else {
             (request.id % shards) as usize
         };
@@ -252,7 +253,7 @@ fn shard_worker(
             None => {
                 stats.cache_misses += 1;
                 stats.compiles += 1;
-                match Engine::with_backend(request.scenario.clone(), config.backend.clone()) {
+                match Engine::with_backend(request.scenario, config.backend.clone()) {
                     Ok(mut engine) => {
                         let answer = run_query(&mut engine, &request.query);
                         if config.cache {

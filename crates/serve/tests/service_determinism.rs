@@ -111,3 +111,25 @@ fn shard_stats_are_reproducible() {
     );
     assert_eq!(stats_a.requests(), 20);
 }
+
+#[test]
+fn single_catalog_tape_reaches_every_shard() {
+    // Every scenario in the pool shares one catalog. Routing by full
+    // fingerprint still spreads the tape's distinct scenarios over all
+    // shards; routing by catalog sent the whole tape to one.
+    let spec = ReplaySpec { seed: 0x5E12_4E01, requests: 48, ..ReplaySpec::default() };
+    for shards in [2usize, 4] {
+        let config = ServiceConfig {
+            shards,
+            sessions_per_shard: 2,
+            cache: true,
+            backend: SolveBackend::Sequential,
+        };
+        let (_, stats) = Service::run(config, generate_tape(&spec, &pool()));
+        let served: Vec<u64> = stats.shards.iter().map(|s| s.requests).collect();
+        assert!(
+            served.iter().all(|&n| n > 0),
+            "{shards} shards: a shard sat idle on a one-catalog tape: {served:?}"
+        );
+    }
+}

@@ -1,16 +1,18 @@
 //! Differential oracle for the multi-tenant service.
 //!
 //! Whatever the service does internally — shard routing, warm-session
-//! cache hits, LRU eviction, session-affinity co-location — must be
-//! answer-invisible: every response must match a throwaway engine
-//! freshly compiled for that one request. The tape generator produces
-//! the adversarial part (repeat/variant/cold interleavings over a pool
-//! of related scenarios), and the check sweeps the configuration lattice
-//! the ISSUE names: 1, 2, and 4 shards, cache on and off.
+//! cache hits, LRU eviction — must be answer-invisible: every response
+//! must match a throwaway engine freshly compiled for that one request.
+//! The tape generator produces the adversarial part (repeat/variant/cold
+//! interleavings over a pool of related scenarios), and the check sweeps
+//! the configuration lattice of 1, 2, and 4 shards, cache on and off.
 //!
 //! Agreement is semantic ([`Answer`] digests decided content only), so
 //! comparison is plain equality — no tolerance, no witness wiggle room.
 
+use std::collections::HashMap;
+
+use netarch_core::fingerprint::fingerprint_scenario;
 use netarch_core::prelude::*;
 use netarch_logic::SolveBackend;
 use netarch_rt::prop::{self, Config};
@@ -175,6 +177,21 @@ fn service_matches_oracle(seed: &Seed) -> Result<(), String> {
                 tape.len(),
                 "response count diverged ({shards} shards, cache={cache})"
             );
+            if cache {
+                // Routing by full fingerprint: every request for one
+                // scenario reaches the shard that holds its session.
+                let mut home: HashMap<u128, usize> = HashMap::new();
+                for (request, response) in tape.iter().zip(&responses) {
+                    let full = fingerprint_scenario(&request.scenario).full.0;
+                    let shard = *home.entry(full).or_insert(response.shard);
+                    prop_assert_eq!(
+                        response.shard,
+                        shard,
+                        "request {} left its scenario's shard ({shards} shards)",
+                        request.id
+                    );
+                }
+            }
             for (response, (request, expected)) in
                 responses.iter().zip(tape.iter().zip(&oracle))
             {

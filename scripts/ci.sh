@@ -73,6 +73,24 @@ budget_answer "FEASIBLE" check
 budget_answer "OPTIMAL" optimize
 budget_answer "SERVERS NEEDED: 44" capacity 256
 
+echo "== serve-replay (case study) =="
+# The exported case study through the sharded service, every answer
+# checked against a fresh single-use engine (the command fails on any
+# disagreement). Routing by full fingerprint must give every shard some
+# of this one-catalog tape. Answers and counts only, no timing.
+serve_files=("$narch_tmp"/systems/*.narch "$narch_tmp"/hardware/*.narch
+    "$narch_tmp/orderings.narch" "$narch_tmp/case_study.narch")
+serve_json="$(cargo run --release --offline -q --bin netarch -- serve-replay \
+    "${serve_files[@]}" --requests 120 --oracle --json)"
+serve_shards="$(printf '%s\n' "$serve_json" | sed -n 's/^  "shards": \([0-9]*\),$/\1/p')"
+serve_busy="$(printf '%s\n' "$serve_json" | sed -n '/^  "per_shard": \[/,/^  \]/p' |
+    grep -c '"requests": [1-9]' || true)"
+if [ -z "$serve_shards" ] || [ "$serve_busy" != "$serve_shards" ]; then
+    echo "error: serve-replay served the case study on $serve_busy of ${serve_shards:-?} shards" >&2
+    echo "$serve_json" >&2
+    exit 1
+fi
+
 echo "== DSL frontend throughput =="
 # Parse + lower the full text corpus; asserts the lowered catalog matches
 # the Rust-built one and that a full load stays under a second.

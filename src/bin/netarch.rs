@@ -486,6 +486,12 @@ fn serve_replay(args: &[&str], json: bool) -> Result<String, String> {
         count("evictions"),
         count("sessions_retained"),
     ));
+    for (shard, s) in stats.shards.iter().enumerate() {
+        out.push_str(&format!(
+            "shard {shard}: {} requests, {} hits\n",
+            s.requests, s.cache_hits
+        ));
+    }
     let p = |path: [&str; 2]| {
         summary
             .get(path[0])

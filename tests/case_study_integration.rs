@@ -239,3 +239,18 @@ fn huge_server_counts_blame_the_budget_not_wrapped_capacity() {
     assert!(!expected.iter().any(|l| l.starts_with("resource:")), "{expected:?}");
     assert_eq!(blame_at_a_tight_budget(1 << 62), expected);
 }
+
+#[test]
+fn measurement_advice_names_the_system_the_catalog_lacks() {
+    // Hypothesizing an ordering edge over an unknown system must blame
+    // that system, in whichever argument position it appears.
+    let engine = Engine::new(case_study::scenario()).expect("compiles");
+    let known = SystemId::new("ACCELNET");
+    let ghost = SystemId::new("GHOST_SYSTEM");
+    for (a, b) in [(&known, &ghost), (&ghost, &known)] {
+        let err = engine
+            .advise_measurement(a, b, &Dimension::Latency)
+            .expect_err("GHOST_SYSTEM is not in the catalog");
+        assert_eq!(err, CompileError::UnknownSystem(ghost.clone()), "advise({a}, {b})");
+    }
+}
