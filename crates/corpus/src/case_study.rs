@@ -7,29 +7,23 @@
 //! virtualization, network stack, congestion control, load balancing, and
 //! monitoring. Listing 3 gives the workload encoding and the objective
 //! stack `Optimize(latency > Hardware cost > monitoring)`.
+//!
+//! The workload, inventory, roles and objectives are the text in
+//! `corpus/case_study.narch`; [`batch_workload`] is the one workload that
+//! only the Rust API builds.
 
-use crate::vocab::{caps, params, props};
-use crate::{full_catalog};
+use crate::narch;
+use crate::vocab::{caps, props};
 use netarch_core::prelude::*;
 
 /// Listing 3's workload, transliterated.
 pub fn inference_workload() -> Workload {
-    Workload::builder("inference_app")
-        .name("ML inference serving")
-        .property(props::DC_FLOWS)
-        .property(props::SHORT_FLOWS)
-        .property(props::HIGH_PRIORITY)
-        .deployed_at(0..3)
-        .peak_cores(2_800)
-        .peak_bandwidth(30)
-        .num_flows(50_000)
-        .needs(caps::LOAD_BALANCING)
-        .needs(caps::DETECT_QUEUE_LENGTH)
-        .needs(caps::HOST_NETWORKING)
-        .needs(caps::BANDWIDTH_ALLOCATION)
-        .needs(caps::VIRTUALIZATION)
-        .performance_bound(Dimension::LoadBalancingQuality, "PACKET_SPRAY")
-        .build()
+    narch::document()
+        .workloads
+        .iter()
+        .find(|w| w.id.as_str() == "inference_app")
+        .expect("corpus/case_study.narch defines inference_app")
+        .clone()
 }
 
 /// A second workload for the §5.1 "support more applications" query:
@@ -49,64 +43,28 @@ pub fn batch_workload() -> Workload {
         .build()
 }
 
-/// The case study's hardware inventory: a spread of server SKUs, NIC
-/// generations (plain → timestamping → SmartNIC), and switch families
-/// (fixed-function → QCN-capable → programmable).
-pub fn inventory() -> Inventory {
-    Inventory {
-        server_candidates: ["XEON_ICE_64C", "XEON_SPR_64C", "EPYC_MILAN_64C"]
-            .iter()
-            .map(|s| HardwareId::new(*s))
-            .collect(),
-        nic_candidates: ["INTEL_X710", "INTEL_E810_100", "MLX_CX5_100", "MLX_CX6_100", "BLUEFIELD2"]
-            .iter()
-            .map(|s| HardwareId::new(*s))
-            .collect(),
-        switch_candidates: ["CISCO_CATALYST_9500_40X", "TRIDENT3_T32", "TRIDENT4_T48", "SPECTRUM2_SN3700", "TOFINO_T32"]
-            .iter()
-            .map(|s| HardwareId::new(*s))
-            .collect(),
-        num_servers: 96, // 3 racks × 32 servers
-        num_switches: 6,
-    }
-}
-
-/// The five §2.3 roles, all required.
-fn case_study_roles(scenario: Scenario) -> Scenario {
-    scenario
-        .with_role(Category::VirtualSwitch, RoleRule::Required)
-        .with_role(Category::NetworkStack, RoleRule::Required)
-        .with_role(Category::CongestionControl, RoleRule::Required)
-        .with_role(Category::LoadBalancer, RoleRule::Required)
-        .with_role(Category::Monitoring, RoleRule::Required)
-}
-
 /// The full case-study scenario with Listing 3's objective stack:
-/// `Optimize(latency > Hardware cost > monitoring)`.
+/// `Optimize(latency > Hardware cost > monitoring)`. Its inventory spans
+/// server SKUs, NIC generations (plain → timestamping → SmartNIC), and
+/// switch families (fixed-function → QCN-capable → programmable).
 pub fn scenario() -> Scenario {
-    let s = Scenario::new(full_catalog())
-        .with_workload(inference_workload())
-        .with_param(params::LINK_SPEED_GBPS, 100.0)
-        .with_inventory(inventory())
-        .with_objective(Objective::MaximizeDimension(Dimension::Latency))
-        .with_objective(Objective::MinimizeCost)
-        .with_objective(Objective::MaximizeDimension(Dimension::MonitoringQuality));
-    case_study_roles(s)
+    narch::document()
+        .scenario
+        .clone()
+        .expect("corpus/case_study.narch has a scenario block")
 }
 
 /// The §2.3 "simplest choices" starting point: OVS + Linux (Cubic) +
 /// ECMP, no monitoring, fixed-function hardware. Encoded as pins over the
-/// same catalog so the engine can show *why* it fails the latency goal.
+/// same catalog, with no objectives, so the engine can show *why* it
+/// fails the latency goal.
 pub fn naive_scenario() -> Scenario {
-    let s = Scenario::new(full_catalog())
-        .with_workload(inference_workload())
-        .with_param(params::LINK_SPEED_GBPS, 100.0)
-        .with_inventory(inventory())
-        .with_pin(Pin::Require(SystemId::new("OVS")))
-        .with_pin(Pin::Require(SystemId::new("LINUX")))
-        .with_pin(Pin::Require(SystemId::new("CUBIC")))
-        .with_pin(Pin::Require(SystemId::new("ECMP")));
-    case_study_roles(s)
+    let mut s = scenario();
+    s.objectives.clear();
+    for id in ["OVS", "LINUX", "CUBIC", "ECMP"] {
+        s = s.with_pin(Pin::Require(SystemId::new(id)));
+    }
+    s
 }
 
 #[cfg(test)]
@@ -127,15 +85,15 @@ mod tests {
 
     #[test]
     fn inventory_models_exist_in_catalog() {
-        let catalog = full_catalog();
-        let inv = inventory();
+        let s = scenario();
+        let inv = &s.inventory;
         for id in inv
             .server_candidates
             .iter()
             .chain(&inv.nic_candidates)
             .chain(&inv.switch_candidates)
         {
-            assert!(catalog.hardware(id).is_some(), "missing {id}");
+            assert!(s.catalog.hardware(id).is_some(), "missing {id}");
         }
     }
 
@@ -156,5 +114,6 @@ mod tests {
     fn naive_scenario_pins_the_simple_design() {
         let s = naive_scenario();
         assert_eq!(s.pins.len(), 4);
+        assert!(s.objectives.is_empty());
     }
 }

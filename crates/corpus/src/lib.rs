@@ -11,84 +11,45 @@
 //! cite the section. See DESIGN.md substitution #4 for how the authors'
 //! private encodings were reconstructed.
 //!
-//! The corpus ships in two equivalent forms: the Rust builders in this
-//! crate (the oracle) and the generated `.narch` text under `corpus/`
-//! at the repo root, embedded and conformance-tested by [`narch`].
-//! Regenerate the text with `netarch export-narch corpus` after editing
-//! a builder; CI diffs the tree to keep the two in lockstep.
+//! The corpus is the `.narch` text under `corpus/` at the repo root, its
+//! one format of record. This crate embeds that text ([`narch::SOURCES`]),
+//! lowers it once per process ([`narch::document`]), and hands out
+//! clones. Edit the text, then run
+//! `netarch validate corpus/*.narch corpus/*/*.narch` to check the edit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod case_study;
-pub mod congestion;
 pub mod narch;
-pub mod firewalls;
-pub mod load_balancers;
-pub mod misc;
-pub mod monitoring;
-pub mod orderings;
-pub mod stacks;
-pub mod transports;
 pub mod vocab;
-pub mod vswitches;
-
-/// Hardware model encodings.
-pub mod hardware {
-    pub mod nics;
-    pub mod servers;
-    pub mod switches;
-}
 
 use netarch_core::prelude::*;
 
-/// Assembles the full catalog: every system, hardware model, and ordering
-/// edge in the corpus.
-///
-/// # Panics
-/// Never on the shipped corpus — duplicate ids or dangling ordering
-/// endpoints are corpus bugs caught by the crate's tests.
+/// The full catalog: every system, hardware model, and ordering edge in
+/// the corpus.
 pub fn full_catalog() -> Catalog {
-    let mut catalog = Catalog::new();
-    for spec in all_systems() {
-        catalog.add_system(spec).expect("corpus system ids are unique");
-    }
-    for spec in all_hardware() {
-        catalog.add_hardware(spec).expect("corpus hardware ids are unique");
-    }
-    for edge in orderings::edges() {
-        catalog.add_ordering(edge).expect("ordering endpoints exist");
-    }
-    catalog
+    narch::document().catalog.clone()
 }
 
-/// Every system encoding across the seven categories (plus extensions).
+/// Every system encoding, in id order.
 pub fn all_systems() -> Vec<SystemSpec> {
-    let mut out = Vec::new();
-    out.extend(stacks::systems());
-    out.extend(congestion::systems());
-    out.extend(monitoring::systems());
-    out.extend(firewalls::systems());
-    out.extend(vswitches::systems());
-    out.extend(load_balancers::systems());
-    out.extend(transports::systems());
-    out.extend(misc::systems());
-    out
+    narch::document().catalog.systems().cloned().collect()
 }
 
-/// Every hardware encoding.
+/// Every hardware encoding, in id order.
 pub fn all_hardware() -> Vec<HardwareSpec> {
-    let mut out = Vec::new();
-    out.extend(hardware::switches::specs());
-    out.extend(hardware::nics::specs());
-    out.extend(hardware::servers::specs());
-    out
+    narch::document()
+        .catalog
+        .hardware_specs()
+        .cloned()
+        .collect()
 }
 
 /// Serializes the full catalog as pretty JSON (the interchange format the
 /// paper's Listing 1 sketches).
 pub fn catalog_json() -> String {
-    netarch_rt::json::to_string_pretty(&full_catalog())
+    netarch_rt::json::to_string_pretty(&narch::document().catalog)
 }
 
 #[cfg(test)]
@@ -178,6 +139,20 @@ mod tests {
         assert!(
             per_component < 12.0,
             "spec units per component too high: {per_component:.1}"
+        );
+    }
+
+    #[test]
+    fn listings_come_in_id_order() {
+        let ids: Vec<SystemId> = all_systems().into_iter().map(|s| s.id).collect();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "systems out of id order"
+        );
+        let ids: Vec<HardwareId> = all_hardware().into_iter().map(|h| h.id).collect();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "hardware out of id order"
         );
     }
 }

@@ -1,96 +1,60 @@
-//! The text form of the corpus: the committed `corpus/*.narch` files,
-//! embedded and loaded through the `netarch-dsl` frontend.
+//! The corpus text: the committed `corpus/*.narch` files, embedded and
+//! loaded through the `netarch-dsl` frontend.
 //!
-//! The Rust builder modules remain the *oracle*: the `.narch` tree is
-//! generated from them by `netarch export-narch corpus`, and this module's
-//! conformance tests (plus the CI regeneration diff) keep the two
-//! representations semantically identical. Downstream users can therefore
-//! consume the corpus either way — compiled-in values or text files —
-//! and get the same catalog byte-for-byte at the JSON level.
+//! The text is the corpus's one format of record. [`document`] parses and
+//! lowers it on first use and keeps the result for the rest of the
+//! process; the crate's accessors clone from it, which is cheap because a
+//! cloned `Catalog` shares its content until one side mutates.
 
-use netarch_core::prelude::*;
 use netarch_dsl::{Loader, ScenarioDoc};
+use std::sync::OnceLock;
+
+/// Embeds each repo-relative path beside its contents.
+macro_rules! embed {
+    ($($path:literal),* $(,)?) => {
+        &[$(($path, include_str!(concat!("../../../", $path)))),*]
+    };
+}
 
 /// Every committed corpus source, as `(repo-relative path, contents)`.
-pub const SOURCES: &[(&str, &str)] = &[
-    ("corpus/systems/stacks.narch", include_str!("../../../corpus/systems/stacks.narch")),
-    (
-        "corpus/systems/congestion.narch",
-        include_str!("../../../corpus/systems/congestion.narch"),
-    ),
-    (
-        "corpus/systems/monitoring.narch",
-        include_str!("../../../corpus/systems/monitoring.narch"),
-    ),
-    ("corpus/systems/firewalls.narch", include_str!("../../../corpus/systems/firewalls.narch")),
-    ("corpus/systems/vswitches.narch", include_str!("../../../corpus/systems/vswitches.narch")),
-    (
-        "corpus/systems/load_balancers.narch",
-        include_str!("../../../corpus/systems/load_balancers.narch"),
-    ),
-    (
-        "corpus/systems/transports.narch",
-        include_str!("../../../corpus/systems/transports.narch"),
-    ),
-    ("corpus/systems/misc.narch", include_str!("../../../corpus/systems/misc.narch")),
-    (
-        "corpus/hardware/switches.narch",
-        include_str!("../../../corpus/hardware/switches.narch"),
-    ),
-    ("corpus/hardware/nics.narch", include_str!("../../../corpus/hardware/nics.narch")),
-    ("corpus/hardware/servers.narch", include_str!("../../../corpus/hardware/servers.narch")),
-    ("corpus/orderings.narch", include_str!("../../../corpus/orderings.narch")),
-    ("corpus/case_study.narch", include_str!("../../../corpus/case_study.narch")),
+pub const SOURCES: &[(&str, &str)] = embed![
+    "corpus/systems/stacks.narch",
+    "corpus/systems/congestion.narch",
+    "corpus/systems/monitoring.narch",
+    "corpus/systems/firewalls.narch",
+    "corpus/systems/vswitches.narch",
+    "corpus/systems/load_balancers.narch",
+    "corpus/systems/transports.narch",
+    "corpus/systems/misc.narch",
+    "corpus/hardware/switches.narch",
+    "corpus/hardware/nics.narch",
+    "corpus/hardware/servers.narch",
+    "corpus/orderings.narch",
+    "corpus/case_study.narch",
 ];
 
-/// Loads and lowers the whole `.narch` corpus (catalog, case-study
-/// workloads and scenario, and the document's queries).
+/// The whole lowered corpus (catalog, case-study workload and scenario,
+/// and the document's queries), loaded once per process.
 ///
 /// # Panics
-/// Never on the shipped corpus: the text is generated from the Rust
-/// builders and conformance-tested against them.
-pub fn document() -> ScenarioDoc {
-    let mut loader = Loader::new();
-    for (path, content) in SOURCES {
-        loader.add_source(path, content).expect("committed corpus text parses");
-    }
-    loader.finish().expect("committed corpus text lowers")
-}
-
-/// The full catalog, built from text instead of the Rust builders.
-pub fn full_catalog() -> Catalog {
-    document().catalog
-}
-
-/// The §2.3 case-study scenario, built from text.
-pub fn case_study_scenario() -> Scenario {
-    document().scenario.expect("corpus/case_study.narch has a scenario block")
+/// Never on the shipped corpus: the crate's tests load every file.
+pub fn document() -> &'static ScenarioDoc {
+    static DOCUMENT: OnceLock<ScenarioDoc> = OnceLock::new();
+    DOCUMENT.get_or_init(|| {
+        let mut loader = Loader::new();
+        for (path, content) in SOURCES {
+            loader
+                .add_source(path, content)
+                .expect("committed corpus text parses");
+        }
+        loader.finish().expect("committed corpus text lowers")
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use netarch_dsl::QuerySpec;
-
-    /// The tentpole acceptance bar: the lowered text corpus is
-    /// *semantically equal* to the Rust-built corpus — equality taken at
-    /// the canonical-JSON level, which covers every field of every
-    /// encoding.
-    #[test]
-    fn text_catalog_conforms_to_rust_catalog() {
-        assert_eq!(
-            netarch_rt::json::to_string(&full_catalog()),
-            netarch_rt::json::to_string(&crate::full_catalog()),
-        );
-    }
-
-    #[test]
-    fn text_case_study_conforms_to_rust_case_study() {
-        assert_eq!(
-            netarch_rt::json::to_string(&case_study_scenario()),
-            netarch_rt::json::to_string(&crate::case_study::scenario()),
-        );
-    }
 
     #[test]
     fn corpus_document_carries_the_case_study_queries() {
@@ -104,7 +68,7 @@ mod tests {
     #[test]
     fn committed_text_is_canonically_formatted() {
         let doc = document();
-        let reprinted = netarch_dsl::print_doc(&doc);
+        let reprinted = netarch_dsl::print_doc(doc);
         let mut loader = Loader::new();
         loader.add_source("<reprinted>", &reprinted).unwrap();
         let again = loader.finish().unwrap();
@@ -113,12 +77,5 @@ mod tests {
             netarch_rt::json::to_string(&again.catalog),
             netarch_rt::json::to_string(&doc.catalog)
         );
-    }
-
-    #[test]
-    fn paper_scale_claims_hold_in_text_form() {
-        let catalog = full_catalog();
-        assert!(catalog.num_systems() > 50, "got {}", catalog.num_systems());
-        assert!(catalog.num_hardware() >= 180, "got {}", catalog.num_hardware());
     }
 }

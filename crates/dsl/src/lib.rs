@@ -55,8 +55,8 @@
 //! blocks into [`netarch_core`] `Catalog` / `Scenario` / [`QuerySpec`]
 //! values with span-carrying diagnostics, and [`print`](mod@print)
 //! pretty-prints those values back to canonical `.narch` text. The two are
-//! inverse: `lower(parse(print(x))) == x`, which the corpus conformance
-//! suite and the crate's property tests enforce.
+//! inverse: `lower(parse(print(x))) == x`, which the crate's property
+//! tests and the corpus's canonical-format test enforce.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,9 +70,6 @@ mod vocab;
 
 pub use error::DslError;
 pub use lower::{load_str, Loader, ScenarioDoc};
-pub use print::{
-    print_catalog, print_doc, print_hardware, print_orderings, print_queries, print_scenario,
-    print_scenario_inputs, print_sweeps, print_systems,
-};
+pub use print::{print_doc, print_queries, print_scenario, print_sweeps};
 pub use query::QuerySpec;
 pub use sweep::{AltRef, ChoiceGroup, ChoiceKind, SweepConstraint, SweepSpec};

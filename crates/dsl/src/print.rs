@@ -34,58 +34,11 @@ pub fn print_doc(doc: &ScenarioDoc) -> String {
     p.out
 }
 
-/// Prints a catalog: `system`, `hardware`, and `ordering` blocks.
-pub fn print_catalog(catalog: &Catalog) -> String {
-    let mut p = Printer::new();
-    p.catalog(catalog);
-    p.out
-}
-
 /// Prints a runnable scenario: its catalog, workloads, and `scenario`
 /// block (no queries).
 pub fn print_scenario(scenario: &Scenario) -> String {
     let mut p = Printer::new();
     p.catalog(&scenario.catalog);
-    for w in &scenario.workloads {
-        p.workload(w);
-    }
-    p.scenario_block(scenario);
-    p.out
-}
-
-/// Prints `system` blocks only — for splitting a catalog across files.
-pub fn print_systems<'a>(specs: impl IntoIterator<Item = &'a SystemSpec>) -> String {
-    let mut p = Printer::new();
-    for spec in specs {
-        p.system(spec);
-    }
-    p.out
-}
-
-/// Prints `hardware` blocks only.
-pub fn print_hardware<'a>(specs: impl IntoIterator<Item = &'a HardwareSpec>) -> String {
-    let mut p = Printer::new();
-    for spec in specs {
-        p.hardware(spec);
-    }
-    p.out
-}
-
-/// Prints `ordering` blocks only. A file of bare orderings loads through
-/// [`crate::Loader`] alongside the files defining the endpoints.
-pub fn print_orderings<'a>(edges: impl IntoIterator<Item = &'a OrderingEdge>) -> String {
-    let mut p = Printer::new();
-    for edge in edges {
-        p.ordering(edge);
-    }
-    p.out
-}
-
-/// Prints a scenario's *inputs* — `workload` blocks and the `scenario`
-/// block, without the catalog — for documents that merge with separately
-/// maintained catalog files.
-pub fn print_scenario_inputs(scenario: &Scenario) -> String {
-    let mut p = Printer::new();
     for w in &scenario.workloads {
         p.workload(w);
     }

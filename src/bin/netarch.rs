@@ -20,7 +20,6 @@
 //! netarch questions scenario.narch        # §6 disambiguation plan
 //! netarch compare scenario.json SIMON PINGMESH monitoring-quality
 //! netarch export-catalog                  # full knowledge corpus as JSON
-//! netarch export-narch corpus             # regenerate the .narch corpus files
 //! ```
 
 use netarch::core::explain::render_diagnosis;
@@ -48,7 +47,6 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   netarch demo [--narch]                  print the §2.3 case-study scenario (JSON, or .narch text)
   netarch export-catalog                  print the full knowledge corpus as JSON
-  netarch export-narch <dir>              write the corpus as .narch files under <dir>
   netarch load <file>...                  parse + lower scenario files, print a summary
   netarch validate <file>...              check referential integrity, report problems
   netarch fmt <file.narch>                reprint a .narch file in canonical form
@@ -57,7 +55,7 @@ const USAGE: &str = "usage:
   netarch capacity <file>... <max>        minimal server fleet up to <max>
   netarch enumerate <file>... <limit>     design equivalence classes
   netarch questions <file>...             disambiguation question plan
-  netarch compare <file> <A> <B> <dim>    rule-of-thumb comparison
+  netarch compare <file>... <A> <B> <dim> rule-of-thumb comparison
   netarch sweep <file>... [opts]          enumerate a `sweep` block's admissible
                                           scenario variants as a seeded stream
     opts: --name <sweep>       pick a sweep when the document defines several
@@ -101,7 +99,6 @@ pub fn run(args: &[&str]) -> Result<String, String> {
             Ok(dsl::print_scenario(&netarch::corpus::case_study::scenario()))
         }
         ["export-catalog"] => Ok(netarch::corpus::catalog_json()),
-        ["export-narch", dir] => export_narch(dir),
         ["load", paths @ ..] if !paths.is_empty() => {
             let doc = load_doc(paths)?;
             Ok(summarize(&doc))
@@ -203,8 +200,8 @@ pub fn run(args: &[&str]) -> Result<String, String> {
         }
         ["serve-replay", rest @ ..] if !rest.is_empty() => serve_replay(rest, json),
         ["sweep", rest @ ..] if !rest.is_empty() => sweep_cmd(rest, json),
-        ["compare", path, a, b, dim] => {
-            let engine = load_engine(&[path])?;
+        ["compare", paths @ .., a, b, dim] if !paths.is_empty() => {
+            let engine = load_engine(paths)?;
             let dimension = parse_dimension(dim)?;
             let verdict = engine.compare(
                 &SystemId::new(*a),
@@ -620,55 +617,6 @@ fn summarize(doc: &dsl::ScenarioDoc) -> String {
         out.push_str(&format!("\nqueries: {}", kinds.join(", ")));
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Corpus export: the generator for the committed corpus/*.narch files
-// ---------------------------------------------------------------------------
-
-/// Writes the Rust-built corpus as canonical `.narch` files under `dir`.
-/// The committed `corpus/` tree is this command's output; CI regenerates
-/// it and diffs to keep text and builders in lockstep.
-fn export_narch(dir: &str) -> Result<String, String> {
-    use netarch::corpus as c;
-    let files: Vec<(&str, String)> = vec![
-        ("systems/stacks.narch", dsl::print_systems(&c::stacks::systems())),
-        ("systems/congestion.narch", dsl::print_systems(&c::congestion::systems())),
-        ("systems/monitoring.narch", dsl::print_systems(&c::monitoring::systems())),
-        ("systems/firewalls.narch", dsl::print_systems(&c::firewalls::systems())),
-        ("systems/vswitches.narch", dsl::print_systems(&c::vswitches::systems())),
-        ("systems/load_balancers.narch", dsl::print_systems(&c::load_balancers::systems())),
-        ("systems/transports.narch", dsl::print_systems(&c::transports::systems())),
-        ("systems/misc.narch", dsl::print_systems(&c::misc::systems())),
-        ("hardware/switches.narch", dsl::print_hardware(&c::hardware::switches::specs())),
-        ("hardware/nics.narch", dsl::print_hardware(&c::hardware::nics::specs())),
-        ("hardware/servers.narch", dsl::print_hardware(&c::hardware::servers::specs())),
-        ("orderings.narch", dsl::print_orderings(&c::orderings::edges())),
-        ("case_study.narch", {
-            let mut text = dsl::print_scenario_inputs(&c::case_study::scenario());
-            text.push('\n');
-            text.push_str(&dsl::print_queries(&[
-                dsl::QuerySpec::Check,
-                dsl::QuerySpec::Optimize,
-            ]));
-            text
-        }),
-    ];
-    let root = std::path::Path::new(dir);
-    let mut report = String::new();
-    for (rel, body) in &files {
-        let path = root.join(rel);
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-        }
-        let header = "# Generated by `netarch export-narch` from the netarch-corpus crate.\n\
-             # Edit the Rust encodings and regenerate; CI diffs this file.\n\n";
-        std::fs::write(&path, format!("{header}{body}"))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        report.push_str(&format!("wrote {}\n", path.display()));
-    }
-    Ok(report)
 }
 
 fn parse_dimension(text: &str) -> Result<Dimension, String> {

@@ -187,6 +187,21 @@ fn format_detection_sniffs_content_without_extension() {
     assert!(stderr.contains("cannot parse"), "{stderr}");
 }
 
+/// `compare`, like every query command, takes a scenario split across
+/// files: here the committed corpus.
+#[test]
+fn compare_reads_the_split_corpus() {
+    let files = corpus_narch_paths();
+    for (dim, want) in [("monitoring-quality", "Better"), ("deployment-ease", "Worse")] {
+        let mut args: Vec<&str> = vec!["compare"];
+        args.extend(files.iter().map(String::as_str));
+        args.extend(["SIMON", "PINGMESH", dim]);
+        let (ok, stdout, stderr) = netarch(&args);
+        assert!(ok, "{stderr}");
+        assert_eq!(stdout.trim(), format!("SIMON vs PINGMESH on {dim}: {want}"));
+    }
+}
+
 #[test]
 fn load_merges_the_split_corpus_and_summarizes() {
     let paths = corpus_narch_paths();
@@ -260,24 +275,6 @@ fn narch_errors_carry_file_line_and_column() {
     std::fs::remove_file(&path).ok();
     assert!(!ok);
     assert!(stderr.contains(":2:14"), "missing lexer span; got:\n{stderr}");
-}
-
-#[test]
-fn export_narch_regenerates_committed_corpus_byte_identically() {
-    let dir = temp_path("export", "corpus");
-    let (ok, _, stderr) = netarch(&["export-narch", dir.to_str().unwrap()]);
-    assert!(ok, "{stderr}");
-    for rel in [
-        "systems/stacks.narch",
-        "hardware/nics.narch",
-        "orderings.narch",
-        "case_study.narch",
-    ] {
-        let generated = std::fs::read_to_string(dir.join(rel)).unwrap();
-        let committed = std::fs::read_to_string(repo_path(&format!("corpus/{rel}"))).unwrap();
-        assert_eq!(generated, committed, "committed corpus/{rel} is stale — regenerate");
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
