@@ -4,9 +4,8 @@
 //! for every single query, which is exactly what the deleted
 //! `poisoned`/`refresh` machinery cost in the worst case.
 //!
-//! Asserts three things:
+//! Asserts two things:
 //! * both modes give the same answer to every query,
-//! * the session performs zero recompiles,
 //! * the session is at least 3× faster end-to-end.
 
 use netarch_bench::{section, subset_catalog};
@@ -163,7 +162,6 @@ fn main() {
     println!("  session wall time           {session_time:>10.2?}");
     println!("  recompile-per-query time    {fresh_time:>10.2?}");
     println!("  speedup                     {speedup:>9.1}x");
-    println!("  session recompiles          {:>10}", stats.recompiles);
     println!("  session solver invocations  {:>10}", stats.session_solves);
     println!("  activation gates retired    {:>10}", stats.retired_activations);
 
@@ -174,7 +172,6 @@ fn main() {
         "session_ms": session_time.as_millis() as u64,
         "fresh_ms": fresh_time.as_millis() as u64,
         "speedup": speedup,
-        "recompiles": stats.recompiles,
         "session_solves": stats.session_solves,
         "retired_activations": stats.retired_activations,
         "disagreements": disagreements,
@@ -183,7 +180,6 @@ fn main() {
     netarch_bench::persist_result("incremental", &summary);
 
     assert_eq!(disagreements, 0, "session answers diverged from fresh engines");
-    assert_eq!(stats.recompiles, 0, "the session recompiled");
     assert!(
         speedup >= 3.0,
         "incremental session only {speedup:.1}x faster; expected ≥ 3x"

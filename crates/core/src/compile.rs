@@ -14,7 +14,7 @@
 //!   scalarize the preference partial order (dominance counts).
 
 use crate::catalog::Catalog;
-use crate::condition::{AmountExpr, Condition};
+use crate::condition::Condition;
 use crate::error::CompileError;
 use crate::ordering::EdgeKind;
 use crate::scenario::{Inventory, Objective, Pin, RoleRule, Scenario};
@@ -22,7 +22,10 @@ use crate::types::{
     Capability, Category, Feature, HardwareId, HardwareKind, Resource, SystemId,
 };
 use netarch_logic::pb::{assert_pb_le_under, gcd, gte_outputs, weight_sum, PbTerm};
-use netarch_logic::{Atom, ClauseSink, Encoder, Formula, GroupId, GroupedAssertions, Soft};
+use netarch_logic::{
+    Atom, Bound, ClauseSink, Encoder, Formula, GroupId, GroupedAssertions, OrderInt, Soft,
+};
+use netarch_sat::Lit;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Provenance of one compiled rule group.
@@ -56,11 +59,6 @@ pub struct CompileStats {
     pub clauses: usize,
     /// Total solver variables (atoms + auxiliaries).
     pub solver_vars: usize,
-    /// Scenario recompilations performed after engine construction. The
-    /// incremental session answers every query on the original compile,
-    /// so this stays 0 (capacity planning with a *changed* fleet bound is
-    /// the one event that re-derives a side compilation).
-    pub recompiles: u64,
     /// Solver invocations served by the persistent session solver.
     pub session_solves: u64,
     /// Per-query activation literals retired back into the session.
@@ -90,7 +88,6 @@ netarch_rt::impl_json_struct!(CompileStats {
     decision_atoms,
     clauses,
     solver_vars,
-    recompiles,
     session_solves,
     retired_activations,
     portfolio_solves,
@@ -115,6 +112,9 @@ pub struct Compiled {
     pub hardware_atoms: BTreeMap<HardwareId, Atom>,
     /// Compiled objective stack.
     pub objective_levels: Vec<ObjectiveLevel>,
+    /// The fixed-fleet `resource:` groups of server-scaled resources, which
+    /// capacity planning suspends while it sizes the fleet instead.
+    pub(crate) fixed_fleet_groups: Vec<GroupId>,
     /// Size metrics.
     pub stats: CompileStats,
 }
@@ -131,7 +131,7 @@ impl Compiled {
 
     /// Selector literals of every rule group (assume all to activate the
     /// complete scenario).
-    pub fn all_selectors(&self) -> Vec<netarch_sat::Lit> {
+    pub fn all_selectors(&self) -> Vec<Lit> {
         self.groups
             .ids()
             .into_iter()
@@ -143,6 +143,113 @@ impl Compiled {
     pub fn rule(&self, id: GroupId) -> &RuleMeta {
         &self.rules[id.0]
     }
+
+    /// Adds capacity planning's fleet to the session. The server count
+    /// becomes an order-encoded integer over `[1, B]`, where `B` is the
+    /// largest fleet any design can need. Each server-scaled resource gets
+    /// one demand totalizer, and each server model one `capacity:` group
+    /// bounding the count from below by the demand of the selected
+    /// systems. Every fleet clause is gated on one fresh activation
+    /// literal, so the fleet stays dormant in queries that do not assume it:
+    /// the `capacity:` groups join [`Compiled::all_selectors`], but without
+    /// that literal they constrain nothing.
+    pub(crate) fn build_fleet(&mut self, scenario: &Scenario) -> Result<Fleet, CompileError> {
+        let (demands, fixed_cores) = resource_demands(scenario)?;
+        let models = &scenario.inventory.server_candidates;
+        let mut sums = Vec::new();
+        for (resource, sys_demands) in &demands {
+            if governing_kind(resource) != HardwareKind::Server || models.is_empty() {
+                continue;
+            }
+            let terms: Vec<PbTerm> = sys_demands
+                .iter()
+                .map(|(id, amount)| {
+                    PbTerm::new(*amount, self.encoder.atom_lit(self.system_atoms[id]))
+                })
+                .collect();
+            let total = weight_sum(&terms)
+                .ok_or_else(|| CompileError::WeightOverflow(format!("{resource} demand")))?;
+            let fixed = if *resource == Resource::Cores { fixed_cores } else { 0 };
+            sums.push((resource, terms, total, fixed));
+        }
+        let gate = self.encoder.new_selector();
+        let mut groups: Vec<GroupId> = self
+            .groups
+            .ids()
+            .into_iter()
+            .filter(|g| !self.fixed_fleet_groups.contains(g))
+            .collect();
+        let bound = fleet_bound(scenario, &demands, fixed_cores);
+        let Compiled { encoder, groups: rule_groups, rules, hardware_atoms, .. } = self;
+        let servers = encoder.gated_scope(gate, |e| {
+            let n = OrderInt::new(e, 1, bound);
+            for (resource, terms, total, fixed) in sums {
+                let demand = gte_outputs(e, &terms, total);
+                for model_id in models {
+                    let per_unit = scenario
+                        .catalog
+                        .hardware(model_id)
+                        .map_or(0, |h| h.capacity(resource));
+                    let model = e.atom_lit(hardware_atoms[model_id]);
+                    let group_sel = e.new_selector();
+                    // Demand `sum` (the workloads' own first) needs
+                    // `n ≥ ⌈(fixed + sum) / per_unit⌉`. A larger sum's
+                    // output implies a smaller one's, so the first need
+                    // no fleet meets ends the rule.
+                    let steps = std::iter::once((None, 0))
+                        .chain(demand.outputs.iter().map(|&(sum, l)| (Some(l), sum)));
+                    for (reached, sum) in steps {
+                        let need = u128::from(fixed) + u128::from(sum);
+                        let at_least = if need == 0 {
+                            Bound::AlwaysTrue
+                        } else if per_unit == 0 {
+                            Bound::AlwaysFalse
+                        } else {
+                            u64::try_from(need.div_ceil(u128::from(per_unit)))
+                                .map_or(Bound::AlwaysFalse, |k| n.ge_const(k))
+                        };
+                        let mut clause = vec![!group_sel, !model];
+                        clause.extend(reached.map(|l: Lit| !l));
+                        match at_least {
+                            Bound::AlwaysTrue => {}
+                            Bound::Lit(q) => {
+                                clause.push(q);
+                                e.add_clause(&clause);
+                            }
+                            Bound::AlwaysFalse => {
+                                e.add_clause(&clause);
+                                break;
+                            }
+                        }
+                    }
+                    let label = format!("capacity:{resource}:{model_id}");
+                    groups.push(rule_groups.adopt_selector(group_sel, label.clone()));
+                    rules.push(RuleMeta {
+                        label,
+                        description: format!(
+                            "server count must cover {resource} demand on {model_id} \
+                             ({per_unit}/unit)"
+                        ),
+                        citation: None,
+                    });
+                }
+            }
+            n
+        });
+        Ok(Fleet { gate, servers, groups })
+    }
+}
+
+/// Capacity planning's fleet in a compiled session (see
+/// [`Compiled::build_fleet`]).
+pub(crate) struct Fleet {
+    /// The activation literal every fleet clause is gated on.
+    pub gate: Lit,
+    /// The server count, over `[1, B]`.
+    pub servers: OrderInt,
+    /// The groups a capacity query assumes: every compiled group but the
+    /// fixed-fleet ones, then the fleet's `capacity:` groups.
+    pub groups: Vec<GroupId>,
 }
 
 /// System demands per resource: `resource → [(system, amount)]`.
@@ -156,44 +263,7 @@ struct Compiler<'a> {
     next_atom: u32,
     system_atoms: BTreeMap<SystemId, Atom>,
     hardware_atoms: BTreeMap<HardwareId, Atom>,
-    /// Capacity-planning mode: the server count is a solver variable
-    /// instead of the fixed `inventory.num_servers`, paired with the
-    /// requested fleet bound that rule descriptions quote.
-    server_count: Option<(netarch_logic::OrderInt, u64)>,
-}
-
-/// A compiled scenario whose server count is a decision variable —
-/// produced by [`compile_capacity`] for "how many servers do I need?"
-/// queries.
-pub struct CompiledCapacity {
-    /// The compiled scenario (server-scaled resource rules are expressed
-    /// against the variable count).
-    pub compiled: Compiled,
-    /// The order-encoded server count.
-    pub server_count: netarch_logic::OrderInt,
-}
-
-/// Compiles a scenario with the server count as a variable in
-/// `[1, max_servers]`, cut down to the largest fleet any design can need.
-/// Budget constraints, when present, price the fleet at the fixed
-/// `inventory.num_servers` (documented approximation: the capacity query
-/// answers fleet *size*, with cost reported afterwards).
-/// The fleet bisection runs on the session solver alone, so the backend
-/// is always sequential.
-pub fn compile_capacity(
-    scenario: &Scenario,
-    max_servers: u64,
-) -> Result<CompiledCapacity, CompileError> {
-    let mut out = compile_inner(
-        scenario,
-        Some(max_servers.max(1)),
-        netarch_logic::SolveBackend::Sequential,
-    )?;
-    let server_count = out
-        .1
-        .take()
-        .expect("capacity mode allocates the server-count variable");
-    Ok(CompiledCapacity { compiled: out.0, server_count })
+    fixed_fleet_groups: Vec<GroupId>,
 }
 
 /// Compiles a scenario. Validates the catalog, inventory references, and
@@ -211,14 +281,6 @@ pub fn compile_with_backend(
     scenario: &Scenario,
     backend: netarch_logic::SolveBackend,
 ) -> Result<Compiled, CompileError> {
-    Ok(compile_inner(scenario, None, backend)?.0)
-}
-
-fn compile_inner(
-    scenario: &Scenario,
-    capacity_mode: Option<u64>,
-    backend: netarch_logic::SolveBackend,
-) -> Result<(Compiled, Option<netarch_logic::OrderInt>), CompileError> {
     let catalog_errors = scenario.catalog.validate();
     if !catalog_errors.is_empty() {
         return Err(CompileError::InvalidCatalog(catalog_errors));
@@ -253,13 +315,8 @@ fn compile_inner(
         next_atom: 0,
         system_atoms: BTreeMap::new(),
         hardware_atoms: BTreeMap::new(),
-        server_count: None,
+        fixed_fleet_groups: Vec::new(),
     };
-    if let Some(max) = capacity_mode {
-        let hi = max.min(c.fleet_bound());
-        let n = netarch_logic::OrderInt::new(&mut c.encoder, 1, hi);
-        c.server_count = Some((n, max));
-    }
     c.allocate_atoms()?;
     c.compile_roles()?;
     c.compile_requirements()?;
@@ -279,18 +336,16 @@ fn compile_inner(
         solver_vars: c.encoder.solver().num_vars(),
         ..CompileStats::default()
     };
-    Ok((
-        Compiled {
-            encoder: c.encoder,
-            groups: c.groups,
-            rules: c.rules,
-            system_atoms: c.system_atoms,
-            hardware_atoms: c.hardware_atoms,
-            objective_levels,
-            stats,
-        },
-        c.server_count.map(|(n, _)| n),
-    ))
+    Ok(Compiled {
+        encoder: c.encoder,
+        groups: c.groups,
+        rules: c.rules,
+        system_atoms: c.system_atoms,
+        hardware_atoms: c.hardware_atoms,
+        objective_levels,
+        fixed_fleet_groups: c.fixed_fleet_groups,
+        stats,
+    })
 }
 
 impl<'a> Compiler<'a> {
@@ -654,68 +709,10 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Per-resource system demands and the workloads' peak cores. Cores
-    /// are listed whenever the workloads need any, even when no *system*
-    /// demands them.
-    fn resource_demands(&self) -> Result<(Demands, u64), CompileError> {
-        let mut demands = Demands::new();
-        for spec in self.catalog().systems() {
-            for d in &spec.resources {
-                let amount = self.eval_amount(&spec.id, &d.amount)?;
-                if amount > 0 {
-                    demands
-                        .entry(d.resource.clone())
-                        .or_default()
-                        .push((spec.id.clone(), amount));
-                }
-            }
-        }
-        let fixed_cores = self
-            .scenario
-            .workloads
-            .iter()
-            .try_fold(0u64, |acc, w| acc.checked_add(w.peak_cores))
-            .ok_or_else(|| CompileError::WeightOverflow("workload peak cores".into()))?;
-        if fixed_cores > 0 {
-            demands.entry(Resource::Cores).or_default();
-        }
-        Ok((demands, fixed_cores))
-    }
-
-    /// The largest fleet any design can need: for each server-scaled
-    /// resource and each server model with per-unit capacity, the fleet
-    /// that carries the workloads plus every system's demand; 1 when no
-    /// model has capacity. Capacity mode's fleet domain stops here, so
-    /// its size follows the scenario rather than the requested bound.
-    /// Demands that fail to evaluate fail the compile in
-    /// `compile_resources`, so the bound is moot for them.
-    fn fleet_bound(&self) -> u64 {
-        let Ok((demands, fixed_cores)) = self.resource_demands() else {
-            return 1;
-        };
-        let mut bound = 1;
-        for (resource, sys_demands) in &demands {
-            if governing_kind(resource) != HardwareKind::Server {
-                continue;
-            }
-            let fixed = if *resource == Resource::Cores { fixed_cores } else { 0 };
-            let demand = u128::from(fixed)
-                + sys_demands.iter().map(|&(_, amount)| u128::from(amount)).sum::<u128>();
-            for id in &self.scenario.inventory.server_candidates {
-                let per_unit = self.catalog().hardware(id).map_or(0, |h| h.capacity(resource));
-                if per_unit > 0 {
-                    let need = demand.div_ceil(u128::from(per_unit));
-                    bound = bound.max(u64::try_from(need).unwrap_or(u64::MAX));
-                }
-            }
-        }
-        bound
-    }
-
     /// Resource contention: for each resource with demands, and each
     /// capacity-defining hardware candidate, a guarded PB constraint.
     fn compile_resources(&mut self) -> Result<(), CompileError> {
-        let (demands, fixed_cores) = self.resource_demands()?;
+        let (demands, fixed_cores) = resource_demands(self.scenario)?;
         for (resource, sys_demands) in demands {
             let kind = governing_kind(&resource);
             let candidates: Vec<HardwareId> = self.candidates_of_kind(kind).to_vec();
@@ -726,10 +723,7 @@ impl<'a> Compiler<'a> {
                 continue;
             }
             let fixed = if resource == Resource::Cores { fixed_cores } else { 0 };
-            if kind == HardwareKind::Server && self.server_count.is_some() {
-                self.compile_variable_server_resource(&resource, &sys_demands, fixed)?;
-                continue;
-            }
+            let first_group = self.groups.len();
             let terms: Vec<PbTerm> = sys_demands
                 .iter()
                 .map(|(id, amount)| {
@@ -779,92 +773,10 @@ impl<'a> Compiler<'a> {
                 assert_pb_le_under(&mut self.encoder, &[group_sel, selector], &terms, budget);
                 self.register_manual_group(group_sel, label, description, None);
             }
-        }
-        Ok(())
-    }
-
-    /// Capacity-planning variant of a server-scaled resource constraint:
-    /// instead of checking demand against `num_servers × cap`, derive
-    /// lower bounds on the variable server count — per model `m` with
-    /// per-unit capacity `c`, if the selected systems' demand reaches `s`
-    /// then `n ≥ ⌈(fixed + s) / c⌉`.
-    fn compile_variable_server_resource(
-        &mut self,
-        resource: &Resource,
-        sys_demands: &[(SystemId, u64)],
-        fixed: u64,
-    ) -> Result<(), CompileError> {
-        let (n, max_n) = self.server_count.clone().expect("capacity mode");
-        let candidates: Vec<HardwareId> =
-            self.candidates_of_kind(HardwareKind::Server).to_vec();
-        let terms: Vec<PbTerm> = sys_demands
-            .iter()
-            .map(|(id, amount)| {
-                let atom = self.system_atoms[id];
-                let lit = self.encoder.atom_lit(atom);
-                PbTerm::new(*amount, lit)
-            })
-            .collect();
-        let total = weight_sum(&terms)
-            .ok_or_else(|| CompileError::WeightOverflow(format!("{resource} demand")))?;
-        // One shared demand totalizer per resource; per-model bound rules.
-        let node = gte_outputs(&mut self.encoder, &terms, total);
-        for model_id in candidates {
-            let spec = self
-                .catalog()
-                .hardware(&model_id)
-                .expect("validated in allocate_atoms")
-                .clone();
-            let per_unit = spec.capacity(resource);
-            let selector = {
-                let atom = self.hardware_atoms[&model_id];
-                self.encoder.atom_lit(atom)
-            };
-            let group_sel = self.encoder.new_selector();
-            let label = format!("capacity:{resource}:{model_id}");
-            let description = format!(
-                "server count must cover {resource} demand on {model_id} \
-                 ({per_unit}/unit, fleet ≤ {max_n})"
-            );
-            if per_unit == 0 {
-                if fixed > 0 || total > 0 {
-                    // No fleet size helps: the model cannot host this.
-                    let clause = [!group_sel, !selector];
-                    ClauseSink::add_clause(&mut self.encoder, &clause);
-                }
-                self.register_manual_group(group_sel, label, description, None);
-                continue;
+            if kind == HardwareKind::Server {
+                self.fixed_fleet_groups
+                    .extend((first_group..self.groups.len()).map(GroupId));
             }
-            let base_need = fixed.div_ceil(per_unit);
-            match n.ge_const(base_need) {
-                netarch_logic::Bound::AlwaysTrue => {}
-                netarch_logic::Bound::AlwaysFalse => {
-                    let clause = [!group_sel, !selector];
-                    ClauseSink::add_clause(&mut self.encoder, &clause);
-                }
-                netarch_logic::Bound::Lit(q) => {
-                    let clause = [!group_sel, !selector, q];
-                    ClauseSink::add_clause(&mut self.encoder, &clause);
-                }
-            }
-            for &(s, l) in &node.outputs {
-                // No fleet size covers a need past u64::MAX.
-                let need = (u128::from(fixed) + u128::from(s)).div_ceil(u128::from(per_unit));
-                let bound = u64::try_from(need)
-                    .map_or(netarch_logic::Bound::AlwaysFalse, |need| n.ge_const(need));
-                match bound {
-                    netarch_logic::Bound::AlwaysTrue => {}
-                    netarch_logic::Bound::AlwaysFalse => {
-                        let clause = [!group_sel, !selector, !l];
-                        ClauseSink::add_clause(&mut self.encoder, &clause);
-                    }
-                    netarch_logic::Bound::Lit(q) => {
-                        let clause = [!group_sel, !selector, !l, q];
-                        ClauseSink::add_clause(&mut self.encoder, &clause);
-                    }
-                }
-            }
-            self.register_manual_group(group_sel, label, description, None);
         }
         Ok(())
     }
@@ -873,7 +785,7 @@ impl<'a> Compiler<'a> {
     /// `selector`.
     fn register_manual_group(
         &mut self,
-        selector: netarch_sat::Lit,
+        selector: Lit,
         label: String,
         description: String,
         citation: Option<String>,
@@ -881,12 +793,6 @@ impl<'a> Compiler<'a> {
         self.groups.adopt_selector(selector, label.clone());
         self.rules.push(RuleMeta { label, description, citation });
         debug_assert_eq!(self.rules.len(), self.groups.len());
-    }
-
-    fn eval_amount(&self, system: &SystemId, amount: &AmountExpr) -> Result<u64, CompileError> {
-        amount
-            .eval(&|name| self.scenario.param_value(name))
-            .map_err(|param| CompileError::MissingParam { system: system.clone(), param })
     }
 
     /// WhatIf pins.
@@ -1077,6 +983,59 @@ impl<'a> Compiler<'a> {
     }
 }
 
+/// Per-resource system demands and the workloads' peak cores. Cores are
+/// listed whenever the workloads need any, even when no *system* demands
+/// them.
+fn resource_demands(scenario: &Scenario) -> Result<(Demands, u64), CompileError> {
+    let mut demands = Demands::new();
+    for spec in scenario.catalog.systems() {
+        for d in &spec.resources {
+            let amount = d
+                .amount
+                .eval(&|name| scenario.param_value(name))
+                .map_err(|param| CompileError::MissingParam { system: spec.id.clone(), param })?;
+            if amount > 0 {
+                demands
+                    .entry(d.resource.clone())
+                    .or_default()
+                    .push((spec.id.clone(), amount));
+            }
+        }
+    }
+    let fixed_cores = scenario
+        .workloads
+        .iter()
+        .try_fold(0u64, |acc, w| acc.checked_add(w.peak_cores))
+        .ok_or_else(|| CompileError::WeightOverflow("workload peak cores".into()))?;
+    if fixed_cores > 0 {
+        demands.entry(Resource::Cores).or_default();
+    }
+    Ok((demands, fixed_cores))
+}
+
+/// The largest fleet any design can need: for each server-scaled resource
+/// and each server model with per-unit capacity, the fleet that carries
+/// the workloads plus every system's demand; 1 when no model has capacity.
+fn fleet_bound(scenario: &Scenario, demands: &Demands, fixed_cores: u64) -> u64 {
+    let mut bound = 1;
+    for (resource, sys_demands) in demands {
+        if governing_kind(resource) != HardwareKind::Server {
+            continue;
+        }
+        let fixed = if *resource == Resource::Cores { fixed_cores } else { 0 };
+        let demand = u128::from(fixed)
+            + sys_demands.iter().map(|&(_, amount)| u128::from(amount)).sum::<u128>();
+        for id in &scenario.inventory.server_candidates {
+            let per_unit = scenario.catalog.hardware(id).map_or(0, |h| h.capacity(resource));
+            if per_unit > 0 {
+                let need = demand.div_ceil(u128::from(per_unit));
+                bound = bound.max(u64::try_from(need).unwrap_or(u64::MAX));
+            }
+        }
+    }
+    bound
+}
+
 /// Which hardware slot defines the capacity of a resource.
 fn governing_kind(resource: &Resource) -> HardwareKind {
     match resource {
@@ -1105,7 +1064,7 @@ fn capacity_scale(resource: &Resource, inventory: &Inventory) -> u64 {
 mod tests {
     use super::*;
     use crate::component::{HardwareSpec, SystemSpec};
-    use crate::condition::CmpOp;
+    use crate::condition::{AmountExpr, CmpOp};
     use crate::scenario::Pin;
     use crate::types::Dimension;
     use crate::workload::Workload;

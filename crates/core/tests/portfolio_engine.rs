@@ -225,7 +225,6 @@ fn session_queries_survive_portfolio_probes() {
     assert!(classes.len() >= 2, "{classes:?}");
     let opt2 = engine.optimize().unwrap().expect("feasible");
     assert_eq!(opt1.design.selections, opt2.design.selections);
-    assert_eq!(engine.stats().recompiles, 0, "portfolio probes must not recompile");
     // NETARCH_VERIFY_PROOFS keeps every verdict on the certified session
     // solver, so pool rounds run exactly when proof mode is off.
     assert_eq!(engine.stats().portfolio_solves > 0, !netarch_logic::proofs_requested());

@@ -16,20 +16,12 @@ pub mod caps {
     pub const DETECT_QUEUE_LENGTH: &str = "detect_queue_length";
     /// Per-packet delay capture (Listing 2).
     pub const CAPTURE_DELAYS: &str = "capture_delays";
-    /// General reachability/health monitoring.
-    pub const REACHABILITY_MONITORING: &str = "reachability_monitoring";
-    /// Streaming telemetry queries (Sonata/Marple).
-    pub const TELEMETRY_QUERIES: &str = "telemetry_queries";
     /// Traffic filtering.
     pub const FIREWALLING: &str = "firewalling";
     /// Network virtualization / tenant overlay.
     pub const VIRTUALIZATION: &str = "virtualization";
-    /// Intra-fabric path load balancing.
-    pub const LOAD_BALANCING: &str = "load_balancing";
     /// Service-level (L4) load balancing.
     pub const L4_LOAD_BALANCING: &str = "l4_load_balancing";
-    /// Reliable byte/message transport.
-    pub const TRANSPORT: &str = "transport";
     /// L2 address resolution.
     pub const ADDRESS_RESOLUTION: &str = "address_resolution";
 }
@@ -50,12 +42,8 @@ pub mod feats {
     pub const SMARTNIC_CPU: &str = "SMARTNIC_CPU";
     /// An FPGA-based SmartNIC.
     pub const SMARTNIC_FPGA: &str = "SMARTNIC_FPGA";
-    /// NIC supports kernel-bypass (DPDK-class) drivers.
-    pub const KERNEL_BYPASS: &str = "KERNEL_BYPASS";
     /// NIC driver supports XDP.
     pub const XDP: &str = "XDP";
-    /// NIC supports SR-IOV virtual functions.
-    pub const SRIOV: &str = "SRIOV";
     /// Switch supports ECN marking (DCTCP/DCQCN dependency).
     pub const ECN: &str = "ECN";
     /// Switch supports in-band network telemetry (HPCC dependency).
@@ -74,10 +62,6 @@ pub mod feats {
     pub const CONGA_FABRIC: &str = "CONGA_FABRIC";
     /// Port mirroring (Everflow-class telemetry).
     pub const MIRRORING: &str = "MIRRORING";
-    /// Line-rate sampled flow export.
-    pub const SFLOW: &str = "SFLOW";
-    /// Per-flow queues in the fabric (BFC dependency).
-    pub const PER_FLOW_QUEUES: &str = "PER_FLOW_QUEUES";
     /// Provided (abstract): tunnel encap/decap offloaded from CPUs.
     pub const TUNNEL_OFFLOAD: &str = "TUNNEL_OFFLOAD";
     /// Provided (abstract): an edge site already provisioned with compute
@@ -114,8 +98,6 @@ pub mod props {
 pub mod params {
     /// Fabric link speed, Gbit/s (Figure 1 conditions).
     pub const LINK_SPEED_GBPS: &str = "link_speed_gbps";
-    /// Total concurrent flows (derived from workloads by default).
-    pub const NUM_FLOWS: &str = "num_flows";
 }
 
 #[cfg(test)]
@@ -127,13 +109,9 @@ mod tests {
             super::caps::HOST_NETWORKING,
             super::caps::DETECT_QUEUE_LENGTH,
             super::caps::CAPTURE_DELAYS,
-            super::caps::REACHABILITY_MONITORING,
-            super::caps::TELEMETRY_QUERIES,
             super::caps::FIREWALLING,
             super::caps::VIRTUALIZATION,
-            super::caps::LOAD_BALANCING,
             super::caps::L4_LOAD_BALANCING,
-            super::caps::TRANSPORT,
             super::caps::ADDRESS_RESOLUTION,
             super::feats::NIC_TIMESTAMPS,
             super::feats::REORDER_BUFFER,
@@ -142,9 +120,7 @@ mod tests {
             super::feats::IWARP,
             super::feats::SMARTNIC_CPU,
             super::feats::SMARTNIC_FPGA,
-            super::feats::KERNEL_BYPASS,
             super::feats::XDP,
-            super::feats::SRIOV,
             super::feats::ECN,
             super::feats::INT,
             super::feats::QCN,
@@ -154,8 +130,6 @@ mod tests {
             super::feats::FLOWLET_SWITCHING,
             super::feats::CONGA_FABRIC,
             super::feats::MIRRORING,
-            super::feats::SFLOW,
-            super::feats::PER_FLOW_QUEUES,
             super::feats::TUNNEL_OFFLOAD,
             super::feats::EDGE_PROVISIONED,
             super::feats::PONY,

@@ -82,7 +82,13 @@ impl GroupedAssertions {
 
     /// Solves with the given groups active.
     pub fn solve_with_groups(&self, encoder: &mut Encoder, groups: &[GroupId]) -> SolveResult {
-        let assumptions: Vec<Lit> = groups.iter().map(|&g| self.selectors[g.0]).collect();
+        self.solve_under(encoder, &[], groups)
+    }
+
+    /// Solves with `base` assumed and the given groups active.
+    fn solve_under(&self, encoder: &mut Encoder, base: &[Lit], groups: &[GroupId]) -> SolveResult {
+        let mut assumptions = base.to_vec();
+        assumptions.extend(groups.iter().map(|&g| self.selectors[g.0]));
         encoder.solve_with(&assumptions)
     }
 
@@ -101,7 +107,19 @@ impl GroupedAssertions {
     /// Returns `None` when the candidates are jointly satisfiable. The
     /// returned set is minimal: dropping any one member yields SAT.
     pub fn find_mus(&self, encoder: &mut Encoder, candidates: &[GroupId]) -> Option<Vec<GroupId>> {
-        match self.solve_with_groups(encoder, candidates) {
+        self.find_mus_under(encoder, &[], candidates)
+    }
+
+    /// [`GroupedAssertions::find_mus`] with the `base` literals assumed in
+    /// every solve: a minimal subset of `candidates` that is unsatisfiable
+    /// together with `base`. The base itself is never blamed.
+    pub fn find_mus_under(
+        &self,
+        encoder: &mut Encoder,
+        base: &[Lit],
+        candidates: &[GroupId],
+    ) -> Option<Vec<GroupId>> {
+        match self.solve_under(encoder, base, candidates) {
             SolveResult::Sat | SolveResult::Unknown => return None,
             SolveResult::Unsat => {}
         }
@@ -113,14 +131,15 @@ impl GroupedAssertions {
             .filter(|g| candidates.contains(g))
             .collect();
         if working.is_empty() {
-            // The hard (ungrouped) constraints are unsatisfiable alone.
+            // The hard (ungrouped) constraints and the base are
+            // unsatisfiable alone.
             return Some(Vec::new());
         }
         let mut i = 0;
         while i < working.len() {
             let mut trial = working.clone();
             let removed = trial.remove(i);
-            match self.solve_with_groups(encoder, &trial) {
+            match self.solve_under(encoder, base, &trial) {
                 SolveResult::Unsat => {
                     // `removed` is unnecessary; also re-shrink to the new core.
                     let core = encoder.solver().unsat_core().to_vec();
@@ -228,6 +247,19 @@ mod tests {
         let mut g = GroupedAssertions::new();
         let g1 = g.add_group(&mut e, "anything", &a(1));
         assert_eq!(g.find_mus(&mut e, &[g1]), Some(Vec::new()));
+    }
+
+    #[test]
+    fn base_assumptions_hold_in_every_solve_and_are_never_blamed() {
+        let mut e = Encoder::new();
+        let mut g = GroupedAssertions::new();
+        let g1 = g.add_group(&mut e, "x", &a(0));
+        let g2 = g.add_group(&mut e, "y", &a(1));
+        let base = e.new_selector();
+        e.assert_under(base, &Formula::not(a(0)));
+        assert_eq!(g.find_mus(&mut e, &[g1, g2]), None);
+        assert_eq!(g.find_mus_under(&mut e, &[base], &[g1, g2]), Some(vec![g1]));
+        assert_eq!(g.find_mus_under(&mut e, &[base], &[g2]), None);
     }
 
     #[test]

@@ -334,14 +334,6 @@ pub fn run_differential(
                     return Ok(report);
                 }
             }
-            let stats = session.stats();
-            if stats.recompiles != 0 {
-                report.disagreement = Some(format!(
-                    "variant {} ordering {perm:?}: session recompiled mid-tape",
-                    variant.index
-                ));
-                return Ok(report);
-            }
             if traversed >= opts.ordering_budget || !next_permutation(&mut perm) {
                 break;
             }

@@ -117,8 +117,8 @@ echo "== proof-check =="
 cargo run --release --offline -q -p netarch-bench --bin exp_proof_check
 
 echo "== incremental-session smoke =="
-# The 50-query differential workload: session answers must match
-# recompile-per-query answers, with zero recompiles and a ≥3× speedup.
+# The 50-query differential workload: session answers must match a fresh
+# engine's per query, and the session must be at least 3× faster.
 NETARCH_BENCH_DIR="$bench_tmp" \
     cargo run --release --offline -q -p netarch-bench --bin exp_incremental
 

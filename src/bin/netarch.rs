@@ -26,14 +26,22 @@ use netarch::core::explain::render_diagnosis;
 use netarch::core::prelude::*;
 use netarch::dsl;
 use netarch_rt::jobj;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args.iter().map(String::as_str).collect::<Vec<_>>()) {
         Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            match writeln!(stdout, "{output}").and_then(|()| stdout.flush()) {
+                // A reader that stops early (`| head`) has all it wants.
+                Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+                    eprintln!("error: cannot write output: {e}");
+                    ExitCode::FAILURE
+                }
+                _ => ExitCode::SUCCESS,
+            }
         }
         Err(message) => {
             eprintln!("error: {message}");

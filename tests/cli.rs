@@ -99,6 +99,28 @@ fn export_catalog_roundtrips() {
 }
 
 #[test]
+fn a_reader_that_closes_stdout_early_is_not_a_panic() {
+    use std::io::BufRead;
+    // The catalog JSON is larger than a pipe buffer, so the write is still
+    // in flight when the reader hangs up after one line.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_netarch"))
+        .arg("export-catalog")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("piped"))
+        .read_line(&mut first)
+        .expect("reads a line");
+    assert_eq!(first.trim(), "{");
+    let output = child.wait_with_output().expect("exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(output.status.code(), Some(101), "{stderr}");
+}
+
+#[test]
 fn bad_usage_fails_with_help() {
     let (ok, _, stderr) = netarch(&["frobnicate"]);
     assert!(!ok);
