@@ -52,7 +52,11 @@ pub struct PortfolioOptions {
 
 impl Default for PortfolioOptions {
     fn default() -> PortfolioOptions {
-        PortfolioOptions { num_threads: 4, deterministic: false, seed: 0 }
+        PortfolioOptions {
+            num_threads: 4,
+            deterministic: false,
+            seed: 0,
+        }
     }
 }
 
@@ -158,7 +162,10 @@ mod tests {
         assert!(b.is_portfolio());
         assert_eq!(
             b,
-            SolveBackend::Portfolio(PortfolioOptions { num_threads: 2, ..PortfolioOptions::default() })
+            SolveBackend::Portfolio(PortfolioOptions {
+                num_threads: 2,
+                ..PortfolioOptions::default()
+            })
         );
     }
 }

@@ -43,7 +43,10 @@ pub fn assert_at_least(sink: &mut impl ClauseSink, lits: &[Lit], k: u32) {
     if k == 0 {
         return;
     }
-    assert!(k <= n, "at-least-{k} over {n} literals is unsatisfiable; assert False instead");
+    assert!(
+        k <= n,
+        "at-least-{k} over {n} literals is unsatisfiable; assert False instead"
+    );
     if k == 1 {
         sink.add_clause(lits);
         return;
@@ -180,8 +183,7 @@ mod tests {
         let xs = inputs(&mut s, n);
         build(&mut s, &xs);
         let vars: Vec<Var> = xs.iter().map(|l| l.var()).collect();
-        let (count, truncated) =
-            netarch_sat::enumerate::count_models(&mut s, &vars, 1 << n);
+        let (count, truncated) = netarch_sat::enumerate::count_models(&mut s, &vars, 1 << n);
         assert!(!truncated);
         count
     }
@@ -229,12 +231,8 @@ mod tests {
     fn at_least_counts_models() {
         for n in 2..=6usize {
             for k in 1..=n as u32 {
-                let count = count_projected(
-                    |s, xs| assert_at_least(s, xs, k),
-                    n,
-                );
-                let expected: usize =
-                    (k as usize..=n).map(|i| binomial(n, i)).sum();
+                let count = count_projected(|s, xs| assert_at_least(s, xs, k), n);
+                let expected: usize = (k as usize..=n).map(|i| binomial(n, i)).sum();
                 assert_eq!(count, expected, "ALK n={n} k={k}");
             }
         }
@@ -244,10 +242,7 @@ mod tests {
     fn exactly_counts_models() {
         for n in 2..=6usize {
             for k in 0..=n as u32 {
-                let count = count_projected(
-                    |s, xs| assert_exactly(s, xs, k),
-                    n,
-                );
+                let count = count_projected(|s, xs| assert_exactly(s, xs, k), n);
                 assert_eq!(count, binomial(n, k as usize), "EXK n={n} k={k}");
             }
         }
@@ -308,6 +303,10 @@ mod tests {
         let xs: Vec<Lit> = (0..40).map(|_| sink.fresh_lit()).collect();
         sequential_at_most(&mut sink, &xs, 3);
         // O(n*k) clauses: generous bound to catch superlinear regressions.
-        assert!(sink.clauses.len() < 40 * 3 * 4, "got {}", sink.clauses.len());
+        assert!(
+            sink.clauses.len() < 40 * 3 * 4,
+            "got {}",
+            sink.clauses.len()
+        );
     }
 }

@@ -9,9 +9,7 @@ use crate::ast::{Atom, Formula};
 use crate::backend::SolveBackend;
 use crate::cardinality;
 use crate::sink::ClauseSink;
-use netarch_sat::{
-    Lit, ProbePool, ProbePoolConfig, SolveResult, Solver, SolverConfig, Stats, Var,
-};
+use netarch_sat::{Lit, ProbePool, ProbePoolConfig, SolveResult, Solver, SolverConfig, Stats, Var};
 use std::sync::Arc;
 
 /// Encoder configuration.
@@ -616,7 +614,10 @@ mod tests {
         // ((a0 ∧ a1) ∨ ¬a2) must hold, a2 true, a0 false → UNSAT? No:
         // a0=F makes (a0∧a1)=F and ¬a2=F → formula false → UNSAT.
         let mut e = Encoder::new();
-        e.assert(&Formula::or([Formula::and([a(0), a(1)]), Formula::not(a(2))]));
+        e.assert(&Formula::or([
+            Formula::and([a(0), a(1)]),
+            Formula::not(a(2)),
+        ]));
         e.assert(&a(2));
         e.assert(&Formula::not(a(0)));
         assert_eq!(e.solve(), SolveResult::Unsat);
@@ -713,8 +714,16 @@ mod tests {
         e.assert_under(s, &Formula::at_most(1, [a(0), a(1), a(2)]));
         e.assert(&a(0));
         e.assert(&a(1));
-        assert_eq!(e.solve(), SolveResult::Sat, "inactive group tolerates 2 atoms");
-        assert_eq!(e.solve_with(&[s]), SolveResult::Unsat, "active group enforces AMO");
+        assert_eq!(
+            e.solve(),
+            SolveResult::Sat,
+            "inactive group tolerates 2 atoms"
+        );
+        assert_eq!(
+            e.solve_with(&[s]),
+            SolveResult::Unsat,
+            "active group enforces AMO"
+        );
     }
 
     #[test]

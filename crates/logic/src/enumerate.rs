@@ -48,7 +48,10 @@ pub fn enumerate_models(
                 .collect()
         })
         .collect();
-    ModelList { models, truncated: result.truncated }
+    ModelList {
+        models,
+        truncated: result.truncated,
+    }
 }
 
 #[cfg(test)]

@@ -45,7 +45,10 @@ pub struct CollectSink {
 impl CollectSink {
     /// Creates a collector pre-sized with `num_vars` existing variables.
     pub fn with_vars(num_vars: usize) -> CollectSink {
-        CollectSink { num_vars, clauses: Vec::new() }
+        CollectSink {
+            num_vars,
+            clauses: Vec::new(),
+        }
     }
 
     /// Total literal count across collected clauses.

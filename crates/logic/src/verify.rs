@@ -60,10 +60,13 @@ pub fn check_outcome(
     match result {
         SolveResult::Sat => {
             for clause in clauses {
-                let satisfied =
-                    clause.iter().any(|&l| solver.model_lit_value(l) == Some(true));
+                let satisfied = clause
+                    .iter()
+                    .any(|&l| solver.model_lit_value(l) == Some(true));
                 if !satisfied {
-                    return Err(VerifyError::ModelViolation { clause: clause.clone() });
+                    return Err(VerifyError::ModelViolation {
+                        clause: clause.clone(),
+                    });
                 }
             }
             Ok(())
@@ -133,11 +136,12 @@ mod tests {
 
     #[test]
     fn unsat_outcome_is_verified() {
-        let clauses =
-            vec![vec![lit(1), lit(2)], vec![lit(-1), lit(2)], vec![lit(1), lit(-2)], vec![
-                lit(-1),
-                lit(-2),
-            ]];
+        let clauses = vec![
+            vec![lit(1), lit(2)],
+            vec![lit(-1), lit(2)],
+            vec![lit(1), lit(-2)],
+            vec![lit(-1), lit(-2)],
+        ];
         assert_eq!(solve_and_check(2, &clauses, &[]).0, SolveResult::Unsat);
     }
 

@@ -12,7 +12,7 @@
 //! * **minimality**: it contains nothing else, verified by the oracle
 //!   check "drop each member → SAT".
 
-use netarch_logic::{Atom, Encoder, Formula, GroupedAssertions, GroupId};
+use netarch_logic::{Atom, Encoder, Formula, GroupId, GroupedAssertions};
 use netarch_rt::prop::{self, Config};
 use netarch_rt::{prop_assert, prop_assert_eq, Rng};
 use netarch_sat::{Lit, SolveResult, Solver, Var};
@@ -37,7 +37,12 @@ fn gen_planted(rng: &mut Rng) -> PlantedCore {
     let noise = netarch_rt::prop::gen_vec(rng, 0..=5, |r| {
         netarch_rt::prop::gen_vec(r, 1..=3, |r| r.gen_range(0..noise_vars))
     });
-    PlantedCore { k, noise_vars, noise, shuffle_seed: rng.gen_range(0..u64::MAX / 2) }
+    PlantedCore {
+        k,
+        noise_vars,
+        noise,
+        shuffle_seed: rng.gen_range(0..u64::MAX / 2),
+    }
 }
 
 fn shuffled<T: Clone>(items: &[T], seed: u64) -> Vec<T> {
@@ -70,12 +75,15 @@ fn solver_core_is_exactly_the_planted_conflict() {
         prop_assert_eq!(s.solve_with(&assumptions), SolveResult::Unsat);
         let core: HashSet<Lit> = s.unsat_core().iter().copied().collect();
         let expected: HashSet<Lit> = planted.iter().copied().collect();
-        prop_assert_eq!(&core, &expected, "core must be exactly the planted selectors");
+        prop_assert_eq!(
+            &core,
+            &expected,
+            "core must be exactly the planted selectors"
+        );
 
         // Oracle minimality check: dropping any single core member is SAT.
         for drop in &core {
-            let rest: Vec<Lit> =
-                assumptions.iter().copied().filter(|l| l != drop).collect();
+            let rest: Vec<Lit> = assumptions.iter().copied().filter(|l| l != drop).collect();
             prop_assert_eq!(
                 s.solve_with(&rest),
                 SolveResult::Sat,
@@ -99,7 +107,9 @@ fn mus_is_exactly_the_planted_conflict() {
         necessary.push(g.add_group(
             &mut e,
             "cap",
-            &Formula::not(Formula::and((0..p.k).map(|i| Formula::Atom(Atom(i as u32))))),
+            &Formula::not(Formula::and(
+                (0..p.k).map(|i| Formula::Atom(Atom(i as u32))),
+            )),
         ));
         // Noise groups: positive disjunctions over a disjoint atom block.
         let noise: Vec<GroupId> = p
@@ -108,7 +118,9 @@ fn mus_is_exactly_the_planted_conflict() {
             .enumerate()
             .map(|(n, clause)| {
                 let f = Formula::or(
-                    clause.iter().map(|&i| Formula::Atom(Atom((p.k + i) as u32))),
+                    clause
+                        .iter()
+                        .map(|&i| Formula::Atom(Atom((p.k + i) as u32))),
                 );
                 g.add_group(&mut e, format!("noise{n}"), &f)
             })
@@ -118,7 +130,9 @@ fn mus_is_exactly_the_planted_conflict() {
         candidates.extend(&noise);
         let candidates = shuffled(&candidates, p.shuffle_seed);
 
-        let mus = g.find_mus(&mut e, &candidates).expect("planted conflict is UNSAT");
+        let mus = g
+            .find_mus(&mut e, &candidates)
+            .expect("planted conflict is UNSAT");
         let mut expected = necessary.clone();
         expected.sort_unstable();
         prop_assert_eq!(&mus, &expected, "MUS must be exactly the planted groups");

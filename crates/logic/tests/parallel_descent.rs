@@ -40,7 +40,11 @@ fn gen_instance(rng: &mut Rng) -> Instance {
     for _ in 0..rng.gen_range(2..8) {
         soft.push(Soft::new(rng.gen_range(1..9), atom(rng, num_atoms)));
     }
-    Instance { hard, soft, num_atoms }
+    Instance {
+        hard,
+        soft,
+        num_atoms,
+    }
 }
 
 fn encoder_with(backend: SolveBackend) -> Encoder {
@@ -56,7 +60,9 @@ fn optimize(instance: &Instance, backend: SolveBackend) -> (MaxSatOutcome, Vec<O
         e.assert(h);
     }
     let outcome = minimize(&mut e, &instance.soft);
-    let model = (0..instance.num_atoms).map(|i| e.atom_value(Atom(i))).collect();
+    let model = (0..instance.num_atoms)
+        .map(|i| e.atom_value(Atom(i)))
+        .collect();
     (outcome, model)
 }
 
@@ -92,7 +98,10 @@ fn racing_descent_matches_sequential_optimum() {
             optima += 1;
         }
     }
-    assert!(optima >= 15, "degenerate sweep: only {optima} optimizable cases");
+    assert!(
+        optima >= 15,
+        "degenerate sweep: only {optima} optimizable cases"
+    );
 }
 
 #[test]
