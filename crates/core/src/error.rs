@@ -48,6 +48,9 @@ pub enum CompileError {
     UnknownHardware(HardwareId),
     /// A hardware candidate was offered for the wrong inventory slot.
     WrongHardwareKind(HardwareId),
+    /// A hardware model is listed more than once among an inventory slot's
+    /// candidates.
+    RepeatedCandidate(HardwareId),
     /// A required role has no candidate systems in the catalog.
     EmptyRole(Category),
     /// A resource amount references an undefined scenario parameter.
@@ -83,6 +86,9 @@ impl fmt::Display for CompileError {
             CompileError::UnknownHardware(id) => write!(f, "unknown hardware {id}"),
             CompileError::WrongHardwareKind(id) => {
                 write!(f, "hardware {id} offered for the wrong inventory slot")
+            }
+            CompileError::RepeatedCandidate(id) => {
+                write!(f, "hardware {id} is listed more than once among the inventory candidates")
             }
             CompileError::EmptyRole(cat) => {
                 write!(f, "required role {cat} has no candidate systems")

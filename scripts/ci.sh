@@ -34,11 +34,11 @@ echo "== rustdoc =="
 # a deleted item cannot land.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-echo "== rustfmt (netarch-corpus) =="
-# The corpus crate is held to rustfmt's default style; the rest of the
-# workspace is not formatted yet.
+echo "== rustfmt (netarch-corpus, netarch-logic) =="
+# The corpus and logic crates are held to rustfmt's default style; the
+# rest of the workspace is not formatted yet.
 if cargo fmt --version >/dev/null 2>&1; then
-    cargo fmt -p netarch-corpus --check
+    cargo fmt -p netarch-corpus -p netarch-logic --check
 elif [ "${CI:-0}" = "1" ]; then
     echo "error: CI=1 but cargo fmt is not installed" >&2
     exit 1
@@ -80,6 +80,21 @@ budget_answer() { # <expected first line> <query> [trailing args]
 budget_answer "FEASIBLE" check
 budget_answer "OPTIMAL" optimize
 budget_answer "SERVERS NEEDED: 44" capacity 256
+
+echo "== case-study optimum (CLI) =="
+# The committed case study's Listing 3 stack (latency > cost > monitoring)
+# must print OPTIMAL and the level penalties 0, 529 and 2, in order.
+# Answers only: the dollar total depends on which optimal design the
+# solver witnesses, so it is not checked.
+optimum="$(cargo run --release --offline -q --bin netarch -- optimize \
+    corpus/*.narch corpus/*/*.narch)"
+penalties="$(printf '%s\n' "$optimum" | sed -n 's/^level .* penalty \([0-9]*\)$/\1/p' |
+    tr '\n' ' ')"
+if [ "${optimum%%$'\n'*}" != "OPTIMAL" ] || [ "$penalties" != "0 529 2 " ]; then
+    echo "error: case-study optimum: netarch optimize printed" >&2
+    echo "$optimum" >&2
+    exit 1
+fi
 
 echo "== serve-replay (case study) =="
 # The committed case study through the sharded service, every answer

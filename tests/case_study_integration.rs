@@ -3,8 +3,12 @@
 //! versions of experiments E4/E5 (see EXPERIMENTS.md).
 
 use netarch::core::baseline::validate_design;
+use netarch::core::compile::compile;
 use netarch::core::prelude::*;
 use netarch::corpus::case_study;
+use netarch::logic::maxsat::{compile_softs, minimize_under, MaxSatOutcome};
+use netarch::logic::Soft;
+use netarch::sat::SolveResult;
 
 #[test]
 fn naive_design_is_rejected_with_the_ecmp_bound_in_the_diagnosis() {
@@ -249,5 +253,57 @@ fn measurement_advice_names_the_system_the_catalog_lacks() {
             .advise_measurement(a, b, &Dimension::Latency)
             .expect_err("GHOST_SYSTEM is not in the catalog");
         assert_eq!(err, CompileError::UnknownSystem(ghost.clone()), "advise({a}, {b})");
+    }
+}
+
+/// Every objective level's optimum on a fresh compile, descended in order
+/// as `Engine::optimize` does. With `strip`, each soft first leaves the
+/// at-most-one group the compiler put it in, so the totalizers trust no
+/// group. `None` when the scenario is infeasible.
+fn level_penalties(scenario: &Scenario, strip: bool) -> Option<Vec<u64>> {
+    let mut c = compile(scenario).expect("compiles");
+    let mut base = c.all_selectors();
+    if c.encoder.solve_with(&base) != SolveResult::Sat {
+        return None;
+    }
+    let gate = c.encoder.new_selector();
+    let mut penalties = Vec::new();
+    for level in &c.objective_levels {
+        let softs = level
+            .softs
+            .iter()
+            .map(|s| if strip { Soft::new(s.weight, s.formula.clone()) } else { s.clone() })
+            .collect();
+        let softs = compile_softs(&mut c.encoder, softs).expect("no overflow");
+        match minimize_under(&mut c.encoder, &softs, &base, gate) {
+            MaxSatOutcome::Optimal { cost, .. } => penalties.push(cost),
+            other => panic!("{:?} (strip: {strip}): {other:?}", level.objective),
+        }
+        base.push(softs.activation());
+    }
+    Some(penalties)
+}
+
+#[test]
+fn grouped_objectives_match_ungrouped_penalties_on_the_case_study() {
+    // The cost and dimension levels count each role category and hardware
+    // slot as one at-most-one leaf. The same levels with every soft in its
+    // own group must reach the same optima, and so must the engine.
+    let three_levels = case_study::scenario();
+    let mut cost_only = case_study::scenario();
+    cost_only.objectives = vec![Objective::MinimizeCost];
+    let mut budgeted = case_study::scenario().with_budget(1_212_000);
+    budgeted.inventory.num_servers = 64;
+    for (name, scenario) in [
+        ("three levels", three_levels),
+        ("minimize_cost", cost_only),
+        ("64 servers under $1,212,000", budgeted),
+    ] {
+        let grouped = level_penalties(&scenario, false).expect("feasible");
+        assert_eq!(Some(grouped.clone()), level_penalties(&scenario, true), "{name}");
+        let mut engine = Engine::new(scenario).expect("compiles");
+        let report = engine.optimize().expect("runs").expect("feasible");
+        let penalties: Vec<u64> = report.levels.iter().map(|l| l.penalty).collect();
+        assert_eq!(penalties, grouped, "{name}");
     }
 }

@@ -224,6 +224,30 @@ fn compare_reads_the_split_corpus() {
     }
 }
 
+/// A model listed twice in an inventory slot is an input error that names
+/// the model, not an infeasible scenario blamed on `hw:nic`.
+#[test]
+fn a_repeated_inventory_candidate_is_named() {
+    let mut files = corpus_narch_paths();
+    let case_study = files.pop().expect("the case study comes last");
+    let text = std::fs::read_to_string(&case_study).expect("read the case study");
+    let nics = text
+        .lines()
+        .find(|line| line.trim_start().starts_with("nics = "))
+        .expect("the case study lists NIC candidates");
+    let edited = text.replace(nics, "    nics = [MLX_CX5_100, MLX_CX5_100]");
+    let path = temp_path("repeated_candidate", "case_study.narch");
+    std::fs::write(&path, edited).unwrap();
+    files.push(path.to_str().unwrap().to_string());
+    let args: Vec<&str> = std::iter::once("check").chain(files.iter().map(String::as_str)).collect();
+    let (ok, stdout, stderr) = netarch(&args);
+    std::fs::remove_file(&path).ok();
+    assert!(!ok, "{stdout}");
+    assert!(!stdout.contains("INFEASIBLE"), "{stdout}");
+    assert!(stderr.contains("MLX_CX5_100"), "{stderr}");
+    assert!(stderr.contains("more than once"), "{stderr}");
+}
+
 #[test]
 fn load_merges_the_split_corpus_and_summarizes() {
     let paths = corpus_narch_paths();
