@@ -62,7 +62,9 @@ impl FromJson for Catalog {
             order: field(j, "order")?,
             digest: OnceLock::new(),
         };
-        Ok(Catalog { content: Arc::new(content) })
+        Ok(Catalog {
+            content: Arc::new(content),
+        })
     }
 }
 
@@ -202,7 +204,10 @@ impl Catalog {
         let system_units: usize = self
             .systems()
             .map(|s| {
-                1 + s.solves.len() + s.requires.len() + s.conflicts.len() + s.resources.len()
+                1 + s.solves.len()
+                    + s.requires.len()
+                    + s.conflicts.len()
+                    + s.resources.len()
                     + s.provides.len()
             })
             .sum();
@@ -250,7 +255,10 @@ impl CatalogDelta {
     /// A delta that replaces one system encoding (the common "new version
     /// of an old system" case).
     pub fn update_system(spec: SystemSpec) -> CatalogDelta {
-        CatalogDelta { upsert_systems: vec![spec], ..CatalogDelta::default() }
+        CatalogDelta {
+            upsert_systems: vec![spec],
+            ..CatalogDelta::default()
+        }
     }
 }
 
@@ -276,8 +284,7 @@ impl Catalog {
             content.hardware.insert(spec.id.clone(), spec);
         }
         // Drop edges touching removed systems; then append new edges.
-        let removed: std::collections::BTreeSet<&SystemId> =
-            delta.remove_systems.iter().collect();
+        let removed: std::collections::BTreeSet<&SystemId> = delta.remove_systems.iter().collect();
         let kept: Vec<OrderingEdge> = content
             .order
             .edges()
@@ -336,7 +343,11 @@ mod tests {
     fn ordering_requires_known_endpoints() {
         let mut c = catalog_with(&["LINUX"]);
         let err = c
-            .add_ordering(OrderingEdge::strict("LINUX", "GHOST", Dimension::Throughput))
+            .add_ordering(OrderingEdge::strict(
+                "LINUX",
+                "GHOST",
+                Dimension::Throughput,
+            ))
             .unwrap_err();
         assert!(matches!(err, CatalogError::UnknownSystem(id) if id.as_str() == "GHOST"));
     }
@@ -359,7 +370,9 @@ mod tests {
         assert_eq!(c.systems_in(&Category::Monitoring).len(), 1);
         assert_eq!(c.systems_in(&Category::Firewall).len(), 0);
         assert_eq!(
-            c.systems_solving(&Capability::new("load_balancing"))[0].id.as_str(),
+            c.systems_solving(&Capability::new("load_balancing"))[0]
+                .id
+                .as_str(),
             "ECMP"
         );
     }
@@ -390,8 +403,12 @@ mod tests {
         .unwrap();
         c.add_system(SystemSpec::builder("PINGMESH", Category::Monitoring).build())
             .unwrap();
-        c.add_ordering(OrderingEdge::strict("SIMON", "PINGMESH", Dimension::MonitoringQuality))
-            .unwrap();
+        c.add_ordering(OrderingEdge::strict(
+            "SIMON",
+            "PINGMESH",
+            Dimension::MonitoringQuality,
+        ))
+        .unwrap();
         let v2 = SystemSpec::builder("SIMON", Category::Monitoring)
             .requires("v2-rule", Condition::nics_have("SMARTNIC_CPU"))
             .build();
@@ -406,8 +423,10 @@ mod tests {
     #[test]
     fn delta_removal_drops_touching_edges() {
         let mut c = catalog_with(&["A", "B", "C"]);
-        c.add_ordering(OrderingEdge::strict("A", "B", Dimension::Throughput)).unwrap();
-        c.add_ordering(OrderingEdge::strict("B", "C", Dimension::Throughput)).unwrap();
+        c.add_ordering(OrderingEdge::strict("A", "B", Dimension::Throughput))
+            .unwrap();
+        c.add_ordering(OrderingEdge::strict("B", "C", Dimension::Throughput))
+            .unwrap();
         c.apply(CatalogDelta {
             remove_systems: vec![SystemId::new("B")],
             ..CatalogDelta::default()
@@ -421,7 +440,9 @@ mod tests {
     fn delta_rejecting_dangling_reference_leaves_catalog_unchanged() {
         let mut c = catalog_with(&["A"]);
         c.add_system(
-            SystemSpec::builder("D", Category::Transport).conflicts_with("A").build(),
+            SystemSpec::builder("D", Category::Transport)
+                .conflicts_with("A")
+                .build(),
         )
         .unwrap();
         // Removing A would leave D's conflict dangling.
@@ -432,7 +453,10 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, CatalogError::DanglingReference { .. }));
-        assert!(c.system(&SystemId::new("A")).is_some(), "atomicity: rollback");
+        assert!(
+            c.system(&SystemId::new("A")).is_some(),
+            "atomicity: rollback"
+        );
     }
 
     #[test]
@@ -440,7 +464,11 @@ mod tests {
         let mut c = catalog_with(&["LINUX"]);
         c.apply(CatalogDelta {
             upsert_systems: vec![SystemSpec::builder("NEWSTACK", Category::NetworkStack).build()],
-            add_orderings: vec![OrderingEdge::strict("NEWSTACK", "LINUX", Dimension::Throughput)],
+            add_orderings: vec![OrderingEdge::strict(
+                "NEWSTACK",
+                "LINUX",
+                Dimension::Throughput,
+            )],
             ..CatalogDelta::default()
         })
         .unwrap();
@@ -453,7 +481,11 @@ mod tests {
         let mut c = catalog_with(&["LINUX"]);
         let err = c
             .apply(CatalogDelta {
-                add_orderings: vec![OrderingEdge::strict("GHOST", "LINUX", Dimension::Throughput)],
+                add_orderings: vec![OrderingEdge::strict(
+                    "GHOST",
+                    "LINUX",
+                    Dimension::Throughput,
+                )],
                 ..CatalogDelta::default()
             })
             .unwrap_err();
@@ -479,7 +511,11 @@ mod tests {
         let digest = crate::fingerprint::fingerprint_catalog(&original);
         let mut clone = original.clone();
         assert!(Arc::ptr_eq(&original.content, &clone.content));
-        assert_eq!(clone.digest_memo().get(), Some(&digest), "clones share the memo");
+        assert_eq!(
+            clone.digest_memo().get(),
+            Some(&digest),
+            "clones share the memo"
+        );
 
         // A rejected mutation neither unshares nor forgets.
         clone
@@ -487,9 +523,15 @@ mod tests {
             .unwrap_err();
         assert!(Arc::ptr_eq(&original.content, &clone.content));
 
-        clone.add_ordering(OrderingEdge::strict("A", "B", Dimension::Throughput)).unwrap();
+        clone
+            .add_ordering(OrderingEdge::strict("A", "B", Dimension::Throughput))
+            .unwrap();
         assert!(!Arc::ptr_eq(&original.content, &clone.content));
-        assert_eq!(clone.digest_memo().get(), None, "a mutation forgets the digest");
+        assert_eq!(
+            clone.digest_memo().get(),
+            None,
+            "a mutation forgets the digest"
+        );
         assert_eq!(original.digest_memo().get(), Some(&digest));
         assert_eq!(original.order().edges().len(), 0);
     }
@@ -498,7 +540,10 @@ mod tests {
     fn debug_prints_content_not_the_memo() {
         let digested = catalog_with(&["A"]);
         crate::fingerprint::fingerprint_catalog(&digested);
-        assert_eq!(format!("{digested:?}"), format!("{:?}", catalog_with(&["A"])));
+        assert_eq!(
+            format!("{digested:?}"),
+            format!("{:?}", catalog_with(&["A"]))
+        );
         assert!(!format!("{digested:?}").contains("digest"));
     }
 
@@ -517,6 +562,9 @@ mod tests {
             sizes.push(c.spec_size());
         }
         let deltas: Vec<usize> = sizes.windows(2).map(|w| w[1] - w[0]).collect();
-        assert!(deltas.iter().all(|&d| d == deltas[0]), "growth not linear: {deltas:?}");
+        assert!(
+            deltas.iter().all(|&d| d == deltas[0]),
+            "growth not linear: {deltas:?}"
+        );
     }
 }

@@ -26,12 +26,20 @@ pub struct Requirement {
     pub citation: Option<String>,
 }
 
-impl_json_struct!(Requirement { label, condition, citation });
+impl_json_struct!(Requirement {
+    label,
+    condition,
+    citation
+});
 
 impl Requirement {
     /// Creates a requirement.
     pub fn new(label: impl Into<String>, condition: Condition) -> Requirement {
-        Requirement { label: label.into(), condition, citation: None }
+        Requirement {
+            label: label.into(),
+            condition,
+            citation: None,
+        }
     }
 
     /// Attaches a citation.
@@ -164,7 +172,9 @@ impl SystemSpecBuilder {
 
     /// Adds a resource demand.
     pub fn consumes(mut self, resource: Resource, amount: AmountExpr) -> Self {
-        self.spec.resources.push(ResourceDemand { resource, amount });
+        self.spec
+            .resources
+            .push(ResourceDemand { resource, amount });
         self
     }
 
@@ -258,7 +268,8 @@ impl HardwareSpec {
             Resource::QosClasses => "qos_classes",
             Resource::Custom(name) => name.as_str(),
         };
-        self.numeric(key).map_or(0, |v| if v <= 0.0 { 0 } else { v as u64 })
+        self.numeric(key)
+            .map_or(0, |v| if v <= 0.0 { 0 } else { v as u64 })
     }
 }
 
@@ -326,7 +337,10 @@ mod tests {
         assert!(s.solves(&Capability::new("detect_queue_length")));
         assert!(!s.solves(&Capability::new("firewalling")));
         assert_eq!(s.requires.len(), 1);
-        assert_eq!(s.requires[0].condition, Condition::nics_have("NIC_TIMESTAMPS"));
+        assert_eq!(
+            s.requires[0].condition,
+            Condition::nics_have("NIC_TIMESTAMPS")
+        );
         assert!(s.requires[0].citation.as_deref().unwrap().contains("NSDI"));
         assert_eq!(s.resources.len(), 1);
     }
@@ -396,6 +410,9 @@ mod tests {
         let hw = catalyst_9500_40x();
         let text = netarch_rt::json::to_string_pretty(&hw);
         assert!(text.contains("Cisco Catalyst 9500-40X"));
-        assert_eq!(netarch_rt::json::from_str::<HardwareSpec>(&text).unwrap(), hw);
+        assert_eq!(
+            netarch_rt::json::from_str::<HardwareSpec>(&text).unwrap(),
+            hw
+        );
     }
 }

@@ -334,7 +334,10 @@ impl AmountExpr {
 
     /// Convenience: `factor × param`.
     pub fn scaled(param: impl Into<ParamName>, factor: f64) -> AmountExpr {
-        AmountExpr::ParamScaled { param: param.into(), factor }
+        AmountExpr::ParamScaled {
+            param: param.into(),
+            factor,
+        }
     }
 }
 
@@ -382,13 +385,13 @@ mod tests {
             _ => None,
         };
         assert_eq!(AmountExpr::constant(5).eval(&params), Ok(5));
+        assert_eq!(AmountExpr::scaled("num_flows", 0.001).eval(&params), Ok(10));
         assert_eq!(
-            AmountExpr::scaled("num_flows", 0.001).eval(&params),
-            Ok(10)
-        );
-        assert_eq!(
-            AmountExpr::Sum(vec![AmountExpr::constant(2), AmountExpr::scaled("num_flows", 0.0001)])
-                .eval(&params),
+            AmountExpr::Sum(vec![
+                AmountExpr::constant(2),
+                AmountExpr::scaled("num_flows", 0.0001)
+            ])
+            .eval(&params),
             Ok(3)
         );
         assert_eq!(

@@ -53,11 +53,7 @@ fn fingerprint(design: &Design, categories: &BTreeSet<Category>) -> Fingerprint 
     categories
         .iter()
         .map(|cat| {
-            let selection = design
-                .selections
-                .get(cat)
-                .and_then(|v| v.first())
-                .cloned();
+            let selection = design.selections.get(cat).and_then(|v| v.first()).cloned();
             (cat.clone(), selection)
         })
         .collect()
@@ -108,13 +104,20 @@ pub fn plan_questions(designs: &[Design], truncated: bool) -> Disambiguation {
         // answer, so its length is driven by the largest group.
         let mut groups: BTreeMap<Option<SystemId>, Vec<Fingerprint>> = BTreeMap::new();
         for class in remaining {
-            groups.entry(class[&category].clone()).or_default().push(class);
+            groups
+                .entry(class[&category].clone())
+                .or_default()
+                .push(class);
         }
         remaining = groups
             .into_values()
             .max_by_key(Vec::len)
             .unwrap_or_default();
-        questions.push(Question { category, options, worst_case_remaining });
+        questions.push(Question {
+            category,
+            options,
+            worst_case_remaining,
+        });
     }
 
     Disambiguation {
@@ -221,7 +224,11 @@ mod tests {
         ];
         let plan = plan_questions(&designs, false);
         assert_eq!(plan.questions[0].category, lb);
-        assert_eq!(plan.questions.len(), 1, "LB answer fully determines the class");
+        assert_eq!(
+            plan.questions.len(),
+            1,
+            "LB answer fully determines the class"
+        );
     }
 
     #[test]

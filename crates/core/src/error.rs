@@ -88,13 +88,19 @@ impl fmt::Display for CompileError {
                 write!(f, "hardware {id} offered for the wrong inventory slot")
             }
             CompileError::RepeatedCandidate(id) => {
-                write!(f, "hardware {id} is listed more than once among the inventory candidates")
+                write!(
+                    f,
+                    "hardware {id} is listed more than once among the inventory candidates"
+                )
             }
             CompileError::EmptyRole(cat) => {
                 write!(f, "required role {cat} has no candidate systems")
             }
             CompileError::MissingParam { system, param } => {
-                write!(f, "system {system} needs undefined scenario parameter {param}")
+                write!(
+                    f,
+                    "system {system} needs undefined scenario parameter {param}"
+                )
             }
             CompileError::PreferenceCycle { witnesses } => {
                 write!(f, "preference order has a strict cycle involving ")?;
@@ -117,13 +123,19 @@ impl fmt::Display for CompileError {
                 Ok(())
             }
             CompileError::ObjectiveOverflow => {
-                write!(f, "objective soft-constraint weights overflow u64 when summed")
+                write!(
+                    f,
+                    "objective soft-constraint weights overflow u64 when summed"
+                )
             }
             CompileError::WeightOverflow(what) => {
                 write!(f, "the weighted total of {what} overflows u64")
             }
             CompileError::Internal(context) => {
-                write!(f, "internal engine inconsistency (this is a bug): {context}")
+                write!(
+                    f,
+                    "internal engine inconsistency (this is a bug): {context}"
+                )
             }
         }
     }

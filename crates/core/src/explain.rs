@@ -86,7 +86,11 @@ pub fn suggest_relaxations(diagnosis: &Diagnosis) -> Vec<Relaxation> {
             rule: rule.clone(),
         })
         .collect();
-    out.sort_by(|a, b| a.difficulty.cmp(&b.difficulty).then(a.rule.label.cmp(&b.rule.label)));
+    out.sort_by(|a, b| {
+        a.difficulty
+            .cmp(&b.difficulty)
+            .then(a.rule.label.cmp(&b.rule.label))
+    });
     out
 }
 
@@ -174,8 +178,14 @@ mod tests {
         };
         let suggestions = suggest_relaxations(&d);
         assert_eq!(suggestions[0].difficulty, RelaxationDifficulty::Pin);
-        assert_eq!(suggestions[1].difficulty, RelaxationDifficulty::WorkloadNeed);
-        assert_eq!(suggestions[2].difficulty, RelaxationDifficulty::SystemRequirement);
+        assert_eq!(
+            suggestions[1].difficulty,
+            RelaxationDifficulty::WorkloadNeed
+        );
+        assert_eq!(
+            suggestions[2].difficulty,
+            RelaxationDifficulty::SystemRequirement
+        );
     }
 
     #[test]

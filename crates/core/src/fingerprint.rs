@@ -138,7 +138,9 @@ fn ordered(tag: &str, digests: impl Iterator<Item = u128>) -> u128 {
 /// computed once per distinct catalog object, however many clones of it
 /// requests carry.
 pub fn fingerprint_catalog(catalog: &Catalog) -> Fingerprint {
-    *catalog.digest_memo().get_or_init(|| digest_catalog(catalog))
+    *catalog
+        .digest_memo()
+        .get_or_init(|| digest_catalog(catalog))
 }
 
 fn digest_catalog(catalog: &Catalog) -> Fingerprint {
@@ -163,9 +165,18 @@ fn fingerprint_context(scenario: &Scenario) -> Fingerprint {
     let inventory = ordered(
         "inventory",
         [
-            unordered("servers", inv.server_candidates.iter().map(|h| fragment("hw-id", h))),
-            unordered("nics", inv.nic_candidates.iter().map(|h| fragment("hw-id", h))),
-            unordered("switches", inv.switch_candidates.iter().map(|h| fragment("hw-id", h))),
+            unordered(
+                "servers",
+                inv.server_candidates.iter().map(|h| fragment("hw-id", h)),
+            ),
+            unordered(
+                "nics",
+                inv.nic_candidates.iter().map(|h| fragment("hw-id", h)),
+            ),
+            unordered(
+                "switches",
+                inv.switch_candidates.iter().map(|h| fragment("hw-id", h)),
+            ),
             fragment("num-servers", &inv.num_servers),
             fragment("num-switches", &inv.num_switches),
         ]
@@ -183,7 +194,10 @@ fn fingerprint_context(scenario: &Scenario) -> Fingerprint {
     let budget = fragment("budget", &scenario.budget_usd);
     Fingerprint(ordered(
         "context",
-        [workloads, inventory, params, roles, objectives, pins, budget].into_iter(),
+        [
+            workloads, inventory, params, roles, objectives, pins, budget,
+        ]
+        .into_iter(),
     ))
 }
 
@@ -192,7 +206,11 @@ pub fn fingerprint_scenario(scenario: &Scenario) -> ScenarioFingerprint {
     let catalog = fingerprint_catalog(&scenario.catalog);
     let context = fingerprint_context(scenario);
     let full = Fingerprint(ordered("scenario", [catalog.0, context.0].into_iter()));
-    ScenarioFingerprint { full, catalog, context }
+    ScenarioFingerprint {
+        full,
+        catalog,
+        context,
+    }
 }
 
 #[cfg(test)]
@@ -221,7 +239,10 @@ mod tests {
         let b = fingerprint_scenario(&nonempty);
         assert_ne!(a.full, b.full);
         assert_ne!(a.catalog, b.catalog);
-        assert_eq!(a.context, b.context, "catalog edits must not leak into context");
+        assert_eq!(
+            a.context, b.context,
+            "catalog edits must not leak into context"
+        );
     }
 
     #[test]

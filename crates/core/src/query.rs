@@ -24,7 +24,7 @@
 //! first use, behind one long-lived activation literal, and answers each
 //! fleet bound as an assumption. No query triggers a recompile.
 
-use crate::compile::{compile_with_backend, governing_kind, Compiled, CompileStats, Fleet};
+use crate::compile::{compile_with_backend, governing_kind, CompileStats, Compiled, Fleet};
 use crate::error::{CatalogError, CompileError};
 use crate::ordering::Comparison;
 use crate::scenario::Scenario;
@@ -313,7 +313,10 @@ impl Engine {
             match minimize_under(&mut self.compiled.encoder, softs, &base, gate) {
                 MaxSatOutcome::Optimal { cost, .. } => {
                     base.push(softs.activation());
-                    levels.push(LevelReport { objective: objective.clone(), penalty: cost });
+                    levels.push(LevelReport {
+                        objective: objective.clone(),
+                        penalty: cost,
+                    });
                 }
                 other => {
                     self.compiled.encoder.retire(gate);
@@ -405,7 +408,8 @@ impl Engine {
             netarch_logic::ClauseSink::add_clause(&mut self.compiled.encoder, &blocking);
         }
         self.end_query(gate);
-        self.enumerate_cache.push(((limit, include_hardware), designs.clone()));
+        self.enumerate_cache
+            .push(((limit, include_hardware), designs.clone()));
         Ok(designs)
     }
 
@@ -471,28 +475,26 @@ impl Engine {
                 design_if_second_better: None,
             });
         }
-        let hypothesize = |better: &SystemId, worse: &SystemId| -> Result<
-            Option<Design>,
-            CompileError,
-        > {
-            let mut scenario = self.scenario.clone();
-            scenario
-                .catalog
-                .apply(crate::catalog::CatalogDelta {
-                    add_orderings: vec![crate::ordering::OrderingEdge::strict(
-                        better.clone(),
-                        worse.clone(),
-                        dimension.clone(),
-                    )],
-                    ..crate::catalog::CatalogDelta::default()
-                })
-                .map_err(|e| match e {
-                    CatalogError::UnknownSystem(id) => CompileError::UnknownSystem(id),
-                    other => CompileError::InvalidCatalog(vec![other]),
-                })?;
-            let mut engine = Engine::new(scenario)?;
-            Ok(engine.optimize()?.ok().map(|r| r.design))
-        };
+        let hypothesize =
+            |better: &SystemId, worse: &SystemId| -> Result<Option<Design>, CompileError> {
+                let mut scenario = self.scenario.clone();
+                scenario
+                    .catalog
+                    .apply(crate::catalog::CatalogDelta {
+                        add_orderings: vec![crate::ordering::OrderingEdge::strict(
+                            better.clone(),
+                            worse.clone(),
+                            dimension.clone(),
+                        )],
+                        ..crate::catalog::CatalogDelta::default()
+                    })
+                    .map_err(|e| match e {
+                        CatalogError::UnknownSystem(id) => CompileError::UnknownSystem(id),
+                        other => CompileError::InvalidCatalog(vec![other]),
+                    })?;
+                let mut engine = Engine::new(scenario)?;
+                Ok(engine.optimize()?.ok().map(|r| r.design))
+            };
         let with_a = hypothesize(a, b)?;
         let with_b = hypothesize(b, a)?;
         let worthwhile = match (&with_a, &with_b) {
@@ -563,7 +565,12 @@ impl Engine {
             base.push(!q);
         }
         let mut assumptions = base.clone();
-        assumptions.extend(fleet.groups.iter().map(|&g| self.compiled.groups.selector(g)));
+        assumptions.extend(
+            fleet
+                .groups
+                .iter()
+                .map(|&g| self.compiled.groups.selector(g)),
+        );
         let encoder = &mut self.compiled.encoder;
         if encoder.solve_with(&assumptions) != SolveResult::Sat {
             let mus = self
@@ -619,7 +626,10 @@ impl Engine {
                 }
             }
         }
-        Ok(Ok(CapacityPlan { servers_needed: best, design }))
+        Ok(Ok(CapacityPlan {
+            servers_needed: best,
+            design,
+        }))
     }
 }
 
@@ -683,7 +693,10 @@ mod tests {
             .add_system(
                 SystemSpec::builder("SIMON", Category::Monitoring)
                     .solves("detect_queue_length")
-                    .requires("needs-nic-timestamps", Condition::nics_have("NIC_TIMESTAMPS"))
+                    .requires(
+                        "needs-nic-timestamps",
+                        Condition::nics_have("NIC_TIMESTAMPS"),
+                    )
                     .cost(400)
                     .build(),
             )
@@ -727,12 +740,16 @@ mod tests {
             .unwrap();
         catalog
             .add_hardware(
-                HardwareSpec::builder("NIC_PLAIN", HardwareKind::Nic).cost(300).build(),
+                HardwareSpec::builder("NIC_PLAIN", HardwareKind::Nic)
+                    .cost(300)
+                    .build(),
             )
             .unwrap();
         Scenario::new(catalog)
             .with_workload(
-                Workload::builder("app").needs("detect_queue_length").build(),
+                Workload::builder("app")
+                    .needs("detect_queue_length")
+                    .build(),
             )
             .with_role(Category::Monitoring, RoleRule::Required)
             .with_inventory(Inventory {
@@ -749,7 +766,9 @@ mod tests {
         let design = outcome.design().expect("feasible");
         // Some monitoring system selected, and if it is SIMON the NIC must
         // be the timestamping model.
-        let monitoring = design.selection(&Category::Monitoring).expect("one monitor");
+        let monitoring = design
+            .selection(&Category::Monitoring)
+            .expect("one monitor");
         if monitoring.as_str() == "SIMON" {
             assert_eq!(
                 design.hardware_for(HardwareKind::Nic).unwrap().as_str(),
@@ -765,7 +784,10 @@ mod tests {
         let outcome = engine.check().unwrap();
         let design = outcome.design().expect("feasible");
         assert!(design.includes(&SystemId::new("SIMON")));
-        assert_eq!(design.hardware_for(HardwareKind::Nic).unwrap().as_str(), "NIC_TS");
+        assert_eq!(
+            design.hardware_for(HardwareKind::Nic).unwrap().as_str(),
+            "NIC_TS"
+        );
     }
 
     #[test]
@@ -776,7 +798,11 @@ mod tests {
         let mut engine = Engine::new(scenario).unwrap();
         let outcome = engine.check().unwrap();
         let diagnosis = outcome.diagnosis().expect("infeasible");
-        let labels: Vec<&str> = diagnosis.conflicts.iter().map(|c| c.label.as_str()).collect();
+        let labels: Vec<&str> = diagnosis
+            .conflicts
+            .iter()
+            .map(|c| c.label.as_str())
+            .collect();
         assert!(labels.contains(&"pin:require:SIMON"));
         assert!(labels.contains(&"pin:forbid:SIMON"));
         // Minimal: exactly the two pins, not the innocent rules.
@@ -791,7 +817,11 @@ mod tests {
         let mut engine = Engine::new(scenario).unwrap();
         let outcome = engine.check().unwrap();
         let diagnosis = outcome.diagnosis().expect("infeasible");
-        let labels: Vec<&str> = diagnosis.conflicts.iter().map(|c| c.label.as_str()).collect();
+        let labels: Vec<&str> = diagnosis
+            .conflicts
+            .iter()
+            .map(|c| c.label.as_str())
+            .collect();
         assert!(
             labels.contains(&"req:SIMON:needs-nic-timestamps"),
             "diagnosis should name the NIC-timestamp rule, got {labels:?}"
@@ -805,7 +835,11 @@ mod tests {
         let mut engine = Engine::new(scenario).unwrap();
         let result = engine.optimize().unwrap().expect("feasible");
         assert_eq!(
-            result.design.selection(&Category::Monitoring).unwrap().as_str(),
+            result
+                .design
+                .selection(&Category::Monitoring)
+                .unwrap()
+                .as_str(),
             "SIMON"
         );
         assert_eq!(result.levels[0].penalty, 0);
@@ -817,11 +851,19 @@ mod tests {
         let mut engine = Engine::new(scenario).unwrap();
         let result = engine.optimize().unwrap().expect("feasible");
         assert_eq!(
-            result.design.selection(&Category::Monitoring).unwrap().as_str(),
+            result
+                .design
+                .selection(&Category::Monitoring)
+                .unwrap()
+                .as_str(),
             "PINGMESH"
         );
         assert_eq!(
-            result.design.hardware_for(HardwareKind::Nic).unwrap().as_str(),
+            result
+                .design
+                .hardware_for(HardwareKind::Nic)
+                .unwrap()
+                .as_str(),
             "NIC_PLAIN"
         );
     }
@@ -834,14 +876,20 @@ mod tests {
             .with_objective(Objective::MinimizeCost);
         let mut engine = Engine::new(quality_first).unwrap();
         let r1 = engine.optimize().unwrap().expect("feasible");
-        assert_eq!(r1.design.selection(&Category::Monitoring).unwrap().as_str(), "SIMON");
+        assert_eq!(
+            r1.design.selection(&Category::Monitoring).unwrap().as_str(),
+            "SIMON"
+        );
 
         let cost_first = test_scenario()
             .with_objective(Objective::MinimizeCost)
             .with_objective(Objective::MaximizeDimension(Dimension::MonitoringQuality));
         let mut engine = Engine::new(cost_first).unwrap();
         let r2 = engine.optimize().unwrap().expect("feasible");
-        assert_eq!(r2.design.selection(&Category::Monitoring).unwrap().as_str(), "PINGMESH");
+        assert_eq!(
+            r2.design.selection(&Category::Monitoring).unwrap().as_str(),
+            "PINGMESH"
+        );
     }
 
     #[test]
@@ -855,7 +903,11 @@ mod tests {
         assert!(outcome.design().is_some());
         let again = engine.optimize().unwrap().expect("feasible");
         assert_eq!(
-            again.design.selection(&Category::Monitoring).unwrap().as_str(),
+            again
+                .design
+                .selection(&Category::Monitoring)
+                .unwrap()
+                .as_str(),
             "PINGMESH"
         );
     }
@@ -863,7 +915,9 @@ mod tests {
     #[test]
     fn enumerate_designs_lists_equivalence_classes() {
         let mut scenario = test_scenario();
-        scenario.roles.insert(Category::LoadBalancer, RoleRule::Forbidden);
+        scenario
+            .roles
+            .insert(Category::LoadBalancer, RoleRule::Forbidden);
         let mut engine = Engine::new(scenario).unwrap();
         // Projected on systems only: SIMON or PINGMESH (ECMP forbidden).
         let designs = engine.enumerate_designs(16, false).unwrap();
@@ -985,7 +1039,11 @@ mod tests {
     fn plan_capacity_reports_impossible_fleets() {
         let mut catalog = Catalog::new();
         catalog
-            .add_system(SystemSpec::builder("X", Category::Monitoring).solves("m").build())
+            .add_system(
+                SystemSpec::builder("X", Category::Monitoring)
+                    .solves("m")
+                    .build(),
+            )
             .unwrap();
         catalog
             .add_hardware(
@@ -1018,7 +1076,11 @@ mod tests {
     fn workload_cores_checked_even_without_system_demands() {
         let mut catalog = Catalog::new();
         catalog
-            .add_system(SystemSpec::builder("X", Category::Monitoring).solves("m").build())
+            .add_system(
+                SystemSpec::builder("X", Category::Monitoring)
+                    .solves("m")
+                    .build(),
+            )
             .unwrap();
         catalog
             .add_hardware(
@@ -1171,7 +1233,12 @@ mod tests {
             )
             .unwrap();
         Scenario::new(catalog)
-            .with_workload(Workload::builder("app").needs("monitoring").peak_cores(200).build())
+            .with_workload(
+                Workload::builder("app")
+                    .needs("monitoring")
+                    .peak_cores(200)
+                    .build(),
+            )
             .with_inventory(Inventory {
                 server_candidates: vec![HardwareId::new("SRV32")],
                 num_servers: 1,
@@ -1186,7 +1253,11 @@ mod tests {
         let mut engine = Engine::new(fleet_scenario()).unwrap();
         let plan = engine.plan_capacity(u64::MAX).unwrap().expect("feasible");
         assert_eq!(plan.servers_needed, 8);
-        let servers = &engine.fleet.as_ref().expect("built by the first call").servers;
+        let servers = &engine
+            .fleet
+            .as_ref()
+            .expect("built by the first call")
+            .servers;
         assert_eq!((servers.lo(), servers.hi()), (1, 8));
     }
 
@@ -1204,7 +1275,10 @@ mod tests {
                         assert_eq!(plan.servers_needed, servers, "round {round} max {max}")
                     }
                     (Err(diagnosis), None) => assert!(
-                        diagnosis.conflicts.iter().any(|c| c.label == "capacity:cores:SRV32"),
+                        diagnosis
+                            .conflicts
+                            .iter()
+                            .any(|c| c.label == "capacity:cores:SRV32"),
                         "round {round} max {max}: {diagnosis:?}"
                     ),
                     (answer, _) => panic!("round {round} max {max}: {answer:?}"),
@@ -1225,7 +1299,11 @@ mod tests {
         use crate::types::Resource;
         let mut catalog = Catalog::new();
         catalog
-            .add_system(SystemSpec::builder("MON", Category::Monitoring).solves("m").build())
+            .add_system(
+                SystemSpec::builder("MON", Category::Monitoring)
+                    .solves("m")
+                    .build(),
+            )
             .unwrap();
         catalog
             .add_system(
@@ -1250,20 +1328,31 @@ mod tests {
                 ..Inventory::default()
             });
         let mut engine = Engine::new(scenario).unwrap();
-        let design = engine.check().unwrap().design().cloned().expect("MON on one NOGPU");
+        let design = engine
+            .check()
+            .unwrap()
+            .design()
+            .cloned()
+            .expect("MON on one NOGPU");
         assert!(design.includes(&SystemId::new("MON")));
         let plan = engine.plan_capacity(8).unwrap().expect("MON on one NOGPU");
         assert_eq!(plan.servers_needed, 1);
         assert!(plan.design.includes(&SystemId::new("MON")));
         assert!(!plan.design.includes(&SystemId::new("HEAVY")));
         // Pinning HEAVY leaves no server that hosts it, at any fleet size.
-        let mut pinned = engine.scenario().clone().with_pin(Pin::Require(SystemId::new("HEAVY")));
+        let mut pinned = engine
+            .scenario()
+            .clone()
+            .with_pin(Pin::Require(SystemId::new("HEAVY")));
         pinned.inventory.num_servers = 8;
         let mut engine = Engine::new(pinned).unwrap();
         assert!(engine.check().unwrap().diagnosis().is_some());
         let diagnosis = engine.plan_capacity(8).unwrap().unwrap_err();
         assert!(
-            diagnosis.conflicts.iter().any(|c| c.label == "capacity:custom:gpu:NOGPU"),
+            diagnosis
+                .conflicts
+                .iter()
+                .any(|c| c.label == "capacity:custom:gpu:NOGPU"),
             "{diagnosis:?}"
         );
     }
@@ -1307,7 +1396,11 @@ mod tests {
                 ("LB", Category::LoadBalancer, "lb", &[]),
             ]);
             let mut engine = Engine::new(scenario).unwrap();
-            engine.plan_capacity(64).unwrap().expect("feasible").servers_needed
+            engine
+                .plan_capacity(64)
+                .unwrap()
+                .expect("feasible")
+                .servers_needed
         };
         assert_eq!(servers(&[80]), 3);
         assert_eq!(servers(&[40, 40]), 3);
@@ -1325,7 +1418,14 @@ mod tests {
             ("LB", Category::LoadBalancer, "lb", &[40]),
         ]);
         let mut engine = Engine::new(scenario.clone()).unwrap();
-        assert_eq!(engine.plan_capacity(64).unwrap().expect("feasible").servers_needed, 3);
+        assert_eq!(
+            engine
+                .plan_capacity(64)
+                .unwrap()
+                .expect("feasible")
+                .servers_needed,
+            3
+        );
         let mut engine = Engine::new(scenario).unwrap();
         let atom = |id: &str| engine.compiled.system_atoms[&SystemId::new(id)].index();
         let (mon, lb) = (atom("MON"), atom("LB"));
@@ -1377,7 +1477,11 @@ mod tests {
             });
         let mut engine = Engine::new(scenario).unwrap();
         let diagnosis = engine.plan_capacity(1).unwrap().unwrap_err();
-        let mut labels: Vec<&str> = diagnosis.conflicts.iter().map(|c| c.label.as_str()).collect();
+        let mut labels: Vec<&str> = diagnosis
+            .conflicts
+            .iter()
+            .map(|c| c.label.as_str())
+            .collect();
         labels.sort_unstable();
         assert_eq!(
             labels,

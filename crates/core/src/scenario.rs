@@ -8,9 +8,7 @@
 
 use crate::catalog::Catalog;
 use crate::condition::StaticContext;
-use crate::types::{
-    Capability, Category, Dimension, HardwareId, ParamName, Property, SystemId,
-};
+use crate::types::{Capability, Category, Dimension, HardwareId, ParamName, Property, SystemId};
 use crate::workload::Workload;
 use netarch_rt::{impl_json_enum, impl_json_struct};
 use std::collections::BTreeMap;
@@ -183,7 +181,10 @@ impl Scenario {
 
     /// The effective role rule for a category.
     pub fn role_rule(&self, category: &Category) -> RoleRule {
-        self.roles.get(category).copied().unwrap_or(RoleRule::Optional)
+        self.roles
+            .get(category)
+            .copied()
+            .unwrap_or(RoleRule::Optional)
     }
 
     /// The effective value of a parameter: explicit params win, then
@@ -285,14 +286,25 @@ mod tests {
     fn derived_params_aggregate_workloads() {
         let s = Scenario::new(Catalog::new())
             .with_workload(
-                Workload::builder("w1").num_flows(100).peak_cores(10).peak_bandwidth(5).build(),
+                Workload::builder("w1")
+                    .num_flows(100)
+                    .peak_cores(10)
+                    .peak_bandwidth(5)
+                    .build(),
             )
             .with_workload(
-                Workload::builder("w2").num_flows(50).peak_cores(20).peak_bandwidth(10).build(),
+                Workload::builder("w2")
+                    .num_flows(50)
+                    .peak_cores(20)
+                    .peak_bandwidth(10)
+                    .build(),
             );
         assert_eq!(s.param_value(&ParamName::new("num_flows")), Some(150.0));
         assert_eq!(s.param_value(&ParamName::new("peak_cores")), Some(30.0));
-        assert_eq!(s.param_value(&ParamName::new("peak_bandwidth_gbps")), Some(15.0));
+        assert_eq!(
+            s.param_value(&ParamName::new("peak_bandwidth_gbps")),
+            Some(15.0)
+        );
         assert_eq!(s.param_value(&ParamName::new("num_workloads")), Some(2.0));
         assert_eq!(s.param_value(&ParamName::new("undefined")), None);
     }
@@ -325,16 +337,21 @@ mod tests {
         ]);
         assert_eq!(edited.pins, vec![Pin::Require(SystemId::new("SONATA"))]);
         assert_eq!(edited.inventory.num_servers, 4);
-        assert_eq!(edited.param_value(&ParamName::new("link_speed_gbps")), Some(100.0));
-        assert_eq!(edited.inventory.nic_candidates, vec![HardwareId::new("NIC_A")]);
+        assert_eq!(
+            edited.param_value(&ParamName::new("link_speed_gbps")),
+            Some(100.0)
+        );
+        assert_eq!(
+            edited.inventory.nic_candidates,
+            vec![HardwareId::new("NIC_A")]
+        );
         assert_eq!(base.inventory.num_servers, 0);
         assert!(base.pins.is_empty());
     }
 
     #[test]
     fn role_rules_default_to_optional() {
-        let s = Scenario::new(Catalog::new())
-            .with_role(Category::Monitoring, RoleRule::Required);
+        let s = Scenario::new(Catalog::new()).with_role(Category::Monitoring, RoleRule::Required);
         assert_eq!(s.role_rule(&Category::Monitoring), RoleRule::Required);
         assert_eq!(s.role_rule(&Category::Firewall), RoleRule::Optional);
     }

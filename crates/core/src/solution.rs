@@ -89,16 +89,23 @@ impl Design {
         }
         let inv = &scenario.inventory;
         for (candidates, kind, count) in [
-            (&inv.server_candidates, HardwareKind::Server, inv.num_servers),
+            (
+                &inv.server_candidates,
+                HardwareKind::Server,
+                inv.num_servers,
+            ),
             (&inv.nic_candidates, HardwareKind::Nic, inv.num_servers),
-            (&inv.switch_candidates, HardwareKind::Switch, inv.num_switches),
+            (
+                &inv.switch_candidates,
+                HardwareKind::Switch,
+                inv.num_switches,
+            ),
         ] {
             for id in candidates {
                 if selected_hardware(id) {
                     design.hardware.insert(kind, id.clone());
                     if let Some(h) = scenario.catalog.hardware(id) {
-                        design.total_cost_usd +=
-                            h.cost_usd.saturating_mul(count.max(1));
+                        design.total_cost_usd += h.cost_usd.saturating_mul(count.max(1));
                     }
                 }
             }
@@ -125,7 +132,8 @@ impl Design {
         }
         for (resource, used) in usage {
             let capacity = self.capacity_for(scenario, &resource);
-            self.resources.insert(resource, ResourceUsage { used, capacity });
+            self.resources
+                .insert(resource, ResourceUsage { used, capacity });
         }
     }
 
@@ -210,7 +218,12 @@ mod tests {
             )
             .unwrap();
         Scenario::new(catalog)
-            .with_workload(Workload::builder("app").num_flows(10_000).peak_cores(100).build())
+            .with_workload(
+                Workload::builder("app")
+                    .num_flows(10_000)
+                    .peak_cores(100)
+                    .build(),
+            )
             .with_inventory(Inventory {
                 server_candidates: vec![HardwareId::new("SRV64")],
                 num_servers: 10,
@@ -221,15 +234,17 @@ mod tests {
     #[test]
     fn from_model_extracts_selections_costs_and_resources() {
         let s = scenario();
-        let d = Design::from_model(
-            &s,
-            |id| id.as_str() == "SIMON",
-            |id| id.as_str() == "SRV64",
-        );
+        let d = Design::from_model(&s, |id| id.as_str() == "SIMON", |id| id.as_str() == "SRV64");
         assert!(d.includes(&SystemId::new("SIMON")));
         assert!(!d.includes(&SystemId::new("ECMP")));
-        assert_eq!(d.selection(&Category::Monitoring).unwrap().as_str(), "SIMON");
-        assert_eq!(d.hardware_for(HardwareKind::Server).unwrap().as_str(), "SRV64");
+        assert_eq!(
+            d.selection(&Category::Monitoring).unwrap().as_str(),
+            "SIMON"
+        );
+        assert_eq!(
+            d.hardware_for(HardwareKind::Server).unwrap().as_str(),
+            "SRV64"
+        );
         // cost: 500 (SIMON) + 10 × 8000 (servers)
         assert_eq!(d.total_cost_usd, 80_500);
         let cores = &d.resources[&Resource::Cores];

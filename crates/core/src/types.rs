@@ -431,7 +431,11 @@ mod tests {
 
     #[test]
     fn map_keys_roundtrip() {
-        for kind in [HardwareKind::Switch, HardwareKind::Nic, HardwareKind::Server] {
+        for kind in [
+            HardwareKind::Switch,
+            HardwareKind::Nic,
+            HardwareKind::Server,
+        ] {
             assert_eq!(HardwareKind::from_key(&kind.to_key()).unwrap(), kind);
         }
         for cat in Category::builtin() {
@@ -445,6 +449,9 @@ mod tests {
     #[test]
     fn resource_display() {
         assert_eq!(Resource::SmartNicCapacity.to_string(), "smartnic-capacity");
-        assert_eq!(Resource::Custom("fpga-luts".into()).to_string(), "custom:fpga-luts");
+        assert_eq!(
+            Resource::Custom("fpga-luts".into()).to_string(),
+            "custom:fpga-luts"
+        );
     }
 }

@@ -21,7 +21,10 @@ pub struct PerformanceBound {
     pub better_than: SystemId,
 }
 
-impl_json_struct!(PerformanceBound { dimension, better_than });
+impl_json_struct!(PerformanceBound {
+    dimension,
+    better_than
+});
 
 /// Encoding of one workload (paper Listing 3).
 #[derive(Clone, PartialEq, Debug)]

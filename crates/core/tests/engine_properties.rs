@@ -162,7 +162,10 @@ fn check_feasible_designs_validate_and_diagnoses_are_minimal(
     match engine.check().expect("runs") {
         Outcome::Feasible(design) => {
             let violations = validate_design(&scenario, &design);
-            prop_assert!(violations.is_empty(), "invalid design: {violations:?}\n{design}");
+            prop_assert!(
+                violations.is_empty(),
+                "invalid design: {violations:?}\n{design}"
+            );
         }
         Outcome::Infeasible(diagnosis) => {
             prop_assert!(!diagnosis.conflicts.is_empty(), "empty diagnosis");
@@ -170,8 +173,11 @@ fn check_feasible_designs_validate_and_diagnoses_are_minimal(
             // jointly UNSAT, and SAT once any single member is dropped.
             // (The full scenario may hold other, disjoint conflicts —
             // minimality is relative to the subset itself.)
-            let labels: Vec<&str> =
-                diagnosis.conflicts.iter().map(|c| c.label.as_str()).collect();
+            let labels: Vec<&str> = diagnosis
+                .conflicts
+                .iter()
+                .map(|c| c.label.as_str())
+                .collect();
             prop_assert!(
                 !engine.check_rule_subset(&labels).expect("runs"),
                 "diagnosis subset is satisfiable: {labels:?}"

@@ -22,8 +22,11 @@ use netarch_rt::json::{FromJson, ToJson};
 use netarch_rt::prop::{self, gen_vec, Config};
 use netarch_rt::{impl_shrink_struct, prop_assert, prop_assert_eq, Rng};
 
-const CATEGORIES: [Category; 3] =
-    [Category::Monitoring, Category::LoadBalancer, Category::Firewall];
+const CATEGORIES: [Category; 3] = [
+    Category::Monitoring,
+    Category::LoadBalancer,
+    Category::Firewall,
+];
 
 const FEATURES: [&str; 3] = ["F0", "F1", "F2"];
 
@@ -75,7 +78,12 @@ fn system_ids(seed: &Seed) -> Vec<(SystemId, Category, usize)> {
     let mut out = Vec::new();
     let mut index = 0usize;
     for (i, c) in CATEGORIES.iter().enumerate() {
-        let count = seed.systems_per_category.get(i).copied().unwrap_or(1).max(1);
+        let count = seed
+            .systems_per_category
+            .get(i)
+            .copied()
+            .unwrap_or(1)
+            .max(1);
         for k in 0..count {
             let id = SystemId::new(format!("{c}_{k}").to_uppercase().replace('-', "_"));
             out.push((id, c.clone(), index));
@@ -115,7 +123,11 @@ fn build_scenario(seed: &Seed, shuffle: bool) -> Scenario {
     let edges: Vec<OrderingEdge> = (1..ids.len())
         .filter(|i| (seed.edge_mask >> (i % 8)) & 1 == 1)
         .map(|i| {
-            OrderingEdge::strict(ids[i - 1].0.clone(), ids[i].0.clone(), Dimension::Throughput)
+            OrderingEdge::strict(
+                ids[i - 1].0.clone(),
+                ids[i].0.clone(),
+                Dimension::Throughput,
+            )
         })
         .collect();
     let nics: Vec<HardwareSpec> = (0..seed.nic_count.max(1))
@@ -143,7 +155,10 @@ fn build_scenario(seed: &Seed, shuffle: bool) -> Scenario {
     let workloads: Vec<Workload> = (0..seed.workload_count.max(1))
         .map(|w| {
             Workload::builder(format!("app{w}"))
-                .needs(format!("cap_{}", CATEGORIES[usize::from(w) % CATEGORIES.len()]))
+                .needs(format!(
+                    "cap_{}",
+                    CATEGORIES[usize::from(w) % CATEGORIES.len()]
+                ))
                 .peak_bandwidth(10 * (u64::from(w) + 1))
                 .build()
         })
@@ -162,10 +177,14 @@ fn build_scenario(seed: &Seed, shuffle: bool) -> Scenario {
     let params: Vec<(String, f64)> = (0..seed.param_count)
         .map(|p| (format!("param_{p}"), f64::from(p) * 2.5))
         .collect();
-    let candidates: Vec<HardwareId> =
-        (0..seed.nic_count.max(1)).map(|k| HardwareId::new(format!("NIC{k}"))).collect();
+    let candidates: Vec<HardwareId> = (0..seed.nic_count.max(1))
+        .map(|k| HardwareId::new(format!("NIC{k}")))
+        .collect();
 
-    let mut objectives = vec![Objective::MinimizeCost, Objective::PreferCapability("cap_monitoring".into())];
+    let mut objectives = vec![
+        Objective::MinimizeCost,
+        Objective::PreferCapability("cap_monitoring".into()),
+    ];
     if seed.objective_flip {
         objectives.reverse();
     }
@@ -202,7 +221,11 @@ fn insertion_order_never_moves_the_fingerprint() {
     prop::check(&Config::with_cases(64), gen_seed, |seed| {
         let plain = fingerprint_scenario(&build_scenario(seed, false));
         let shuffled = fingerprint_scenario(&build_scenario(seed, true));
-        prop_assert_eq!(plain, shuffled, "insertion order leaked into the fingerprint");
+        prop_assert_eq!(
+            plain,
+            shuffled,
+            "insertion order leaked into the fingerprint"
+        );
         Ok(())
     });
 }
@@ -299,7 +322,9 @@ fn apply_mutation(scenario: &mut Scenario, mutation: Mutation) -> bool {
         }
         Mutation::Param => {
             let count = scenario.params.len();
-            scenario.params.insert(format!("mutant_{count}").into(), 42.0);
+            scenario
+                .params
+                .insert(format!("mutant_{count}").into(), 42.0);
             false
         }
         Mutation::Budget => {
@@ -389,7 +414,11 @@ fn edit_catalog(catalog: &mut Catalog, step: usize, code: u8) -> Result<(), Stri
             .add_ordering(OrderingEdge::strict(
                 pick,
                 ids[0].clone(),
-                if code < 128 { Dimension::Latency } else { Dimension::Isolation },
+                if code < 128 {
+                    Dimension::Latency
+                } else {
+                    Dimension::Isolation
+                },
             ))
             .map_err(|e| e.to_string()),
         3 => {
@@ -413,7 +442,11 @@ fn edit_catalog(catalog: &mut Catalog, step: usize, code: u8) -> Result<(), Stri
                 Err(CatalogError::UnknownHardware(HardwareId::new("GHOST"))),
                 "removing unknown hardware"
             );
-            prop_assert_eq!(catalog.to_json(), before, "a rejected apply changed the catalog");
+            prop_assert_eq!(
+                catalog.to_json(),
+                before,
+                "a rejected apply changed the catalog"
+            );
             Ok(())
         }
     }
@@ -439,8 +472,16 @@ fn catalog_clones_memoize_the_digest_of_their_own_content() {
                 "edit {step} ({code}) left a stale digest on the clone"
             );
         }
-        prop_assert_eq!(original.to_json(), original_json, "editing a clone changed the original");
-        prop_assert_eq!(fingerprint_catalog(&original), original_fp, "the original's digest moved");
+        prop_assert_eq!(
+            original.to_json(),
+            original_json,
+            "editing a clone changed the original"
+        );
+        prop_assert_eq!(
+            fingerprint_catalog(&original),
+            original_fp,
+            "the original's digest moved"
+        );
         Ok(())
     });
 }

@@ -29,8 +29,11 @@ use netarch_rt::prop::{self, gen_vec, Config};
 use netarch_rt::{impl_shrink_struct, prop_assert, prop_assert_eq, Rng};
 use netarch_sat::SolveResult;
 
-const CATEGORIES: [Category; 3] =
-    [Category::Monitoring, Category::LoadBalancer, Category::Firewall];
+const CATEGORIES: [Category; 3] = [
+    Category::Monitoring,
+    Category::LoadBalancer,
+    Category::Firewall,
+];
 
 const FEATURES: [&str; 2] = ["F0", "F1"];
 
@@ -105,18 +108,33 @@ fn build_scenario(seed: &Seed) -> Scenario {
     for (c, i) in CATEGORIES.iter().zip(0..) {
         // Shrinking may truncate or zero the counts; keep one system per
         // category so the scenario stays structurally comparable.
-        let count = seed.systems_per_category.get(i).copied().unwrap_or(1).max(1);
+        let count = seed
+            .systems_per_category
+            .get(i)
+            .copied()
+            .unwrap_or(1)
+            .max(1);
         for k in 0..count {
             let id = format!("{}_{k}", c.to_string().to_uppercase().replace('-', "_"));
             let (cores, gpu) = seed.demands.get(index).copied().unwrap_or_default();
             // When bit 4 is set, the same cores come in two entries, which
             // the system's demand must add up.
-            let split = if cores & 0x10 == 0 { 0 } else { u64::from(cores % 16) / 2 };
+            let split = if cores & 0x10 == 0 {
+                0
+            } else {
+                u64::from(cores % 16) / 2
+            };
             let mut b = SystemSpec::builder(id.clone(), c.clone())
                 .solves(format!("cap_{c}"))
                 .cost(100 * (u64::from(k) + 1))
-                .consumes(Resource::Cores, AmountExpr::constant(u64::from(cores % 16) - split))
-                .consumes(Resource::Custom(GPU.into()), AmountExpr::constant(u64::from(gpu % 3)));
+                .consumes(
+                    Resource::Cores,
+                    AmountExpr::constant(u64::from(cores % 16) - split),
+                )
+                .consumes(
+                    Resource::Custom(GPU.into()),
+                    AmountExpr::constant(u64::from(gpu % 3)),
+                );
             if split > 0 {
                 b = b.consumes(Resource::Cores, AmountExpr::constant(split));
             }
@@ -216,7 +234,11 @@ fn decode(byte: u8) -> Op {
 /// pool may safely over-approximate — both engines filter identically.
 fn label_pool(scenario: &Scenario) -> Vec<String> {
     let mut pool: Vec<String> = CATEGORIES.iter().map(|c| format!("role:{c}")).collect();
-    pool.extend(CATEGORIES.iter().map(|c| format!("workload:app:needs:cap_{c}")));
+    pool.extend(
+        CATEGORIES
+            .iter()
+            .map(|c| format!("workload:app:needs:cap_{c}")),
+    );
     for pin in &scenario.pins {
         pool.push(match pin {
             Pin::Require(id) => format!("pin:require:{id}"),
@@ -256,8 +278,11 @@ fn session_agrees_with_fresh_engines(seed: &Seed) -> Result<(), String> {
                     prop_assert!(violations.is_empty(), "{violations:?}\n{d}");
                 }
                 if let Some(diagnosis) = a.diagnosis() {
-                    let labels: Vec<&str> =
-                        diagnosis.conflicts.iter().map(|c| c.label.as_str()).collect();
+                    let labels: Vec<&str> = diagnosis
+                        .conflicts
+                        .iter()
+                        .map(|c| c.label.as_str())
+                        .collect();
                     prop_assert!(!labels.is_empty(), "empty session diagnosis");
                     prop_assert!(
                         !fresh.check_rule_subset(&labels).expect("runs"),
@@ -339,7 +364,10 @@ fn session_agrees_with_fresh_engines(seed: &Seed) -> Result<(), String> {
                             let violations = validate_design(&sized(k), d);
                             prop_assert!(violations.is_empty(), "{violations:?}\n{d}");
                         }
-                        prop_assert!(feasible_at(k), "check infeasible at the planned {k} servers");
+                        prop_assert!(
+                            feasible_at(k),
+                            "check infeasible at the planned {k} servers"
+                        );
                         prop_assert!(
                             k == 1 || !feasible_at(k - 1),
                             "check feasible at {} servers, below the plan",
@@ -369,7 +397,11 @@ fn session_agrees_with_fresh_engines(seed: &Seed) -> Result<(), String> {
 
 #[test]
 fn interleaved_session_queries_match_fresh_engines() {
-    prop::check(&Config::with_cases(48), gen_seed, session_agrees_with_fresh_engines);
+    prop::check(
+        &Config::with_cases(48),
+        gen_seed,
+        session_agrees_with_fresh_engines,
+    );
 }
 
 /// Every objective level's optimum on a fresh compile, descended in order
@@ -388,7 +420,13 @@ fn level_penalties(scenario: &Scenario, strip: bool) -> Result<Option<Vec<u64>>,
         let softs = level
             .softs
             .iter()
-            .map(|s| if strip { Soft::new(s.weight, s.formula.clone()) } else { s.clone() })
+            .map(|s| {
+                if strip {
+                    Soft::new(s.weight, s.formula.clone())
+                } else {
+                    s.clone()
+                }
+            })
             .collect();
         let softs = compile_softs(&mut c.encoder, softs).map_err(|e| e.to_string())?;
         match minimize_under(&mut c.encoder, &softs, &base, gate) {
@@ -417,7 +455,13 @@ fn grouped_objectives_match_ungrouped_penalties() {
             .optimize()
             .map_err(|e| e.to_string())?
             .ok()
-            .map(|report| report.levels.iter().map(|l| l.penalty).collect::<Vec<u64>>());
+            .map(|report| {
+                report
+                    .levels
+                    .iter()
+                    .map(|l| l.penalty)
+                    .collect::<Vec<u64>>()
+            });
         prop_assert_eq!(engine_penalties, grouped, "engine vs grouped penalties");
         Ok(())
     });
@@ -463,7 +507,10 @@ fn session_answers_identically_across_garbage_collection() {
     // clause database.
     while !compacted {
         compacted = session.stats().retired_activations >= GC_EVERY;
-        assert!(pass < 8, "the tape never retired {GC_EVERY} activation literals");
+        assert!(
+            pass < 8,
+            "the tape never retired {GC_EVERY} activation literals"
+        );
         for &byte in &seed.ops {
             let mut fresh = Engine::new(scenario.clone()).expect("compiles");
             match decode(byte) {

@@ -29,7 +29,8 @@ fn gen_condition_depth(rng: &mut Rng, depth: u32) -> Condition {
             6 => Condition::workload(format!("p{}", rng.gen_range(0..4u32))),
             _ => Condition::param(
                 format!("x{}", rng.gen_range(0..3u32)),
-                *rng.choose(&[CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq]).unwrap(),
+                *rng.choose(&[CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq])
+                    .unwrap(),
                 (rng.gen_range(-1_000i64..1_000) as f64) / 8.0,
             ),
         };
@@ -46,9 +47,7 @@ impl Shrink for Cond {
     fn shrink(&self) -> Vec<Cond> {
         match &self.0 {
             Condition::Not(inner) => vec![Cond((**inner).clone())],
-            Condition::All(cs) | Condition::Any(cs) => {
-                cs.iter().map(|c| Cond(c.clone())).collect()
-            }
+            Condition::All(cs) | Condition::Any(cs) => cs.iter().map(|c| Cond(c.clone())).collect(),
             Condition::True => Vec::new(),
             _ => vec![Cond(Condition::True)],
         }
@@ -71,17 +70,27 @@ fn random_condition_trees_roundtrip() {
 fn random_preference_orders_roundtrip() {
     prop::check(
         &Config::with_cases(128),
-        |rng| gen_vec(rng, 0..=10, |r| (r.gen_range(0..6u32), r.gen_range(0..6u32), r.gen_bool(0.5))),
+        |rng| {
+            gen_vec(rng, 0..=10, |r| {
+                (r.gen_range(0..6u32), r.gen_range(0..6u32), r.gen_bool(0.5))
+            })
+        },
         |edges| {
             let mut order = PreferenceOrder::new();
             for &(a, b, strict) in edges {
-                let (a, b) = (SystemId::new(format!("S{a}")), SystemId::new(format!("S{b}")));
+                let (a, b) = (
+                    SystemId::new(format!("S{a}")),
+                    SystemId::new(format!("S{b}")),
+                );
                 let edge = if strict {
                     OrderingEdge::strict(a, b, Dimension::Throughput)
                 } else {
                     OrderingEdge::equal(a, b, Dimension::Isolation)
                 };
-                order.add(edge.when(Condition::param("speed", CmpOp::Ge, 100.0)).cited("test"));
+                order.add(
+                    edge.when(Condition::param("speed", CmpOp::Ge, 100.0))
+                        .cited("test"),
+                );
             }
             let back: PreferenceOrder = roundtrip(&order);
             prop_assert_eq!(back.edges(), order.edges());
@@ -129,7 +138,9 @@ fn sample_catalog() -> Catalog {
         .unwrap();
     catalog
         .add_system(
-            SystemSpec::builder("CONGA", Category::LoadBalancer).solves("load_balancing").build(),
+            SystemSpec::builder("CONGA", Category::LoadBalancer)
+                .solves("load_balancing")
+                .build(),
         )
         .unwrap();
     catalog
@@ -176,12 +187,17 @@ fn component_specs_roundtrip() {
 #[test]
 fn catalog_delta_roundtrips() {
     let delta = CatalogDelta::update_system(
-        SystemSpec::builder("SIMON", Category::Monitoring).cost(900).build(),
+        SystemSpec::builder("SIMON", Category::Monitoring)
+            .cost(900)
+            .build(),
     );
     let back = roundtrip(&delta);
     let mut catalog = sample_catalog();
     catalog.apply(back).unwrap();
-    assert_eq!(catalog.system(&SystemId::new("SIMON")).unwrap().cost_usd, 900);
+    assert_eq!(
+        catalog.system(&SystemId::new("SIMON")).unwrap().cost_usd,
+        900
+    );
 }
 
 #[test]
@@ -201,7 +217,10 @@ fn full_scenario_roundtrips() {
         })
         .with_budget(1_000_000);
     let back = roundtrip(&scenario);
-    assert_eq!(json::to_string(&back.catalog), json::to_string(&scenario.catalog));
+    assert_eq!(
+        json::to_string(&back.catalog),
+        json::to_string(&scenario.catalog)
+    );
     assert_eq!(back.workloads, scenario.workloads);
     assert_eq!(back.inventory, scenario.inventory);
     assert_eq!(back.params, scenario.params);
@@ -213,8 +232,12 @@ fn full_scenario_roundtrips() {
 
 #[test]
 fn design_roundtrips_with_resource_usage() {
-    let scenario = Scenario::new(sample_catalog())
-        .with_workload(Workload::builder("app").num_flows(10_000).peak_cores(64).build());
+    let scenario = Scenario::new(sample_catalog()).with_workload(
+        Workload::builder("app")
+            .num_flows(10_000)
+            .peak_cores(64)
+            .build(),
+    );
     let design = netarch_core::solution::Design::from_model(
         &scenario,
         |id| id.as_str() == "SIMON",

@@ -46,7 +46,10 @@ fn monitoring_scenario() -> Scenario {
         .add_system(
             SystemSpec::builder("SIMON", Category::Monitoring)
                 .solves("detect_queue_length")
-                .requires("needs-nic-timestamps", Condition::nics_have("NIC_TIMESTAMPS"))
+                .requires(
+                    "needs-nic-timestamps",
+                    Condition::nics_have("NIC_TIMESTAMPS"),
+                )
                 .cost(400)
                 .build(),
         )
@@ -61,11 +64,17 @@ fn monitoring_scenario() -> Scenario {
         .unwrap();
     catalog
         .add_system(
-            SystemSpec::builder("ECMP", Category::LoadBalancer).solves("load_balancing").build(),
+            SystemSpec::builder("ECMP", Category::LoadBalancer)
+                .solves("load_balancing")
+                .build(),
         )
         .unwrap();
     catalog
-        .add_ordering(OrderingEdge::strict("SIMON", "PINGMESH", Dimension::MonitoringQuality))
+        .add_ordering(OrderingEdge::strict(
+            "SIMON",
+            "PINGMESH",
+            Dimension::MonitoringQuality,
+        ))
         .unwrap();
     catalog
         .add_hardware(
@@ -76,10 +85,18 @@ fn monitoring_scenario() -> Scenario {
         )
         .unwrap();
     catalog
-        .add_hardware(HardwareSpec::builder("NIC_PLAIN", HardwareKind::Nic).cost(300).build())
+        .add_hardware(
+            HardwareSpec::builder("NIC_PLAIN", HardwareKind::Nic)
+                .cost(300)
+                .build(),
+        )
         .unwrap();
     Scenario::new(catalog)
-        .with_workload(Workload::builder("app").needs("detect_queue_length").build())
+        .with_workload(
+            Workload::builder("app")
+                .needs("detect_queue_length")
+                .build(),
+        )
         .with_role(Category::Monitoring, RoleRule::Required)
         .with_inventory(Inventory {
             nic_candidates: vec![HardwareId::new("NIC_TS"), HardwareId::new("NIC_PLAIN")],
@@ -107,7 +124,12 @@ fn capacity_scenario(peak_cores: u64) -> Scenario {
         )
         .unwrap();
     Scenario::new(catalog)
-        .with_workload(Workload::builder("app").needs("monitoring").peak_cores(peak_cores).build())
+        .with_workload(
+            Workload::builder("app")
+                .needs("monitoring")
+                .peak_cores(peak_cores)
+                .build(),
+        )
         .with_inventory(Inventory {
             server_candidates: vec![HardwareId::new("SRV32")],
             num_servers: 1,
@@ -134,10 +156,7 @@ fn design_set(designs: &[Design], include_hardware: bool) -> Vec<String> {
     keys
 }
 
-fn optimize_with(
-    scenario: Scenario,
-    backend: SolveBackend,
-) -> Result<OptimizedDesign, Diagnosis> {
+fn optimize_with(scenario: Scenario, backend: SolveBackend) -> Result<OptimizedDesign, Diagnosis> {
     let mut engine = Engine::with_backend(scenario, backend).unwrap();
     engine.optimize().unwrap()
 }
@@ -154,7 +173,10 @@ fn optimize_agrees_across_backends() {
             let par = optimize_with(scenario.clone(), backend).expect("feasible");
             assert_eq!(seq.design.selections, par.design.selections, "{label}");
             assert_eq!(seq.design.hardware, par.design.hardware, "{label}");
-            assert_eq!(seq.levels, par.levels, "{label}: per-level penalties must agree");
+            assert_eq!(
+                seq.levels, par.levels,
+                "{label}: per-level penalties must agree"
+            );
         }
     }
 }
@@ -182,16 +204,24 @@ fn enumeration_agrees_across_backends() {
     for include_hardware in [false, true] {
         let mut seq =
             Engine::with_backend(monitoring_scenario(), SolveBackend::Sequential).unwrap();
-        let expected =
-            design_set(&seq.enumerate_designs(64, include_hardware).unwrap(), include_hardware);
-        assert!(expected.len() >= 2, "scenario must admit several classes: {expected:?}");
+        let expected = design_set(
+            &seq.enumerate_designs(64, include_hardware).unwrap(),
+            include_hardware,
+        );
+        assert!(
+            expected.len() >= 2,
+            "scenario must admit several classes: {expected:?}"
+        );
         for (label, backend) in portfolio_backends() {
             let mut engine = Engine::with_backend(monitoring_scenario(), backend).unwrap();
             let got = design_set(
                 &engine.enumerate_designs(64, include_hardware).unwrap(),
                 include_hardware,
             );
-            assert_eq!(expected, got, "{label} hw={include_hardware}: design classes disagree");
+            assert_eq!(
+                expected, got,
+                "{label} hw={include_hardware}: design classes disagree"
+            );
         }
     }
 }
@@ -205,10 +235,20 @@ fn capacity_plans_agree_across_backends() {
         for (label, backend) in portfolio_backends() {
             let mut engine = Engine::with_backend(capacity_scenario(peak), backend).unwrap();
             let got = engine.plan_capacity(64).unwrap().expect("feasible");
-            assert_eq!(seq.servers_needed, got.servers_needed, "peak_cores={peak} {label}");
-            assert_eq!(seq.design.selections, got.design.selections, "peak_cores={peak} {label}");
+            assert_eq!(
+                seq.servers_needed, got.servers_needed,
+                "peak_cores={peak} {label}"
+            );
+            assert_eq!(
+                seq.design.selections, got.design.selections,
+                "peak_cores={peak} {label}"
+            );
             // The fleet bisection always runs on the warm session solver.
-            assert_eq!(engine.stats().portfolio_solves, 0, "peak_cores={peak} {label}");
+            assert_eq!(
+                engine.stats().portfolio_solves,
+                0,
+                "peak_cores={peak} {label}"
+            );
         }
     }
 }
@@ -227,7 +267,10 @@ fn session_queries_survive_portfolio_probes() {
     assert_eq!(opt1.design.selections, opt2.design.selections);
     // NETARCH_VERIFY_PROOFS keeps every verdict on the certified session
     // solver, so pool rounds run exactly when proof mode is off.
-    assert_eq!(engine.stats().portfolio_solves > 0, !netarch_logic::proofs_requested());
+    assert_eq!(
+        engine.stats().portfolio_solves > 0,
+        !netarch_logic::proofs_requested()
+    );
 }
 
 #[test]
@@ -252,5 +295,8 @@ fn parallel_loops_fold_worker_effort_into_engine_stats() {
         "every seat of every round must be folded into session totals: {stats:?}"
     );
     engine.enumerate_designs(64, false).unwrap();
-    assert!(engine.stats().session_solves > stats.session_solves, "enumeration solves count too");
+    assert!(
+        engine.stats().session_solves > stats.session_solves,
+        "enumeration solves count too"
+    );
 }

@@ -27,7 +27,10 @@ fn test_scenario() -> Scenario {
         .add_system(
             SystemSpec::builder("SIMON", Category::Monitoring)
                 .solves("detect_queue_length")
-                .requires("needs-nic-timestamps", Condition::nics_have("NIC_TIMESTAMPS"))
+                .requires(
+                    "needs-nic-timestamps",
+                    Condition::nics_have("NIC_TIMESTAMPS"),
+                )
                 .cost(400)
                 .build(),
         )
@@ -42,14 +45,24 @@ fn test_scenario() -> Scenario {
         .unwrap();
     catalog
         .add_system(
-            SystemSpec::builder("ECMP", Category::LoadBalancer).solves("load_balancing").build(),
+            SystemSpec::builder("ECMP", Category::LoadBalancer)
+                .solves("load_balancing")
+                .build(),
         )
         .unwrap();
     catalog
-        .add_ordering(OrderingEdge::strict("SIMON", "PINGMESH", Dimension::MonitoringQuality))
+        .add_ordering(OrderingEdge::strict(
+            "SIMON",
+            "PINGMESH",
+            Dimension::MonitoringQuality,
+        ))
         .unwrap();
     catalog
-        .add_ordering(OrderingEdge::strict("PINGMESH", "SIMON", Dimension::DeploymentEase))
+        .add_ordering(OrderingEdge::strict(
+            "PINGMESH",
+            "SIMON",
+            Dimension::DeploymentEase,
+        ))
         .unwrap();
     catalog
         .add_hardware(
@@ -60,10 +73,18 @@ fn test_scenario() -> Scenario {
         )
         .unwrap();
     catalog
-        .add_hardware(HardwareSpec::builder("NIC_PLAIN", HardwareKind::Nic).cost(300).build())
+        .add_hardware(
+            HardwareSpec::builder("NIC_PLAIN", HardwareKind::Nic)
+                .cost(300)
+                .build(),
+        )
         .unwrap();
     Scenario::new(catalog)
-        .with_workload(Workload::builder("app").needs("detect_queue_length").build())
+        .with_workload(
+            Workload::builder("app")
+                .needs("detect_queue_length")
+                .build(),
+        )
         .with_role(Category::Monitoring, RoleRule::Required)
         .with_inventory(Inventory {
             nic_candidates: vec![HardwareId::new("NIC_TS"), HardwareId::new("NIC_PLAIN")],
@@ -93,7 +114,11 @@ fn infeasibility_diagnosis_verifies_every_unsat_verdict() {
     let mut engine = Engine::new(scenario).unwrap();
     let outcome = engine.check().unwrap();
     let diagnosis = outcome.diagnosis().expect("infeasible");
-    let labels: Vec<&str> = diagnosis.conflicts.iter().map(|c| c.label.as_str()).collect();
+    let labels: Vec<&str> = diagnosis
+        .conflicts
+        .iter()
+        .map(|c| c.label.as_str())
+        .collect();
     assert!(labels.contains(&"pin:require:SIMON"));
     assert!(labels.contains(&"pin:forbid:SIMON"));
     assert_eq!(diagnosis.conflicts.len(), 2);
@@ -107,7 +132,11 @@ fn requirement_conflict_diagnosis_is_certified() {
     let mut engine = Engine::new(scenario).unwrap();
     let outcome = engine.check().unwrap();
     let diagnosis = outcome.diagnosis().expect("infeasible");
-    let labels: Vec<&str> = diagnosis.conflicts.iter().map(|c| c.label.as_str()).collect();
+    let labels: Vec<&str> = diagnosis
+        .conflicts
+        .iter()
+        .map(|c| c.label.as_str())
+        .collect();
     assert!(
         labels.contains(&"req:SIMON:needs-nic-timestamps"),
         "diagnosis should name the NIC-timestamp rule, got {labels:?}"
@@ -123,7 +152,14 @@ fn optimization_runs_fully_verified() {
         test_scenario().with_objective(Objective::MaximizeDimension(Dimension::MonitoringQuality));
     let mut engine = Engine::new(scenario).unwrap();
     let result = engine.optimize().unwrap().expect("feasible");
-    assert_eq!(result.design.selection(&Category::Monitoring).unwrap().as_str(), "SIMON");
+    assert_eq!(
+        result
+            .design
+            .selection(&Category::Monitoring)
+            .unwrap()
+            .as_str(),
+        "SIMON"
+    );
 }
 
 #[test]
@@ -146,15 +182,43 @@ fn budget_verdicts_are_certified() {
     let mut engine = Engine::new(test_scenario().with_budget(1_000)).unwrap();
     let outcome = engine.check().unwrap();
     let diagnosis = outcome.diagnosis().expect("no design fits $1,000");
-    let labels: Vec<&str> = diagnosis.conflicts.iter().map(|c| c.label.as_str()).collect();
-    assert!(labels.contains(&"budget"), "diagnosis should name the budget, got {labels:?}");
+    let labels: Vec<&str> = diagnosis
+        .conflicts
+        .iter()
+        .map(|c| c.label.as_str())
+        .collect();
+    assert!(
+        labels.contains(&"budget"),
+        "diagnosis should name the budget, got {labels:?}"
+    );
 
-    let scenario = test_scenario().with_budget(1_300).with_objective(Objective::MinimizeCost);
+    let scenario = test_scenario()
+        .with_budget(1_300)
+        .with_objective(Objective::MinimizeCost);
     let mut engine = Engine::new(scenario).unwrap();
-    let design = engine.check().unwrap().design().expect("$1,300 fits").clone();
+    let design = engine
+        .check()
+        .unwrap()
+        .design()
+        .expect("$1,300 fits")
+        .clone();
     assert!(design.total_cost_usd <= 1_300);
     let result = engine.optimize().unwrap().expect("feasible");
     assert_eq!(result.design.total_cost_usd, 1_300);
-    assert_eq!(result.design.selection(&Category::Monitoring).unwrap().as_str(), "PINGMESH");
-    assert_eq!(result.design.hardware_for(HardwareKind::Nic).unwrap().as_str(), "NIC_PLAIN");
+    assert_eq!(
+        result
+            .design
+            .selection(&Category::Monitoring)
+            .unwrap()
+            .as_str(),
+        "PINGMESH"
+    );
+    assert_eq!(
+        result
+            .design
+            .hardware_for(HardwareKind::Nic)
+            .unwrap()
+            .as_str(),
+        "NIC_PLAIN"
+    );
 }
