@@ -1,6 +1,6 @@
-//! Benchmark for experiment E1: Figure 1 ordering queries — pairwise
-//! comparisons, dominance closures, and rank computation over the full
-//! corpus.
+//! Benchmark for experiment E1: Figure 1 ordering queries — resolving a
+//! dimension's order (its dominance closure), pairwise comparisons, and
+//! rank computation over the full corpus.
 
 use netarch_bench::context_scenario;
 use netarch_core::prelude::*;
@@ -14,20 +14,21 @@ fn main() {
         .iter()
         .map(|s| s.id.clone())
         .collect();
+    let order = scenario.catalog.order();
+    let throughput = order.resolve(&Dimension::Throughput, &scenario);
 
     let mut h = Harness::new("fig1_ordering");
+
+    h.bench("ordering/resolve_dimension", || {
+        black_box(order.resolve(&Dimension::Throughput, &scenario))
+    });
 
     h.bench("ordering/pairwise_compare", || {
         let mut verdicts = 0usize;
         for a in &stacks {
             for x in &stacks {
                 if a != x {
-                    black_box(scenario.catalog.order().compare(
-                        a,
-                        x,
-                        &Dimension::Throughput,
-                        &scenario,
-                    ));
+                    black_box(throughput.compare(a, x));
                     verdicts += 1;
                 }
             }
@@ -36,16 +37,7 @@ fn main() {
     });
 
     h.bench("ordering/ranks_full_dimension", || {
-        black_box(scenario.catalog.order().ranks(&stacks, &Dimension::Throughput, &scenario))
-    });
-
-    let simon = SystemId::new("SNAP_PONY");
-    h.bench("ordering/dominated_closure", || {
-        black_box(scenario.catalog.order().dominated_by(
-            &simon,
-            &Dimension::Throughput,
-            &scenario,
-        ))
+        black_box(throughput.ranks(&stacks))
     });
 
     h.finish();

@@ -14,6 +14,7 @@ const FIG1_STACKS: [&str; 7] = [
 ];
 
 fn matrix(scenario: &Scenario, dim: &Dimension) {
+    let order = scenario.catalog.order().resolve(dim, scenario);
     print!("{:12}", "");
     for b in FIG1_STACKS {
         print!("{b:>12}");
@@ -26,12 +27,7 @@ fn matrix(scenario: &Scenario, dim: &Dimension) {
                 print!("{:>12}", "—");
                 continue;
             }
-            let c = scenario.catalog.order().compare(
-                &SystemId::new(a),
-                &SystemId::new(b),
-                dim,
-                scenario,
-            );
+            let c = order.compare(&SystemId::new(a), &SystemId::new(b));
             print!("{:>12}", verdict_symbol(c));
         }
         println!();

@@ -111,7 +111,7 @@ mod tests {
         for speed in [10.0, 100.0] {
             for dim in &dims {
                 assert_eq!(
-                    catalog.order().find_cycle(dim, &Ctx(speed)),
+                    catalog.order().resolve(dim, &Ctx(speed)).cycle(),
                     None,
                     "cycle on {dim} at {speed} Gbps"
                 );

@@ -73,3 +73,4 @@ pub use lower::{load_str, Loader, ScenarioDoc};
 pub use print::{print_doc, print_queries, print_scenario, print_sweeps};
 pub use query::QuerySpec;
 pub use sweep::{AltRef, ChoiceGroup, ChoiceKind, SweepConstraint, SweepSpec};
+pub use vocab::dimension_from_name;

@@ -41,7 +41,9 @@ pub(crate) fn dimension_name(d: &Dimension) -> Option<&'static str> {
     DIMENSION_NAMES.iter().find(|(_, v)| v == d).map(|(n, _)| *n)
 }
 
-pub(crate) fn dimension_from_name(name: &str) -> Option<Dimension> {
+/// The built-in dimension a `.narch` file names `name`
+/// (`monitoring_quality`), if any.
+pub fn dimension_from_name(name: &str) -> Option<Dimension> {
     DIMENSION_NAMES.iter().find(|(n, _)| *n == name).map(|(_, v)| v.clone())
 }
 

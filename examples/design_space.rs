@@ -61,9 +61,10 @@ fn main() {
     let ranks = scenario
         .catalog
         .order()
-        .ranks(&stacks, &Dimension::Throughput, &scenario);
-    let mut sorted: Vec<(&SystemId, &usize)> = ranks.iter().collect();
-    sorted.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+        .resolve(&Dimension::Throughput, &scenario)
+        .ranks(&stacks);
+    let mut sorted: Vec<(&SystemId, usize)> = ranks.into_iter().collect();
+    sorted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     println!("network stacks by throughput dominance rank (100 Gbps):");
     for (id, rank) in sorted {
         println!("  {rank:3}  {id}");

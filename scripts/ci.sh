@@ -34,11 +34,11 @@ echo "== rustdoc =="
 # a deleted item cannot land.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-echo "== rustfmt (netarch-corpus, netarch-logic) =="
-# The corpus and logic crates are held to rustfmt's default style; the
-# rest of the workspace is not formatted yet.
+echo "== rustfmt (netarch-corpus, netarch-logic, netarch-core) =="
+# The corpus, logic and core crates are held to rustfmt's default style;
+# the rest of the workspace is not formatted yet.
 if cargo fmt --version >/dev/null 2>&1; then
-    cargo fmt -p netarch-corpus -p netarch-logic --check
+    cargo fmt -p netarch-corpus -p netarch-logic -p netarch-core --check
 elif [ "${CI:-0}" = "1" ]; then
     echo "error: CI=1 but cargo fmt is not installed" >&2
     exit 1

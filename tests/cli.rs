@@ -72,6 +72,14 @@ fn compare_answers_listing_2_orderings() {
     let (ok, stdout, _) = netarch(&["compare", &p, "SIMON", "PINGMESH", "deployment-ease"]);
     assert!(ok);
     assert!(stdout.contains("Worse"), "{stdout}");
+    // Dimensions also read as `.narch` files spell them.
+    let (ok, stdout, _) = netarch(&["compare", &p, "SIMON", "PINGMESH", "monitoring_quality"]);
+    assert!(ok);
+    assert_eq!(stdout.trim(), "SIMON vs PINGMESH on monitoring-quality: Better");
+    // A name that is no dimension is an error, not an empty custom one.
+    let (ok, _, stderr) = netarch(&["compare", &p, "SIMON", "PINGMESH", "monitoring"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown dimension \"monitoring\""), "{stderr}");
     let (ok, stdout, _) = netarch(&["compare", &p, "SHENANGO", "DEMIKERNEL", "isolation"]);
     std::fs::remove_file(&path).ok();
     assert!(ok);
@@ -133,6 +141,7 @@ fn bad_usage_fails_with_help() {
     let (ok, _, stderr) = netarch(&["check", "/nonexistent/path.json"]);
     assert!(!ok);
     assert!(stderr.contains("cannot read"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
 }
 
 // ---------------------------------------------------------------------------
@@ -224,10 +233,9 @@ fn compare_reads_the_split_corpus() {
     }
 }
 
-/// A model listed twice in an inventory slot is an input error that names
-/// the model, not an infeasible scenario blamed on `hw:nic`.
-#[test]
-fn a_repeated_inventory_candidate_is_named() {
+/// The corpus with the case study's NIC slot listing one model twice, and
+/// the edited case study's temp path.
+fn repeated_candidate_corpus(test: &str) -> (Vec<String>, std::path::PathBuf) {
     let mut files = corpus_narch_paths();
     let case_study = files.pop().expect("the case study comes last");
     let text = std::fs::read_to_string(&case_study).expect("read the case study");
@@ -236,9 +244,17 @@ fn a_repeated_inventory_candidate_is_named() {
         .find(|line| line.trim_start().starts_with("nics = "))
         .expect("the case study lists NIC candidates");
     let edited = text.replace(nics, "    nics = [MLX_CX5_100, MLX_CX5_100]");
-    let path = temp_path("repeated_candidate", "case_study.narch");
+    let path = temp_path(test, "case_study.narch");
     std::fs::write(&path, edited).unwrap();
     files.push(path.to_str().unwrap().to_string());
+    (files, path)
+}
+
+/// A model listed twice in an inventory slot is an input error that names
+/// the model, not an infeasible scenario blamed on `hw:nic`.
+#[test]
+fn a_repeated_inventory_candidate_is_named() {
+    let (files, path) = repeated_candidate_corpus("repeated_candidate");
     let args: Vec<&str> = std::iter::once("check").chain(files.iter().map(String::as_str)).collect();
     let (ok, stdout, stderr) = netarch(&args);
     std::fs::remove_file(&path).ok();
@@ -278,6 +294,50 @@ fn validate_passes_corpus_and_catches_dangling_references() {
     std::fs::remove_file(&path).ok();
     assert!(!ok);
     assert!(stderr.contains("dangling"), "{stderr}");
+}
+
+/// `examples/minimal.narch` plus an edge ranking SIMON above itself.
+fn self_edge_scenario(test: &str) -> std::path::PathBuf {
+    let text = std::fs::read_to_string(repo_path("examples/minimal.narch")).unwrap();
+    let edge = "ordering {\n  better = SIMON\n  worse = SIMON\n  \
+                dimension = monitoring_quality\n}\n";
+    let path = temp_path(test, "self_edge.narch");
+    std::fs::write(&path, format!("{text}\n{edge}")).unwrap();
+    path
+}
+
+/// A system ranked strictly above itself is a preference cycle, and a
+/// scenario error prints its `error:` line alone, without the usage text.
+#[test]
+fn a_strict_self_edge_is_a_preference_cycle() {
+    let path = self_edge_scenario("self_edge");
+    let (ok, stdout, stderr) = netarch(&["check", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert!(!ok, "{stdout}");
+    assert_eq!(
+        stderr,
+        "error: preference order has a strict cycle involving SIMON\n"
+    );
+}
+
+/// `validate` runs compile's checks on a document's scenario, so what
+/// `check` rejects as input fails validation too.
+#[test]
+fn validate_rejects_what_compile_rejects() {
+    let path = self_edge_scenario("validate_self_edge");
+    let (ok, stdout, stderr) = netarch(&["validate", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("strict cycle involving SIMON"), "{stderr}");
+
+    let (files, path) = repeated_candidate_corpus("validate_repeated");
+    let args: Vec<&str> =
+        std::iter::once("validate").chain(files.iter().map(String::as_str)).collect();
+    let (ok, stdout, stderr) = netarch(&args);
+    std::fs::remove_file(&path).ok();
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("MLX_CX5_100"), "{stderr}");
+    assert!(stderr.contains("more than once"), "{stderr}");
 }
 
 #[test]

@@ -120,13 +120,14 @@ fn every_stack_pair_comparison_is_antisymmetric() {
         .map(|x| x.id.clone())
         .collect();
     for dim in [Dimension::Throughput, Dimension::Isolation, Dimension::AppCompatibility] {
+        let order = s.catalog.order().resolve(&dim, &s);
         for a in &stacks {
             for b in &stacks {
                 if a == b {
                     continue;
                 }
-                let ab = s.catalog.order().compare(a, b, &dim, &s);
-                let ba = s.catalog.order().compare(b, a, &dim, &s);
+                let ab = order.compare(a, b);
+                let ba = order.compare(b, a);
                 let expected = match ab {
                     Comparison::Better => Comparison::Worse,
                     Comparison::Worse => Comparison::Better,
