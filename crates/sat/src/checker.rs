@@ -62,16 +62,25 @@ impl std::fmt::Display for CheckError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckError::NotRedundant { step, clause } => {
-                write!(f, "proof step {step} adds a non-redundant clause {clause:?}")
+                write!(
+                    f,
+                    "proof step {step} adds a non-redundant clause {clause:?}"
+                )
             }
             CheckError::NoEmptyClause => {
-                write!(f, "proof replays cleanly but never derives the empty clause")
+                write!(
+                    f,
+                    "proof replays cleanly but never derives the empty clause"
+                )
             }
             CheckError::CoreNotEntailed { clause } => {
                 write!(f, "core clause {clause:?} is not entailed by the proof")
             }
             CheckError::VariableOutOfRange { step, lit } => {
-                write!(f, "proof step {step} references out-of-range literal {lit:?}")
+                write!(
+                    f,
+                    "proof step {step} references out-of-range literal {lit:?}"
+                )
             }
         }
     }
@@ -203,7 +212,11 @@ impl Checker {
                 self.value(l) == LBool::False && self.trail_pos[l.var().index()] < self.qhead
             })
             .count();
-        self.clauses.push(CheckedClause { lits: clause.to_vec(), false_count, active: true });
+        self.clauses.push(CheckedClause {
+            lits: clause.to_vec(),
+            false_count,
+            active: true,
+        });
         for &lit in clause {
             self.occurrences[lit.code()].push(id);
         }
@@ -279,8 +292,10 @@ impl Checker {
                 }
                 // Duplicate literals can push the count past len - 1, so
                 // saturate rather than rely on exact arithmetic.
-                let remaining =
-                    self.clauses[id].lits.len().saturating_sub(self.clauses[id].false_count);
+                let remaining = self.clauses[id]
+                    .lits
+                    .len()
+                    .saturating_sub(self.clauses[id].false_count);
                 if remaining == 0 {
                     conflict = true;
                 } else if remaining == 1 {
@@ -477,7 +492,9 @@ pub fn check_refutation_under_assumptions(
     if checker.proved_unsat() || checker.check_clause(&core_clause) {
         Ok(())
     } else {
-        Err(CheckError::CoreNotEntailed { clause: core_clause })
+        Err(CheckError::CoreNotEntailed {
+            clause: core_clause,
+        })
     }
 }
 
@@ -491,7 +508,9 @@ mod tests {
     }
 
     fn clauses(spec: &[&[i64]]) -> Vec<Vec<Lit>> {
-        spec.iter().map(|c| c.iter().map(|&v| lit(v)).collect()).collect()
+        spec.iter()
+            .map(|c| c.iter().map(|&v| lit(v)).collect())
+            .collect()
     }
 
     #[test]
@@ -529,7 +548,10 @@ mod tests {
         let f = clauses(&[&[1, 2], &[-1, 2]]);
         let mut proof = DratProof::new();
         proof.add_clause(&[lit(2)]);
-        assert_eq!(check_refutation(2, &f, &proof), Err(CheckError::NoEmptyClause));
+        assert_eq!(
+            check_refutation(2, &f, &proof),
+            Err(CheckError::NoEmptyClause)
+        );
     }
 
     #[test]
@@ -577,7 +599,9 @@ mod tests {
         // Deletion does not undo persistent propagation already performed —
         // standard DRAT checkers behave the same. Build a fresh checker to
         // observe the weakened formula.
-        checker.apply_step(0, &ProofStep::Delete(vec![lit(-2)])).unwrap();
+        checker
+            .apply_step(0, &ProofStep::Delete(vec![lit(-2)]))
+            .unwrap();
         let mut fresh = Checker::new(2, &clauses(&[&[1, 2]]));
         assert!(!fresh.check_clause(&[lit(1)]));
     }
@@ -586,7 +610,9 @@ mod tests {
     fn deleting_absent_clause_is_noop() {
         let f = clauses(&[&[1, 2]]);
         let mut checker = Checker::new(2, &f);
-        checker.apply_step(0, &ProofStep::Delete(vec![lit(1), lit(-2)])).unwrap();
+        checker
+            .apply_step(0, &ProofStep::Delete(vec![lit(1), lit(-2)]))
+            .unwrap();
         assert!(checker.check_clause(&[lit(1), lit(2)]));
     }
 
@@ -616,7 +642,10 @@ mod tests {
         // certify an empty proof as a refutation of a SAT formula.
         let f = clauses(&[&[-1], &[1, 2]]);
         let proof = DratProof::new();
-        assert_eq!(check_refutation(2, &f, &proof), Err(CheckError::NoEmptyClause));
+        assert_eq!(
+            check_refutation(2, &f, &proof),
+            Err(CheckError::NoEmptyClause)
+        );
     }
 
     #[test]

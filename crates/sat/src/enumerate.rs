@@ -54,7 +54,10 @@ pub fn enumerate_projected(
                 if !solver.add_clause(blocking) {
                     // Blocking clause made the instance unsatisfiable:
                     // the space is exhausted.
-                    return Enumeration { models, truncated: false };
+                    return Enumeration {
+                        models,
+                        truncated: false,
+                    };
                 }
             }
             SolveResult::Unsat => break,

@@ -38,8 +38,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clause;
 pub mod checker;
+mod clause;
 pub mod enumerate;
 mod heap;
 mod lit;

@@ -128,7 +128,12 @@ impl Not for Lit {
 
 impl fmt::Debug for Lit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{:?}", if self.is_positive() { "" } else { "!" }, self.var())
+        write!(
+            f,
+            "{}{:?}",
+            if self.is_positive() { "" } else { "!" },
+            self.var()
+        )
     }
 }
 

@@ -189,7 +189,10 @@ impl ProbePool {
                     } else {
                         None
                     };
-                    if results_tx.send((seat, Ok(ProbeOutcome { result, model }))).is_err() {
+                    if results_tx
+                        .send((seat, Ok(ProbeOutcome { result, model })))
+                        .is_err()
+                    {
                         break;
                     }
                 }
@@ -205,9 +208,16 @@ impl ProbePool {
                     message
                 })
             });
-            seats.push(Seat { jobs: jobs_tx, handle });
+            seats.push(Seat {
+                jobs: jobs_tx,
+                handle,
+            });
         }
-        ProbePool { seats, results, interrupt }
+        ProbePool {
+            seats,
+            results,
+            interrupt,
+        }
     }
 
     /// Number of worker seats.
@@ -276,7 +286,12 @@ impl ProbePool {
 mod tests {
     use super::*;
 
-    fn pool(seats: usize, clauses: Vec<Vec<Lit>>, num_vars: usize, deterministic: bool) -> ProbePool {
+    fn pool(
+        seats: usize,
+        clauses: Vec<Vec<Lit>>,
+        num_vars: usize,
+        deterministic: bool,
+    ) -> ProbePool {
         ProbePool::new(ProbePoolConfig {
             seats,
             num_vars,
@@ -356,9 +371,7 @@ mod tests {
             for _ in 0..2 {
                 let outcomes =
                     p.solve_round(&[vec![], vec![v(1).negative()], vec![v(2).negative()]]);
-                transcripts.extend(
-                    outcomes.into_iter().map(|o| (o.result, o.model)),
-                );
+                transcripts.extend(outcomes.into_iter().map(|o| (o.result, o.model)));
             }
             (transcripts, p.finish())
         };

@@ -628,7 +628,10 @@ impl Solver {
                 }
                 let first = self.db.lits(cref)[0];
                 if first != w.blocker && self.lit_value(first) == LBool::True {
-                    ws[j] = Watcher { cref, blocker: first };
+                    ws[j] = Watcher {
+                        cref,
+                        blocker: first,
+                    };
                     j += 1;
                     continue;
                 }
@@ -638,12 +641,18 @@ impl Solver {
                     let lk = self.db.lits(cref)[k];
                     if self.lit_value(lk) != LBool::False {
                         self.db.lits_mut(cref).swap(1, k);
-                        self.watches[(!lk).code()].push(Watcher { cref, blocker: first });
+                        self.watches[(!lk).code()].push(Watcher {
+                            cref,
+                            blocker: first,
+                        });
                         continue 'watchers;
                     }
                 }
                 // No replacement: clause is unit or conflicting.
-                ws[j] = Watcher { cref, blocker: first };
+                ws[j] = Watcher {
+                    cref,
+                    blocker: first,
+                };
                 j += 1;
                 if self.lit_value(first) == LBool::False {
                     // Conflict: copy remaining watchers and stop.
@@ -756,11 +765,9 @@ impl Solver {
                 kept.push(l);
                 continue;
             }
-            let redundant = self
-                .db
-                .lits(reason)
-                .iter()
-                .all(|&q| q == !l || self.seen[q.var().index()] || self.level[q.var().index()] == 0);
+            let redundant = self.db.lits(reason).iter().all(|&q| {
+                q == !l || self.seen[q.var().index()] || self.level[q.var().index()] == 0
+            });
             if redundant {
                 self.stats.minimized_literals += 1;
             } else {
@@ -895,7 +902,11 @@ impl Solver {
                 // LBD is computed before backtracking, but `level[]` entries
                 // are not cleared on unassignment, so the value is identical
                 // either way.
-                let lbd = if learnt.len() == 1 { 1 } else { self.compute_lbd(&learnt) };
+                let lbd = if learnt.len() == 1 {
+                    1
+                } else {
+                    self.compute_lbd(&learnt)
+                };
                 self.backtrack_to(backtrack_level);
                 let asserting = learnt[0];
                 if learnt.len() == 1 {
@@ -1008,15 +1019,12 @@ impl Solver {
             .collect();
         // Keep low-LBD, high-activity clauses.
         learnt.sort_by(|&a, &b| {
-            self.db
-                .lbd(a)
-                .cmp(&self.db.lbd(b))
-                .then(
-                    self.db
-                        .activity(b)
-                        .partial_cmp(&self.db.activity(a))
-                        .unwrap_or(std::cmp::Ordering::Equal),
-                )
+            self.db.lbd(a).cmp(&self.db.lbd(b)).then(
+                self.db
+                    .activity(b)
+                    .partial_cmp(&self.db.activity(a))
+                    .unwrap_or(std::cmp::Ordering::Equal),
+            )
         });
         let keep = learnt.len() / 2;
         for &cref in &learnt[keep..] {

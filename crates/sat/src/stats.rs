@@ -99,8 +99,18 @@ mod tests {
 
     #[test]
     fn absorb_adds_fieldwise() {
-        let mut a = Stats { solves: 2, conflicts: 7, restarts: 1, ..Stats::default() };
-        let b = Stats { solves: 3, conflicts: 5, interrupts: 4, ..Stats::default() };
+        let mut a = Stats {
+            solves: 2,
+            conflicts: 7,
+            restarts: 1,
+            ..Stats::default()
+        };
+        let b = Stats {
+            solves: 3,
+            conflicts: 5,
+            interrupts: 4,
+            ..Stats::default()
+        };
         a.absorb(&b);
         assert_eq!(a.solves, 5);
         assert_eq!(a.conflicts, 12);

@@ -31,18 +31,17 @@ fn gen_3cnf(rng: &mut Rng) -> (usize, Vec<RawClause>) {
 /// Shrinking is structure-blind; clamp indices back into range.
 fn normalize(f: &(usize, Vec<RawClause>)) -> (usize, Vec<RawClause>) {
     let num_vars = f.0.clamp(1, 12);
-    let clauses = f
-        .1
-        .iter()
-        .map(|c| c.iter().map(|&(v, pos)| (v % num_vars, pos)).collect())
-        .collect();
+    let clauses =
+        f.1.iter()
+            .map(|c| c.iter().map(|&(v, pos)| (v % num_vars, pos)).collect())
+            .collect();
     (num_vars, clauses)
 }
 
 fn satisfies(bits: u32, clauses: &[RawClause]) -> bool {
-    clauses.iter().all(|clause| {
-        clause.iter().any(|&(v, pos)| ((bits >> v) & 1 == 1) == pos)
-    })
+    clauses
+        .iter()
+        .all(|clause| clause.iter().any(|&(v, pos)| ((bits >> v) & 1 == 1) == pos))
 }
 
 fn build_solver(num_vars: usize, clauses: &[RawClause]) -> Solver {
@@ -58,7 +57,9 @@ fn build_solver(num_vars: usize, clauses: &[RawClause]) -> Solver {
 fn enumeration_count_matches_brute_force_on_3cnf() {
     prop::check(&Config::with_cases(128), gen_3cnf, |f| {
         let (num_vars, clauses) = normalize(f);
-        let expected = (0u32..1 << num_vars).filter(|&bits| satisfies(bits, &clauses)).count();
+        let expected = (0u32..1 << num_vars)
+            .filter(|&bits| satisfies(bits, &clauses))
+            .count();
         let mut s = build_solver(num_vars, &clauses);
         let limit = 1usize << num_vars;
         let e = enumerate::enumerate_projected(&mut s, &[], &[], limit);
@@ -73,7 +74,10 @@ fn enumeration_count_matches_brute_force_on_3cnf() {
                     bits |= 1 << v.index();
                 }
             }
-            prop_assert!(satisfies(bits, &clauses), "enumerated model falsifies formula");
+            prop_assert!(
+                satisfies(bits, &clauses),
+                "enumerated model falsifies formula"
+            );
             prop_assert!(seen.insert(bits), "model enumerated twice");
         }
         Ok(())

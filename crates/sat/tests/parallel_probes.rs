@@ -43,14 +43,23 @@ fn gen_case(rng: &mut Rng, max_probes: usize) -> Case {
         .map(|_| {
             let n = rng.gen_range(0..=3usize);
             let mut lits: Vec<Lit> = (0..n)
-                .map(|_| Lit::new(Var::from_index(rng.gen_range(0..num_vars)), rng.gen_bool(0.5)))
+                .map(|_| {
+                    Lit::new(
+                        Var::from_index(rng.gen_range(0..num_vars)),
+                        rng.gen_bool(0.5),
+                    )
+                })
                 .collect();
             lits.sort_by_key(|l| l.var().index());
             lits.dedup_by_key(|l| l.var().index());
             lits
         })
         .collect();
-    Case { num_vars, clauses, probes }
+    Case {
+        num_vars,
+        clauses,
+        probes,
+    }
 }
 
 fn oracle_verdict(case: &Case, assumptions: &[Lit]) -> SolveResult {
@@ -72,7 +81,10 @@ fn pool_rounds_agree_with_sequential_oracle() {
     // Two inputs: the default configuration, and the most hostile restart
     // schedule (restart after every conflict), so persistent seats answer
     // later probes from the root after many restart boundaries.
-    let aggressive = SolverConfig { restart_base: 1, ..SolverConfig::default() };
+    let aggressive = SolverConfig {
+        restart_base: 1,
+        ..SolverConfig::default()
+    };
     let mut rng = Rng::seed_from_u64(0x0092_0BE5);
     let mut restarts = 0;
     for hostile in [false, true] {
@@ -80,8 +92,11 @@ fn pool_rounds_agree_with_sequential_oracle() {
             for deterministic in [true, false] {
                 for case_idx in 0..25 {
                     let case = gen_case(&mut rng, seats);
-                    let base =
-                        if hostile { aggressive.clone() } else { SolverConfig::default() };
+                    let base = if hostile {
+                        aggressive.clone()
+                    } else {
+                        SolverConfig::default()
+                    };
                     let mut pool = ProbePool::new(ProbePoolConfig {
                         seats,
                         num_vars: case.num_vars,
@@ -155,6 +170,9 @@ fn deterministic_pools_are_bit_identical_across_runs() {
         let (t1, s1) = run();
         let (t2, s2) = run();
         assert_eq!(t1, t2, "case {case_idx}: outcomes drifted between runs");
-        assert_eq!(s1, s2, "case {case_idx}: per-seat stats drifted between runs");
+        assert_eq!(
+            s1, s2,
+            "case {case_idx}: per-seat stats drifted between runs"
+        );
     }
 }

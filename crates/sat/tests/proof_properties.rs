@@ -26,18 +26,21 @@ fn gen_formula(rng: &mut Rng) -> Formula {
 
 fn normalize(f: &Formula) -> (usize, Vec<RawClause>) {
     let num_vars = f.0.clamp(1, 14);
-    let clauses = f
-        .1
-        .iter()
-        .map(|c| c.iter().map(|&(v, pos)| (v % num_vars, pos)).collect())
-        .collect();
+    let clauses =
+        f.1.iter()
+            .map(|c| c.iter().map(|&(v, pos)| (v % num_vars, pos)).collect())
+            .collect();
     (num_vars, clauses)
 }
 
 fn to_lits(clauses: &[RawClause]) -> Vec<Vec<Lit>> {
     clauses
         .iter()
-        .map(|c| c.iter().map(|&(v, pos)| Lit::new(Var::from_index(v), pos)).collect())
+        .map(|c| {
+            c.iter()
+                .map(|&(v, pos)| Lit::new(Var::from_index(v), pos))
+                .collect()
+        })
         .collect()
 }
 
@@ -112,7 +115,10 @@ fn restart_every_conflict_also_produces_checkable_proofs() {
     prop::check(&Config::with_cases(128), gen_formula, |f| {
         let (num_vars, raw) = normalize(f);
         let clauses = to_lits(&raw);
-        let config = SolverConfig { restart_base: 1, ..SolverConfig::default() };
+        let config = SolverConfig {
+            restart_base: 1,
+            ..SolverConfig::default()
+        };
         let mut s = recording_solver(num_vars, &clauses, config);
         if s.solve() == SolveResult::Unsat {
             let proof = s.recorded_proof().expect("recording was enabled");
@@ -220,8 +226,15 @@ fn pigeonhole_proofs_check() {
         let mut s = recording_solver(num_vars, &clauses, SolverConfig::default());
         assert_eq!(s.solve(), SolveResult::Unsat);
         let proof = s.take_proof().unwrap();
-        assert!(proof.adds_empty_clause(), "php({n}) refutation must conclude");
-        assert_eq!(check_refutation(num_vars, &clauses, &proof), Ok(()), "php({n})");
+        assert!(
+            proof.adds_empty_clause(),
+            "php({n}) refutation must conclude"
+        );
+        assert_eq!(
+            check_refutation(num_vars, &clauses, &proof),
+            Ok(()),
+            "php({n})"
+        );
     }
 }
 
@@ -258,7 +271,10 @@ fn truncated_proof_is_rejected() {
         }
         truncated.push(step.clone());
     }
-    assert!(truncated.len() < proof.len(), "php(4) proof should contain unit/empty adds");
+    assert!(
+        truncated.len() < proof.len(),
+        "php(4) proof should contain unit/empty adds"
+    );
     assert!(
         check_refutation(num_vars, &clauses, &truncated).is_err(),
         "checker accepted a truncated proof"
@@ -287,7 +303,11 @@ fn corrupted_proof_step_is_rejected() {
     for c in &weakened {
         sat_check.add_clause(c.iter().copied());
     }
-    assert_eq!(sat_check.solve(), SolveResult::Sat, "weakened php(4) should be SAT");
+    assert_eq!(
+        sat_check.solve(),
+        SolveResult::Sat,
+        "weakened php(4) should be SAT"
+    );
     assert!(
         check_refutation(num_vars, &weakened, &proof).is_err(),
         "checker accepted a refutation of a satisfiable formula"
@@ -366,7 +386,11 @@ fn tampered_bve_resolvent_is_rejected() {
     let v = |i: usize| Var::from_index(i).positive();
     let mut tampered = DratProof::new();
     for (i, step) in bve_shaped_proof().into_iter().enumerate() {
-        tampered.push(if i == 0 { ProofStep::Add(vec![v(0)]) } else { step });
+        tampered.push(if i == 0 {
+            ProofStep::Add(vec![v(0)])
+        } else {
+            step
+        });
     }
     assert!(
         matches!(

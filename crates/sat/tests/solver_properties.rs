@@ -31,11 +31,10 @@ fn gen_formula(rng: &mut Rng) -> Formula {
 /// brute-force range) after structure-blind shrinking.
 fn normalize(f: &Formula) -> (usize, Vec<RawClause>) {
     let num_vars = f.0.clamp(1, 14);
-    let clauses = f
-        .1
-        .iter()
-        .map(|c| c.iter().map(|&(v, pos)| (v % num_vars, pos)).collect())
-        .collect();
+    let clauses =
+        f.1.iter()
+            .map(|c| c.iter().map(|&(v, pos)| (v % num_vars, pos)).collect())
+            .collect();
     (num_vars, clauses)
 }
 
@@ -43,10 +42,7 @@ fn build_solver(num_vars: usize, clauses: &[RawClause], config: SolverConfig) ->
     let mut s = Solver::with_config(config);
     s.ensure_vars(num_vars);
     for c in clauses {
-        s.add_clause(
-            c.iter()
-                .map(|&(v, pos)| Lit::new(Var::from_index(v), pos)),
-        );
+        s.add_clause(c.iter().map(|&(v, pos)| Lit::new(Var::from_index(v), pos)));
     }
     s
 }
@@ -56,9 +52,7 @@ fn brute_force_sat(num_vars: usize, clauses: &[RawClause]) -> bool {
     assert!(num_vars <= 20);
     'assignment: for bits in 0u32..(1 << num_vars) {
         for clause in clauses {
-            let satisfied = clause
-                .iter()
-                .any(|&(v, pos)| ((bits >> v) & 1 == 1) == pos);
+            let satisfied = clause.iter().any(|&(v, pos)| ((bits >> v) & 1 == 1) == pos);
             if !satisfied && !clause.is_empty() {
                 continue 'assignment;
             }
@@ -73,9 +67,9 @@ fn brute_force_sat(num_vars: usize, clauses: &[RawClause]) -> bool {
 
 fn model_satisfies(s: &Solver, clauses: &[RawClause]) -> bool {
     clauses.iter().all(|clause| {
-        clause.iter().any(|&(v, pos)| {
-            s.model_value(Var::from_index(v)) == Some(pos)
-        })
+        clause
+            .iter()
+            .any(|&(v, pos)| s.model_value(Var::from_index(v)) == Some(pos))
     })
 }
 
@@ -88,7 +82,10 @@ fn agrees_with_brute_force() {
         match s.solve() {
             SolveResult::Sat => {
                 prop_assert!(expected, "solver said SAT, brute force says UNSAT");
-                prop_assert!(model_satisfies(&s, &clauses), "model does not satisfy formula");
+                prop_assert!(
+                    model_satisfies(&s, &clauses),
+                    "model does not satisfy formula"
+                );
             }
             SolveResult::Unsat => {
                 prop_assert!(!expected, "solver said UNSAT, brute force says SAT")
@@ -105,7 +102,10 @@ fn restart_every_conflict_agrees_with_brute_force() {
     // can cross.
     prop::check(&Config::with_cases(256), gen_formula, |f| {
         let (num_vars, clauses) = normalize(f);
-        let config = SolverConfig { restart_base: 1, ..SolverConfig::default() };
+        let config = SolverConfig {
+            restart_base: 1,
+            ..SolverConfig::default()
+        };
         let mut s = build_solver(num_vars, &clauses, config);
         let got = s.solve();
         prop_assert_eq!(got == SolveResult::Sat, brute_force_sat(num_vars, &clauses));
@@ -128,7 +128,10 @@ fn unsat_core_is_unsat_subset() {
                 .collect();
             for config in [
                 SolverConfig::default(),
-                SolverConfig { restart_base: 1, ..SolverConfig::default() },
+                SolverConfig {
+                    restart_base: 1,
+                    ..SolverConfig::default()
+                },
             ] {
                 let mut s = build_solver(num_vars, &clauses, config);
                 if s.solve_with(&assumptions) == SolveResult::Unsat {
@@ -172,9 +175,9 @@ fn enumeration_counts_match_brute_force() {
                 .collect();
             let mut expected = 0usize;
             for bits in 0u32..(1 << num_vars) {
-                let ok = clauses.iter().all(|clause| {
-                    clause.iter().any(|&(v, pos)| ((bits >> v) & 1 == 1) == pos)
-                });
+                let ok = clauses
+                    .iter()
+                    .all(|clause| clause.iter().any(|&(v, pos)| ((bits >> v) & 1 == 1) == pos));
                 if ok {
                     expected += 1;
                 }
@@ -258,7 +261,10 @@ fn pigeonhole_instances_are_unsat() {
 fn pigeonhole_exercises_learning_and_restarts() {
     let (s, result) = pigeonhole(7);
     assert_eq!(result, SolveResult::Unsat);
-    assert!(s.stats().conflicts > 50, "php(7) should require real search");
+    assert!(
+        s.stats().conflicts > 50,
+        "php(7) should require real search"
+    );
     assert!(s.stats().learnt_clauses > 0);
 }
 
@@ -266,9 +272,12 @@ fn pigeonhole_exercises_learning_and_restarts() {
 #[test]
 #[allow(clippy::needless_range_loop)]
 fn graph_coloring_cycles() {
-    for (cycle_len, colors, expect_sat) in
-        [(5usize, 3usize, true), (5, 2, false), (6, 2, true), (7, 2, false)]
-    {
+    for (cycle_len, colors, expect_sat) in [
+        (5usize, 3usize, true),
+        (5, 2, false),
+        (6, 2, true),
+        (7, 2, false),
+    ] {
         let mut s = Solver::new();
         let v: Vec<Vec<Lit>> = (0..cycle_len)
             .map(|_| (0..colors).map(|_| s.new_var().positive()).collect())
@@ -282,7 +291,11 @@ fn graph_coloring_cycles() {
                 s.add_clause([!v[i][c], !v[j][c]]);
             }
         }
-        let expected = if expect_sat { SolveResult::Sat } else { SolveResult::Unsat };
+        let expected = if expect_sat {
+            SolveResult::Sat
+        } else {
+            SolveResult::Unsat
+        };
         assert_eq!(s.solve(), expected, "C{cycle_len} with {colors} colors");
     }
 }
@@ -312,7 +325,10 @@ fn random_3sat_under_threshold_is_mostly_sat() {
             sat_count += 1;
         }
     }
-    assert!(sat_count >= 9, "expected nearly all low-ratio instances SAT, got {sat_count}/10");
+    assert!(
+        sat_count >= 9,
+        "expected nearly all low-ratio instances SAT, got {sat_count}/10"
+    );
 }
 
 #[test]
@@ -460,10 +476,10 @@ fn simplify_shrinks_clause_count_after_units() {
     let mut s = Solver::new();
     let v: Vec<Lit> = (0..6).map(|_| s.new_var().positive()).collect();
     // Clauses that become satisfied or shortened once v0 is known true.
-    s.add_clause([v[0], v[1]]);          // satisfied by v0
-    s.add_clause([v[0], v[2], v[3]]);    // satisfied by v0
-    s.add_clause([!v[0], v[4], v[5]]);   // shortens to (v4 ∨ v5)
-    s.add_clause([v[0]]);                // the unit
+    s.add_clause([v[0], v[1]]); // satisfied by v0
+    s.add_clause([v[0], v[2], v[3]]); // satisfied by v0
+    s.add_clause([!v[0], v[4], v[5]]); // shortens to (v4 ∨ v5)
+    s.add_clause([v[0]]); // the unit
     assert_eq!(s.solve(), SolveResult::Sat);
     let before = s.num_clauses();
     assert!(s.simplify());
@@ -497,7 +513,10 @@ fn preset_interrupt_stops_before_any_conflict() {
     assert!(s.last_interrupted());
     let stats = s.stats();
     assert_eq!(stats.interrupts, 1);
-    assert_eq!(stats.conflicts, 0, "a pre-set flag must cost zero conflicts");
+    assert_eq!(
+        stats.conflicts, 0,
+        "a pre-set flag must cost zero conflicts"
+    );
     assert!(
         s.model_value(Var::from_index(0)).is_none(),
         "an interrupted solve must not leave a partial model visible"

@@ -82,12 +82,11 @@ impl ReplaySpec {
             .as_object()
             .ok_or_else(|| "replay spec must be a JSON object".to_string())?;
         for (key, value) in obj {
-            let n = value
-                .as_u64()
-                .ok_or_else(|| format!("replay spec field '{key}' must be a non-negative integer"))?;
-            let as_u32 = || {
-                u32::try_from(n).map_err(|_| format!("replay spec field '{key}' too large"))
-            };
+            let n = value.as_u64().ok_or_else(|| {
+                format!("replay spec field '{key}' must be a non-negative integer")
+            })?;
+            let as_u32 =
+                || u32::try_from(n).map_err(|_| format!("replay spec field '{key}' too large"));
             match key.as_str() {
                 "seed" => spec.seed = n,
                 "requests" => spec.requests = n as usize,
@@ -186,7 +185,10 @@ fn gen_query(rng: &mut Rng, spec: &ReplaySpec, scenario: &Scenario) -> QueryKind
 /// Generates the request tape. Pure: same `(spec, pool)` ⇒ same tape,
 /// byte for byte. Panics if the pool is empty.
 pub fn generate_tape(spec: &ReplaySpec, pool: &[Scenario]) -> Vec<Request> {
-    assert!(!pool.is_empty(), "replay pool must contain at least one scenario");
+    assert!(
+        !pool.is_empty(),
+        "replay pool must contain at least one scenario"
+    );
     let mut rng = Rng::seed_from_u64(spec.seed);
     let mut issued: Vec<Scenario> = Vec::new();
     let mut cold_cursor = 0usize;
@@ -210,9 +212,7 @@ pub fn generate_tape(spec: &ReplaySpec, pool: &[Scenario]) -> Vec<Request> {
         };
         let scenario = match class {
             RequestClass::Cold => next_cold(pool, &mut cold_cursor),
-            RequestClass::Repeat => {
-                rng.choose(window).expect("issued non-empty").clone()
-            }
+            RequestClass::Repeat => rng.choose(window).expect("issued non-empty").clone(),
             RequestClass::Variant => {
                 let base = rng.choose(window).expect("issued non-empty").clone();
                 mutate(&mut rng, &base, id)
@@ -220,7 +220,12 @@ pub fn generate_tape(spec: &ReplaySpec, pool: &[Scenario]) -> Vec<Request> {
         };
         let query = gen_query(&mut rng, spec, &scenario);
         issued.push(scenario.clone());
-        tape.push(Request { id, scenario, query, class });
+        tape.push(Request {
+            id,
+            scenario,
+            query,
+            class,
+        });
     }
     tape
 }
@@ -233,16 +238,26 @@ mod tests {
     fn tiny_pool() -> Vec<Scenario> {
         let mut catalog = Catalog::new();
         catalog
-            .add_system(SystemSpec::builder("M", Category::Monitoring).solves("see").build())
+            .add_system(
+                SystemSpec::builder("M", Category::Monitoring)
+                    .solves("see")
+                    .build(),
+            )
             .unwrap();
         vec![Scenario::new(catalog)
             .with_workload(Workload::builder("w").needs("see").build())
-            .with_inventory(Inventory { num_servers: 2, ..Inventory::default() })]
+            .with_inventory(Inventory {
+                num_servers: 2,
+                ..Inventory::default()
+            })]
     }
 
     #[test]
     fn tape_is_reproducible() {
-        let spec = ReplaySpec { requests: 24, ..ReplaySpec::default() };
+        let spec = ReplaySpec {
+            requests: 24,
+            ..ReplaySpec::default()
+        };
         let pool = tiny_pool();
         let a = generate_tape(&spec, &pool);
         let b = generate_tape(&spec, &pool);
@@ -259,7 +274,11 @@ mod tests {
 
     #[test]
     fn classes_keep_their_promises() {
-        let spec = ReplaySpec { requests: 40, seed: 7, ..ReplaySpec::default() };
+        let spec = ReplaySpec {
+            requests: 40,
+            seed: 7,
+            ..ReplaySpec::default()
+        };
         let pool = tiny_pool();
         let tape = generate_tape(&spec, &pool);
         let mut seen_full = Vec::new();
@@ -295,9 +314,8 @@ mod tests {
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.requests, 5);
         assert_eq!(spec.repeat_weight, ReplaySpec::default().repeat_weight);
-        assert!(ReplaySpec::from_json(
-            &netarch_rt::json::from_str(r#"{"bogus": 1}"#).unwrap()
-        )
-        .is_err());
+        assert!(
+            ReplaySpec::from_json(&netarch_rt::json::from_str(r#"{"bogus": 1}"#).unwrap()).is_err()
+        );
     }
 }

@@ -7,8 +7,8 @@
 //! removes exactly the timing-derived keys; everything that survives
 //! must be bit-identical across reruns.
 
-use netarch_rt::json::Json;
 use netarch_rt::jobj;
+use netarch_rt::json::Json;
 
 use crate::request::{RequestClass, Response};
 use crate::service::ServiceStats;
@@ -42,7 +42,11 @@ fn latency_json(mut micros: Vec<u64>) -> Json {
 
 /// Mean service time of the responses matching `keep`, in microseconds.
 pub fn mean_micros(responses: &[Response], keep: impl Fn(&Response) -> bool) -> f64 {
-    let sample: Vec<u64> = responses.iter().filter(|r| keep(r)).map(|r| r.micros).collect();
+    let sample: Vec<u64> = responses
+        .iter()
+        .filter(|r| keep(r))
+        .map(|r| r.micros)
+        .collect();
     if sample.is_empty() {
         0.0
     } else {
@@ -54,15 +58,20 @@ pub fn mean_micros(responses: &[Response], keep: impl Fn(&Response) -> bool) -> 
 /// shard's request and hit counts, per-class latency, throughput, and
 /// the warm-over-cold speedup that the cache is measured by.
 pub fn summary(responses: &[Response], stats: &ServiceStats, elapsed_micros: u64) -> Json {
-    let count_class = |class: RequestClass| {
-        responses.iter().filter(|r| r.class == class).count() as u64
-    };
+    let count_class =
+        |class: RequestClass| responses.iter().filter(|r| r.class == class).count() as u64;
     let errors = responses.iter().filter(|r| r.answer.is_err()).count() as u64;
     let all: Vec<u64> = responses.iter().map(|r| r.micros).collect();
-    let warm: Vec<u64> =
-        responses.iter().filter(|r| r.cache_hit).map(|r| r.micros).collect();
-    let cold: Vec<u64> =
-        responses.iter().filter(|r| !r.cache_hit).map(|r| r.micros).collect();
+    let warm: Vec<u64> = responses
+        .iter()
+        .filter(|r| r.cache_hit)
+        .map(|r| r.micros)
+        .collect();
+    let cold: Vec<u64> = responses
+        .iter()
+        .filter(|r| !r.cache_hit)
+        .map(|r| r.micros)
+        .collect();
     // Median-based: warm and cold paths carry different query mixes, and
     // a single first-time heavy query answered on a warm session would
     // dominate a mean. The median compares the typical request on each
@@ -73,8 +82,11 @@ pub fn summary(responses: &[Response], stats: &ServiceStats, elapsed_micros: u64
     cold_sorted.sort_unstable();
     let warm_p50 = percentile(&warm_sorted, 50.0);
     let cold_p50 = percentile(&cold_sorted, 50.0);
-    let warm_over_cold =
-        if warm_p50 > 0 { cold_p50 as f64 / warm_p50 as f64 } else { 0.0 };
+    let warm_over_cold = if warm_p50 > 0 {
+        cold_p50 as f64 / warm_p50 as f64
+    } else {
+        0.0
+    };
     let qps = if elapsed_micros > 0 {
         responses.len() as f64 / (elapsed_micros as f64 / 1e6)
     } else {
@@ -151,8 +163,16 @@ mod tests {
         use crate::service::ShardStats;
         let stats = ServiceStats {
             shards: vec![
-                ShardStats { requests: 3, cache_hits: 1, ..ShardStats::default() },
-                ShardStats { requests: 2, cache_hits: 0, ..ShardStats::default() },
+                ShardStats {
+                    requests: 3,
+                    cache_hits: 1,
+                    ..ShardStats::default()
+                },
+                ShardStats {
+                    requests: 2,
+                    cache_hits: 0,
+                    ..ShardStats::default()
+                },
             ],
         };
         let stripped = strip_timing(&summary(&[], &stats, 1));

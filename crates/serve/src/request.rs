@@ -128,12 +128,15 @@ pub fn run_query(engine: &mut Engine, query: &QueryKind) -> Result<Answer, Strin
         QueryKind::Optimize => {
             let result = engine.optimize().map_err(|e| e.to_string())?;
             Ok(Answer::Penalties(
-                result.ok().map(|r| r.levels.iter().map(|l| l.penalty).collect()),
+                result
+                    .ok()
+                    .map(|r| r.levels.iter().map(|l| l.penalty).collect()),
             ))
         }
         QueryKind::Enumerate(limit) => {
-            let designs =
-                engine.enumerate_designs(*limit, false).map_err(|e| e.to_string())?;
+            let designs = engine
+                .enumerate_designs(*limit, false)
+                .map_err(|e| e.to_string())?;
             let count = designs.len();
             let exhaustive = (count < *limit).then(|| {
                 let mut classes: Vec<Vec<String>> = designs

@@ -179,7 +179,13 @@ impl Service {
         // Workers hold the only remaining response senders; the drain
         // loop in `finish` ends when the last worker exits.
         drop(response_tx);
-        Service { config, job_txs, response_rx, handles, submitted: 0 }
+        Service {
+            config,
+            job_txs,
+            response_rx,
+            handles,
+            submitted: 0,
+        }
     }
 
     /// Routes one request to its shard.
@@ -197,14 +203,23 @@ impl Service {
         };
         self.submitted += 1;
         self.job_txs[shard]
-            .send(Job { request, fingerprint })
+            .send(Job {
+                request,
+                fingerprint,
+            })
             .expect("shard worker alive");
     }
 
     /// Closes intake, drains every response, joins the shards.
     /// Responses come back sorted by request id.
     pub fn finish(self) -> (Vec<Response>, ServiceStats) {
-        let Service { job_txs, response_rx, handles, submitted, .. } = self;
+        let Service {
+            job_txs,
+            response_rx,
+            handles,
+            submitted,
+            ..
+        } = self;
         drop(job_txs);
         let mut responses: Vec<Response> = response_rx.iter().collect();
         responses.sort_by_key(|r| r.id);
@@ -235,7 +250,11 @@ fn shard_worker(
     let mut stats = ShardStats::default();
     let mut cache: Vec<CacheEntry> = Vec::new();
     let mut tick: u64 = 0;
-    for Job { request, fingerprint } in jobs {
+    for Job {
+        request,
+        fingerprint,
+    } in jobs
+    {
         tick += 1;
         stats.requests += 1;
         let started = Instant::now();
@@ -271,7 +290,11 @@ fn shard_worker(
                                 cache.swap_remove(stalest);
                                 stats.evictions += 1;
                             }
-                            cache.push(CacheEntry { full_fp, engine, last_used: tick });
+                            cache.push(CacheEntry {
+                                full_fp,
+                                engine,
+                                last_used: tick,
+                            });
                         }
                         (false, answer)
                     }

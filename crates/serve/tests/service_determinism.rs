@@ -17,9 +17,13 @@ use netarch_serve::{generate_tape, ReplaySpec, Service, ServiceConfig};
 
 fn pool() -> Vec<Scenario> {
     let mut catalog = Catalog::new();
-    for (i, c) in [Category::Monitoring, Category::LoadBalancer, Category::Firewall]
-        .into_iter()
-        .enumerate()
+    for (i, c) in [
+        Category::Monitoring,
+        Category::LoadBalancer,
+        Category::Firewall,
+    ]
+    .into_iter()
+    .enumerate()
     {
         for k in 0..2u64 {
             catalog
@@ -33,11 +37,18 @@ fn pool() -> Vec<Scenario> {
         }
     }
     catalog
-        .add_hardware(HardwareSpec::builder("NIC", HardwareKind::Nic).cost(300).build())
+        .add_hardware(
+            HardwareSpec::builder("NIC", HardwareKind::Nic)
+                .cost(300)
+                .build(),
+        )
         .unwrap();
     let base = Scenario::new(catalog)
         .with_workload(
-            Workload::builder("app").needs("cap_monitoring").needs("cap_firewall").build(),
+            Workload::builder("app")
+                .needs("cap_monitoring")
+                .needs("cap_firewall")
+                .build(),
         )
         .with_objective(Objective::MinimizeCost)
         .with_inventory(Inventory {
@@ -45,11 +56,17 @@ fn pool() -> Vec<Scenario> {
             num_servers: 3,
             ..Inventory::default()
         });
-    (0..3).map(|t| base.clone().with_param(format!("tenant_{t}"), f64::from(t))).collect()
+    (0..3)
+        .map(|t| base.clone().with_param(format!("tenant_{t}"), f64::from(t)))
+        .collect()
 }
 
 fn run_once(seed: u64) -> (Vec<(u64, usize, bool, String)>, String) {
-    let spec = ReplaySpec { seed, requests: 24, ..ReplaySpec::default() };
+    let spec = ReplaySpec {
+        seed,
+        requests: 24,
+        ..ReplaySpec::default()
+    };
     let tape = generate_tape(&spec, &pool());
     let config = ServiceConfig {
         shards: 2,
@@ -96,7 +113,11 @@ fn different_seeds_produce_different_tapes() {
 
 #[test]
 fn shard_stats_are_reproducible() {
-    let spec = ReplaySpec { seed: 0xABCD, requests: 20, ..ReplaySpec::default() };
+    let spec = ReplaySpec {
+        seed: 0xABCD,
+        requests: 20,
+        ..ReplaySpec::default()
+    };
     let config = ServiceConfig {
         shards: 4,
         sessions_per_shard: 1,
@@ -117,7 +138,11 @@ fn single_catalog_tape_reaches_every_shard() {
     // Every scenario in the pool shares one catalog. Routing by full
     // fingerprint still spreads the tape's distinct scenarios over all
     // shards; routing by catalog sent the whole tape to one.
-    let spec = ReplaySpec { seed: 0x5E12_4E01, requests: 48, ..ReplaySpec::default() };
+    let spec = ReplaySpec {
+        seed: 0x5E12_4E01,
+        requests: 48,
+        ..ReplaySpec::default()
+    };
     for shards in [2usize, 4] {
         let config = ServiceConfig {
             shards,

@@ -20,8 +20,11 @@ use netarch_rt::{impl_shrink_struct, prop_assert, prop_assert_eq, Rng};
 use netarch_serve::request::run_query;
 use netarch_serve::{generate_tape, ReplaySpec, Request, Service, ServiceConfig};
 
-const CATEGORIES: [Category; 3] =
-    [Category::Monitoring, Category::LoadBalancer, Category::Firewall];
+const CATEGORIES: [Category; 3] = [
+    Category::Monitoring,
+    Category::LoadBalancer,
+    Category::Firewall,
+];
 
 const FEATURES: [&str; 2] = ["F0", "F1"];
 
@@ -75,7 +78,12 @@ fn build_base(seed: &Seed) -> Scenario {
     let mut all_ids: Vec<SystemId> = Vec::new();
     let mut index = 0usize;
     for (c, i) in CATEGORIES.iter().zip(0..) {
-        let count = seed.systems_per_category.get(i).copied().unwrap_or(1).max(1);
+        let count = seed
+            .systems_per_category
+            .get(i)
+            .copied()
+            .unwrap_or(1)
+            .max(1);
         for k in 0..count {
             let id = format!("{}_{k}", c.to_string().to_uppercase().replace('-', "_"));
             let mut b = SystemSpec::builder(id.clone(), c.clone())
@@ -192,9 +200,7 @@ fn service_matches_oracle(seed: &Seed) -> Result<(), String> {
                     );
                 }
             }
-            for (response, (request, expected)) in
-                responses.iter().zip(tape.iter().zip(&oracle))
-            {
+            for (response, (request, expected)) in responses.iter().zip(tape.iter().zip(&oracle)) {
                 prop_assert_eq!(
                     response.id,
                     request.id,
@@ -274,7 +280,11 @@ fn repeat_heavy_tape_hits_warm_sessions_and_agrees() {
     };
     let (responses, stats) = Service::run(config, tape.clone());
     for (response, expected) in responses.iter().zip(&oracle) {
-        assert_eq!(&response.answer, expected, "request {} diverged", response.id);
+        assert_eq!(
+            &response.answer, expected,
+            "request {} diverged",
+            response.id
+        );
     }
     assert!(
         stats.cache_hits() > 0,
