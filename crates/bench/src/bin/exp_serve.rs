@@ -16,9 +16,9 @@
 //!   containers the sub-ms warm/cold medians are scheduler noise, and a
 //!   wall-clock bound there rejects perfectly good builds).
 //!
-//! `--smoke` shrinks the pool and tape for CI. With `NETARCH_THREADS=1`
-//! (sequential backend) the summary is bit-identical across runs except
-//! for timing fields — see `service_determinism.rs`.
+//! `--smoke` shrinks the pool and tape for CI. The summary is
+//! bit-identical across runs except for timing fields — see
+//! `service_determinism.rs`.
 
 use netarch_bench::{section, serve_tenant};
 use netarch_core::prelude::*;
@@ -45,8 +45,8 @@ fn pool(smoke: bool) -> Vec<Scenario> {
     scenarios
 }
 
-fn oracle_answer(request: &Request, backend: netarch_logic::SolveBackend) -> Result<Answer, String> {
-    match Engine::with_backend(request.scenario.clone(), backend) {
+fn oracle_answer(request: &Request) -> Result<Answer, String> {
+    match Engine::new(request.scenario.clone()) {
         Ok(mut engine) => run_query(&mut engine, &request.query),
         Err(e) => Err(e.to_string()),
     }
@@ -58,7 +58,6 @@ fn main() {
     // and trend-tracking, but only the full run (committed trajectory)
     // holds a wall-clock claim. See the header for why.
     let bound = if smoke { 0.0 } else { 3.0 };
-    let backend = netarch_logic::backend_from_env();
     section(if smoke {
         "Multi-tenant serving (smoke): sharded pool + compiled-scenario cache"
     } else {
@@ -84,7 +83,7 @@ fn main() {
         shards: if smoke { 2.min(parallelism) } else { 4 },
         sessions_per_shard: if smoke { 4 } else { 8 },
         cache: true,
-        backend: backend.clone(),
+        ..ServiceConfig::default()
     };
     println!(
         "  pool {} scenarios · tape {} requests · {} shards × {} sessions",
@@ -100,7 +99,7 @@ fn main() {
 
     let mut disagreements = 0usize;
     for (request, response) in tape.iter().zip(&responses) {
-        let expected = oracle_answer(request, backend.clone());
+        let expected = oracle_answer(request);
         if expected != response.answer {
             disagreements += 1;
             eprintln!(

@@ -8,17 +8,14 @@
 //! here as a clause count, long before it shows up as latency.
 
 use netarch_bench::serve_tenant;
-use netarch_core::compile::compile_with_backend;
+use netarch_core::compile::compile;
 use netarch_core::prelude::*;
 use netarch_logic::maxsat::{compile_softs, minimize_under, MaxSatOutcome};
 use netarch_logic::pb::{gte_outputs, PbTerm};
-use netarch_logic::{ClauseSink, CollectSink, Formula, Soft, SolveBackend};
+use netarch_logic::{ClauseSink, CollectSink, Formula, Soft};
 
 fn clause_count(scenario: &Scenario) -> usize {
-    compile_with_backend(scenario, SolveBackend::Sequential)
-        .expect("compiles")
-        .encoder
-        .clause_count()
+    compile(scenario).expect("compiles").encoder.clause_count()
 }
 
 #[test]
@@ -38,7 +35,7 @@ fn case_study_budget_rule_stays_under_2500_clauses() {
 /// of the levels before it. A descent adds its totalizer, saturated at its
 /// first model's cost, plus the hardened bound.
 fn descent_clauses(scenario: &Scenario) -> Vec<(Objective, usize)> {
-    let mut c = compile_with_backend(scenario, SolveBackend::Sequential).expect("compiles");
+    let mut c = compile(scenario).expect("compiles");
     let mut objectives = Vec::new();
     for level in &c.objective_levels {
         let softs = compile_softs(&mut c.encoder, level.softs.clone()).expect("no overflow");
@@ -86,7 +83,7 @@ fn case_study_fleet_stays_under_2500_clauses() {
     // `capacity:` group per server model. 8,852 clauses with one leaf per
     // system, 1,945 grouped.
     let scenario = netarch_corpus::case_study::scenario();
-    let mut c = compile_with_backend(&scenario, SolveBackend::Sequential).expect("compiles");
+    let mut c = compile(&scenario).expect("compiles");
     let before = c.encoder.clause_count();
     c.build_fleet(&scenario).expect("the fleet builds");
     let fleet = c.encoder.clause_count() - before;
@@ -96,7 +93,7 @@ fn case_study_fleet_stays_under_2500_clauses() {
 #[test]
 fn serve_tenant_cost_objective_stays_small() {
     let scenario = serve_tenant(70, 60);
-    let mut c = compile_with_backend(&scenario, SolveBackend::Sequential).expect("compiles");
+    let mut c = compile(&scenario).expect("compiles");
     let softs = c
         .objective_levels
         .iter()

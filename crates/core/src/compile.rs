@@ -61,8 +61,9 @@ pub struct CompileStats {
     pub session_solves: u64,
     /// Per-query activation literals retired back into the session.
     pub retired_activations: u64,
-    /// Probe-pool rounds run on the parallel portfolio backend (0 under
-    /// the default sequential backend).
+    /// Always 0: every solve runs on the session solver. Kept only
+    /// because the benchmark harness under `archbench/` still reads it;
+    /// ROADMAP item 1a deletes it.
     pub portfolio_solves: u64,
     /// Conflicts resolved by the session solver over its lifetime.
     pub conflicts: u64,
@@ -296,21 +297,18 @@ struct Compiler<'a> {
     orders: BTreeMap<&'a Dimension, ResolvedOrder<'a>>,
 }
 
-/// Compiles a scenario. Validates the catalog, inventory references, and
-/// preference order first. The solve backend comes from the environment
-/// (`NETARCH_THREADS`); use
-/// [`compile_with_backend`] to pin it explicitly.
-pub fn compile(scenario: &Scenario) -> Result<Compiled, CompileError> {
-    compile_with_backend(scenario, netarch_logic::backend_from_env())
-}
-
-/// [`compile`] with an explicit solve backend. Engine tests use this to
-/// exercise the portfolio without mutating process-global environment
-/// variables (which races with parallel test threads).
+/// [`compile`]; the backend is ignored. Kept only because the benchmark
+/// harness under `archbench/` still calls it; ROADMAP item 1a deletes it.
 pub fn compile_with_backend(
     scenario: &Scenario,
-    backend: netarch_logic::SolveBackend,
+    _backend: netarch_logic::SolveBackend,
 ) -> Result<Compiled, CompileError> {
+    compile(scenario)
+}
+
+/// Compiles a scenario. Validates the catalog, inventory references, and
+/// preference order first.
+pub fn compile(scenario: &Scenario) -> Result<Compiled, CompileError> {
     let catalog_errors = scenario.catalog.validate();
     if !catalog_errors.is_empty() {
         return Err(CompileError::InvalidCatalog(catalog_errors));
@@ -333,7 +331,6 @@ pub fn compile_with_backend(
     // make a wrong diagnosis loud instead of silently wrong.
     let encoder = Encoder::with_config(netarch_logic::EncodeConfig {
         verify_proofs: netarch_logic::proofs_requested(),
-        backend,
     });
     let mut c = Compiler {
         scenario,

@@ -276,9 +276,12 @@ impl<'a> ResolvedOrder<'a> {
             .is_some_and(|(i, j)| self.class[i] == self.class[j])
     }
 
-    /// Compares two systems. A system is not compared with itself: that
-    /// answers [`Comparison::Incomparable`].
+    /// Compares two systems. A system is [`Comparison::Equal`] to itself,
+    /// as [`ResolvedOrder::at_least_as_good`] holds it as good as itself.
     pub fn compare(&self, a: &SystemId, b: &SystemId) -> Comparison {
+        if a == b {
+            return Comparison::Equal;
+        }
         match (self.dominates(a, b), self.dominates(b, a)) {
             (true, false) => Comparison::Better,
             (false, true) => Comparison::Worse,

@@ -24,7 +24,7 @@
 //! first use, behind one long-lived activation literal, and answers each
 //! fleet bound as an assumption. No query triggers a recompile.
 
-use crate::compile::{compile_with_backend, governing_kind, CompileStats, Compiled, Fleet};
+use crate::compile::{compile, governing_kind, CompileStats, Compiled, Fleet};
 use crate::error::{CatalogError, CompileError};
 use crate::ordering::Comparison;
 use crate::scenario::Scenario;
@@ -123,24 +123,20 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Compiles a scenario into an engine. The solve backend follows
-    /// `NETARCH_THREADS` (see
-    /// [`netarch_logic::backend_from_env`]); use [`Engine::with_backend`]
-    /// to pin it explicitly.
-    pub fn new(scenario: Scenario) -> Result<Engine, CompileError> {
-        Engine::with_backend(scenario, netarch_logic::backend_from_env())
-    }
-
-    /// Compiles a scenario into an engine with an explicit solve backend.
-    /// Under a portfolio backend the optimize feasibility probe and MaxSAT
-    /// descent run on probe-pool seats; every other solve — check,
-    /// enumeration, the capacity search, and all core/MUS-bearing work —
-    /// stays on the sequential session solver.
+    /// [`Engine::new`]; the backend is ignored. Kept only because the
+    /// benchmark harness under `archbench/` still calls it; ROADMAP item 1a
+    /// deletes it.
     pub fn with_backend(
         scenario: Scenario,
-        backend: netarch_logic::SolveBackend,
+        _backend: netarch_logic::SolveBackend,
     ) -> Result<Engine, CompileError> {
-        let compiled = compile_with_backend(&scenario, backend)?;
+        Engine::new(scenario)
+    }
+
+    /// Compiles a scenario into an engine. Every query it answers runs on
+    /// the engine's one session solver.
+    pub fn new(scenario: Scenario) -> Result<Engine, CompileError> {
+        let compiled = compile(&scenario)?;
         Ok(Engine {
             scenario,
             compiled,
@@ -157,18 +153,14 @@ impl Engine {
     }
 
     /// Compilation size metrics plus session-reuse counters. Solver-side
-    /// counters aggregate over the session solver, which answers every
-    /// query (capacity probes included), and the probe seats of every
-    /// parallel solve — effort done on throwaway seats is absorbed rather
-    /// than lost. The size metrics describe the compile, not what later
-    /// queries add to the session.
+    /// counters are the session solver's, which answers every query
+    /// (capacity probes included). The size metrics describe the compile,
+    /// not what later queries add to the session.
     pub fn stats(&self) -> CompileStats {
-        let mut total = *self.compiled.encoder.solver().stats();
-        total.absorb(&self.compiled.encoder.parallel_worker_stats());
+        let total = self.compiled.encoder.solver().stats();
         CompileStats {
             session_solves: total.solves,
             retired_activations: total.retired_activations,
-            portfolio_solves: self.compiled.encoder.portfolio_solve_count(),
             conflicts: total.conflicts,
             learnt_clauses: total.learnt_clauses,
             subsumed: total.subsumed,
@@ -580,7 +572,8 @@ impl Engine {
                 .unwrap_or_default();
             return Ok(Err(self.diagnosis_from_mus(&mus)));
         }
-        let read_n = |encoder: &netarch_logic::Encoder| n.value(&|l| encoder.model_lit_value(l));
+        let read_n =
+            |encoder: &netarch_logic::Encoder| n.value(&|l| encoder.solver().model_lit_value(l));
         let mut best = read_n(encoder);
         let mut lo = n.lo();
         while lo < best {
@@ -955,6 +948,34 @@ mod tests {
             ),
             Comparison::Incomparable
         );
+    }
+
+    #[test]
+    fn a_system_is_equal_to_itself_so_no_measurement_is_advised() {
+        let engine = Engine::new(test_scenario()).unwrap();
+        let simon = SystemId::new("SIMON");
+        let ecmp = SystemId::new("ECMP");
+        // SIMON has a quality edge; ECMP has no throughput edge at all.
+        assert_eq!(
+            engine.compare(&simon, &simon, &Dimension::MonitoringQuality),
+            Comparison::Equal
+        );
+        assert_eq!(
+            engine.compare(&ecmp, &ecmp, &Dimension::Throughput),
+            Comparison::Equal
+        );
+        // A hypothetical `SIMON ≻ SIMON` edge would be a cycle; the advice
+        // must stop at the known answer instead of optimizing under it.
+        let advice = engine
+            .advise_measurement(&simon, &simon, &Dimension::MonitoringQuality)
+            .unwrap();
+        assert!(!advice.worthwhile);
+        assert!(
+            advice.reason.contains("already orders"),
+            "{}",
+            advice.reason
+        );
+        assert!(advice.design_if_first_better.is_none());
     }
 
     #[test]

@@ -314,6 +314,7 @@ fn resolved_order_matches_a_brute_force_closure() {
                     prop_assert_eq!(r.dominates(&sa, &sb), d, "S{} ≻ S{} at p={}", a, b, p);
                     prop_assert_eq!(r.equal(&sa, &sb), e, "S{} ≈ S{} at p={}", a, b, p);
                     let want = match (d, a != b && dom[b][a]) {
+                        _ if a == b => Comparison::Equal,
                         (true, false) => Comparison::Better,
                         (false, true) => Comparison::Worse,
                         (false, false) if e => Comparison::Equal,

@@ -6,11 +6,9 @@
 //! layer attributes conflicts back to named architecture rules.
 
 use crate::ast::{Atom, Formula};
-use crate::backend::SolveBackend;
 use crate::cardinality;
 use crate::sink::ClauseSink;
-use netarch_sat::{Lit, ProbePool, ProbePoolConfig, SolveResult, Solver, SolverConfig, Stats, Var};
-use std::sync::Arc;
+use netarch_sat::{Lit, SolveResult, Solver, Stats, Var};
 
 /// Encoder configuration.
 #[derive(Clone, Debug, Default)]
@@ -24,12 +22,6 @@ pub struct EncodeConfig {
     /// Clauses injected directly through [`Encoder::solver_mut`] bypass the
     /// mirror and are not supported while this mode is on.
     pub verify_proofs: bool,
-    /// Backend for the MaxSAT descent: sequential session solving (default)
-    /// or a race on parallel probe-pool seats.
-    /// Like verify mode, a portfolio backend with two or more seats mirrors
-    /// every asserted clause (the seats need the CNF), so clauses injected
-    /// through [`Encoder::solver_mut`] are unsupported while it is on.
-    pub backend: SolveBackend,
 }
 
 /// Encodes [`Formula`]s into a CDCL solver via the Tseitin transformation.
@@ -43,22 +35,9 @@ pub struct Encoder {
     /// Active clause gate (see [`Encoder::gated_scope`]): while set, every
     /// asserted clause is weakened with the gate's negation.
     clause_gate: Option<Lit>,
-    /// Mirror of every asserted clause, kept in verify mode (the CNF the
-    /// independent proof checker validates verdicts against) and when
-    /// probe seats are available (the CNF every seat loads). Shared with a
-    /// pool's seats rather than copied into it; every pool is finished
-    /// before the next clause is added, so appending never has to copy.
-    cnf_mirror: Arc<Vec<Vec<Lit>>>,
-    /// Model adopted from a probe seat; read by
-    /// [`Encoder::atom_value`]/[`Encoder::model_lit_value`] in preference to
-    /// the session solver's model, and cleared by every sequential solve.
-    model_override: Option<Vec<Option<bool>>>,
-    /// Number of probe-pool rounds run on the portfolio backend.
-    portfolio_solves: u64,
-    /// Accumulated counters from throwaway probe seats, folded in via
-    /// [`Encoder::absorb_parallel`] so session totals never lose work done
-    /// off the session solver.
-    worker_stats: Stats,
+    /// Mirror of every asserted clause, kept only in verify mode: the CNF
+    /// the independent proof checker validates verdicts against.
+    cnf_mirror: Vec<Vec<Lit>>,
 }
 
 impl Default for Encoder {
@@ -87,17 +66,8 @@ impl Encoder {
             aux_vars: 0,
             asserted_clauses: 0,
             clause_gate: None,
-            cnf_mirror: Arc::new(Vec::new()),
-            model_override: None,
-            portfolio_solves: 0,
-            worker_stats: Stats::default(),
+            cnf_mirror: Vec::new(),
         }
-    }
-
-    /// True when asserted clauses must be mirrored (verify mode needs the
-    /// CNF for the checker; probe seats load it).
-    fn mirror_enabled(&self) -> bool {
-        self.config.verify_proofs || self.parallel_seats() >= 2
     }
 
     /// Access to the underlying solver (model reads, enumeration).
@@ -176,8 +146,8 @@ impl Encoder {
 
     fn add_clause_raw(&mut self, lits: &[Lit]) {
         self.asserted_clauses += 1;
-        if self.mirror_enabled() {
-            Arc::make_mut(&mut self.cnf_mirror).push(lits.to_vec());
+        if self.config.verify_proofs {
+            self.cnf_mirror.push(lits.to_vec());
         }
         let _ = self.solver.add_clause(lits.iter().copied());
     }
@@ -292,8 +262,8 @@ impl Encoder {
     /// clause count stay consistent with the solver.
     pub fn retire(&mut self, selector: Lit) {
         self.asserted_clauses += 1;
-        if self.mirror_enabled() {
-            Arc::make_mut(&mut self.cnf_mirror).push(vec![!selector]);
+        if self.config.verify_proofs {
+            self.cnf_mirror.push(vec![!selector]);
         }
         let _ = self.solver.retire(selector);
     }
@@ -411,7 +381,6 @@ impl Encoder {
 
     /// Solves the asserted constraints.
     pub fn solve(&mut self) -> SolveResult {
-        self.model_override = None;
         let result = self.solver.solve();
         self.verify_outcome(result, &[]);
         result
@@ -419,97 +388,29 @@ impl Encoder {
 
     /// Solves under assumption literals (e.g. group selectors).
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.model_override = None;
         let result = self.solver.solve_with(assumptions);
         self.verify_outcome(result, assumptions);
         result
     }
 
-    /// One-shot solve under the configured [`SolveBackend`]. Every backend
-    /// answers one-shot verdicts on the session solver, so this is
-    /// [`Encoder::solve_with`]: the only parallel path is the racing MaxSAT
-    /// descent (`maxsat::minimize_under`), which opens its own probe pool
-    /// with a feasibility round, and an UNSAT verdict here is usually
-    /// followed by MUS extraction, which needs the session solver's cores.
+    /// [`Encoder::solve_with`]. Kept only because the benchmark harness
+    /// under `archbench/` still calls it; ROADMAP item 1a deletes it.
     pub fn solve_with_backend(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.solve_with(assumptions)
     }
 
-    /// Number of probe-pool rounds run on the portfolio backend so far.
+    /// Always 0: there is no parallel solve to count. Kept only because
+    /// the benchmark harness under `archbench/` still reads it; ROADMAP
+    /// item 1a deletes it.
     pub fn portfolio_solve_count(&self) -> u64 {
-        self.portfolio_solves
+        0
     }
 
-    /// Number of probe seats available to the racing MaxSAT descent, or 1
-    /// when every solve must stay on the session solver:
-    /// the backend is sequential or has one thread, or verified solving is
-    /// on (seats are throwaway solvers outside the per-solve DRAT check
-    /// pipeline, so proof mode keeps every verdict on the certified
-    /// session solver).
-    pub(crate) fn parallel_seats(&self) -> usize {
-        match &self.config.backend {
-            SolveBackend::Portfolio(opts)
-                if opts.num_threads >= 2 && !self.config.verify_proofs =>
-            {
-                opts.num_threads
-            }
-            _ => 1,
-        }
-    }
-
-    /// Spawns a [`ProbePool`] over the mirrored CNF, or `None` when
-    /// [`Encoder::parallel_seats`] says solving must stay sequential. The
-    /// caller owns the pool's lifecycle: dispatch rounds, then hand
-    /// `finish()`'s stats back through [`Encoder::absorb_parallel`].
-    pub(crate) fn probe_pool(&self) -> Option<ProbePool> {
-        let SolveBackend::Portfolio(opts) = &self.config.backend else {
-            return None;
-        };
-        let seats = self.parallel_seats();
-        if seats < 2 {
-            return None;
-        }
-        Some(ProbePool::new(ProbePoolConfig {
-            seats,
-            num_vars: self.solver.num_vars(),
-            clauses: Arc::clone(&self.cnf_mirror),
-            base: SolverConfig::default(),
-            deterministic: opts.deterministic,
-            seed: opts.seed,
-            conflict_budget: None,
-        }))
-    }
-
-    /// Value of `atom` in a raw seat model vector, without touching the
-    /// session model.
-    pub(crate) fn atom_value_in(&self, atom: Atom, model: &[Option<bool>]) -> Option<bool> {
-        let v = (*self.atom_vars.get(atom.index())?)?;
-        netarch_sat::lit_value_in(model, v.positive())
-    }
-
-    /// Installs a seat model as the session's model override, so
-    /// [`Encoder::atom_value`] and [`Encoder::model_lit_value`] read it
-    /// until the next sequential solve clears it. The racing descent uses
-    /// this to restore a witness it already holds instead of paying a fresh
-    /// solve to rediscover it.
-    pub(crate) fn install_model_override(&mut self, model: Vec<Option<bool>>) {
-        self.model_override = Some(model);
-    }
-
-    /// Folds probe-seat counters from a finished pool into the session
-    /// totals, and counts `rounds` pool rounds toward
-    /// [`Encoder::portfolio_solve_count`].
-    pub(crate) fn absorb_parallel(&mut self, workers: &[Stats], rounds: u64) {
-        for w in workers {
-            self.worker_stats.absorb(w);
-        }
-        self.portfolio_solves += rounds;
-    }
-
-    /// Accumulated counters from the probe seats of every parallel solve;
-    /// add these to [`Encoder::solver_stats`] for a complete effort total.
+    /// Always zero counters: no solver other than the session's runs. Kept
+    /// only because the benchmark harness under `archbench/` still reads
+    /// it; ROADMAP item 1a deletes it.
     pub fn parallel_worker_stats(&self) -> Stats {
-        self.worker_stats
+        Stats::default()
     }
 
     /// In verify mode, every verdict must survive the independent checker:
@@ -532,21 +433,10 @@ impl Encoder {
     }
 
     /// Value of `atom` in the latest model; `None` when the atom never
-    /// reached the solver or is unassigned. Reads a probe seat's model when
-    /// the racing MaxSAT descent installed one as the session's witness.
+    /// reached the solver or is unassigned.
     pub fn atom_value(&self, atom: Atom) -> Option<bool> {
         let v = (*self.atom_vars.get(atom.index())?)?;
-        self.model_lit_value(v.positive())
-    }
-
-    /// Value of a literal in the latest model, honoring a probe seat's
-    /// model override when present. Use this instead of going through
-    /// [`Encoder::solver`] for reads that must see parallel results.
-    pub fn model_lit_value(&self, lit: Lit) -> Option<bool> {
-        match &self.model_override {
-            Some(m) => netarch_sat::lit_value_in(m, lit),
-            None => self.solver.model_lit_value(lit),
-        }
+        self.solver.model_value(v)
     }
 
     /// Evaluates `formula` under the latest model (unmapped atoms count as

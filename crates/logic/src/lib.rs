@@ -36,7 +36,7 @@ pub mod sink;
 pub mod verify;
 
 pub use ast::{Atom, Formula};
-pub use backend::{backend_from_env, threads_requested, PortfolioOptions, SolveBackend};
+pub use backend::{PortfolioOptions, SolveBackend};
 pub use encoder::{EncodeConfig, Encoder};
 pub use int::{Bound, OrderInt};
 pub use maxsat::{CompiledSofts, MaxSatOutcome, Soft, WeightOverflow};

@@ -26,7 +26,7 @@ use crate::ast::Formula;
 use crate::encoder::Encoder;
 use crate::pb::{group_terms, gte_outputs, PbTerm};
 use crate::sink::ClauseSink;
-use netarch_sat::{Lit, ProbePool, SolveResult};
+use netarch_sat::{Lit, SolveResult};
 
 /// A soft constraint: violating `formula` costs `weight`.
 #[derive(Clone, Debug)]
@@ -231,8 +231,8 @@ impl Objective {
 /// clauses and heuristic state intact. On return the solver holds a model
 /// that is optimal under `base`.
 ///
-/// The first solve runs on the session solver; its model's cost caps the
-/// objective totalizer this call encodes (under the activation literal).
+/// The first model's cost caps the objective totalizer this call encodes
+/// (under the activation literal).
 /// Each call encodes its own, exact up to its own cap, so several calls on
 /// one [`CompiledSofts`] stay sound.
 ///
@@ -276,60 +276,34 @@ fn descend(
     let violated = violated_indices(encoder, &compiled.softs);
     let cost = violated.iter().map(|&i| compiled.softs[i].weight).sum();
     let objective = Objective::encode(encoder, compiled, cost);
-    // When the backend grants parallel seats, the bound probes race on one
-    // persistent probe pool. Seats copy the CNF when the pool opens, so it
-    // opens only now that the totalizer exists. The sequential path below
-    // defines the semantics; the pooled path must return exactly its
-    // answers.
-    if cost > 0 && encoder.parallel_seats() >= 2 {
-        if let Some(pool) = encoder.probe_pool() {
-            let outcome = minimize_under_pooled(
-                encoder, compiled, &objective, &context, gate, pool, violated,
-            );
-            return (outcome, Some(objective));
+    let first = (objective.cap, violated);
+    let outcome = match bisect(encoder, compiled, &objective, &context, first) {
+        Ok((cost, violated)) => {
+            // Harden the optimum behind the gate and restore an optimal model.
+            objective.harden(encoder, gate, cost);
+            let restored = encoder.solve_with(&context);
+            debug_assert_eq!(restored, SolveResult::Sat);
+            MaxSatOutcome::Optimal { cost, violated }
         }
-    }
-    let outcome =
-        minimize_under_sequential(encoder, compiled, &objective, &context, gate, violated);
+        Err(outcome) => outcome,
+    };
     (outcome, Some(objective))
 }
 
-/// The sequential descent from a first model violating `violated`, whose
-/// cost is the objective's cap.
-fn minimize_under_sequential(
-    encoder: &mut Encoder,
-    compiled: &CompiledSofts,
-    objective: &Objective,
-    context: &[Lit],
-    gate: Lit,
-    violated: Vec<usize>,
-) -> MaxSatOutcome {
-    let first = (objective.cap, violated);
-    let (cost, violated) = match bisect(encoder, compiled, objective, context, 0, first) {
-        Ok(best) => best,
-        Err(outcome) => return outcome,
-    };
-    // Harden the optimum behind the gate and restore an optimal model.
-    objective.harden(encoder, gate, cost);
-    let restored = encoder.solve_with(context);
-    debug_assert_eq!(restored, SolveResult::Sat);
-    MaxSatOutcome::Optimal { cost, violated }
-}
-
-/// Binary-search descent on the session solver over the achievable cost
-/// values (the totalizer's output sums plus zero), from `best`, an
-/// achievable cost with its violated softs. Invariant: `best` is
-/// achievable, and every candidate below index `lo` is proven
-/// unachievable. Returns the optimum with its violated softs.
+/// Binary-search descent over the achievable cost values (the totalizer's
+/// output sums plus zero), from `best`, an achievable cost with its
+/// violated softs. Invariant: `best` is achievable, and every candidate
+/// below index `lo` is proven unachievable. Returns the optimum with its
+/// violated softs.
 fn bisect(
     encoder: &mut Encoder,
     compiled: &CompiledSofts,
     objective: &Objective,
     context: &[Lit],
-    mut lo: usize,
     mut best: (u64, Vec<usize>),
 ) -> Result<(u64, Vec<usize>), MaxSatOutcome> {
     let candidates = objective.candidates();
+    let mut lo = 0;
     while best.0 > 0 {
         let hi = candidates.partition_point(|&c| c < best.0);
         if lo >= hi {
@@ -359,133 +333,6 @@ fn within_bound(softs: &[Soft], violated: &[usize], bound: u64) -> Result<u64, M
     Ok(cost)
 }
 
-/// The racing descent. Every bound probe and the final witness come from
-/// one persistent [`ProbePool`], so each seat builds the CNF once and
-/// keeps its learnt clauses warm across rounds — a fresh pool per probe
-/// would instead rebuild the mirror on every cold seat for each probe.
-/// The first model, which fixed the objective's cap, came from the session
-/// solver and stays loaded there until a seat beats it.
-///
-/// Each round probes a window of candidate bounds — the midpoint (the
-/// sequential probe), the quarter-point, and the most aggressive open
-/// candidate — with idle seats joining the window's probes round-robin, so
-/// a short window still races diversified solvers on every seat. Every
-/// probe sits at or below the midpoint on purpose: in racing mode only the
-/// fastest seat may come back decisive, and a window reaching above the
-/// midpoint (e.g. a `best - 1` probe) would let an easy barely-below-best
-/// SAT answer win round after round while contributing almost no progress.
-/// Capping at the midpoint guarantees any surviving SAT verdict bisects
-/// the open range and any surviving UNSAT verdict advances `lo`, so a race
-/// can only speed convergence up, never degrade it below the sequential
-/// bisection rate.
-///
-/// SAT at a bound tightens `best_cost` (exactness comes from the model,
-/// exactly as in the sequential loop); UNSAT at a bound raises `lo` past
-/// it. Both facts are monotone, so folding them in fixed seat order keeps
-/// the final state independent of which seat answered first — deterministic
-/// mode is bit-identical run to run. The optimal witness is the best model
-/// a seat already produced, installed as the session's model override
-/// rather than re-discovered with a final solve.
-fn minimize_under_pooled(
-    encoder: &mut Encoder,
-    compiled: &CompiledSofts,
-    objective: &Objective,
-    context: &[Lit],
-    gate: Lit,
-    mut pool: ProbePool,
-    mut best_violated: Vec<usize>,
-) -> MaxSatOutcome {
-    let seats = pool.seats();
-    let mut rounds = 0u64;
-    let mut best_cost = objective.cap;
-    // A seat model that beat the session's first model, if any.
-    let mut best_model: Option<Vec<Option<bool>>> = None;
-
-    let candidates = objective.candidates();
-    let mut lo = 0usize;
-    let mut pooled_ok = true;
-    let mut exceeded = None;
-    while pooled_ok && exceeded.is_none() && best_cost > 0 {
-        let hi = candidates.partition_point(|&c| c < best_cost);
-        if lo >= hi {
-            break; // nothing achievable below best_cost
-        }
-        let mid = (lo + hi) / 2;
-        let mut window = vec![mid, lo + (hi - lo) / 4, lo];
-        window.sort_unstable();
-        window.dedup();
-        window.truncate(seats);
-        let targets: Vec<usize> = (0..seats).map(|i| window[i % window.len()]).collect();
-        let probes: Vec<Vec<Lit>> = targets
-            .iter()
-            .map(|&idx| objective.bound_assumptions(context, candidates[idx]))
-            .collect();
-        let outcomes = pool.solve_round(&probes);
-        rounds += 1;
-        let mut progressed = false;
-        for (&idx, outcome) in targets.iter().zip(&outcomes) {
-            match outcome.result {
-                SolveResult::Sat => {
-                    let model = outcome.model.as_deref().expect("SAT probes carry a model");
-                    let violated = violated_indices_in(encoder, &compiled.softs, model);
-                    let cost = match within_bound(&compiled.softs, &violated, candidates[idx]) {
-                        Ok(cost) => cost,
-                        Err(outcome) => {
-                            exceeded = Some(outcome);
-                            break;
-                        }
-                    };
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best_violated = violated;
-                        best_model = Some(model.to_vec());
-                        progressed = true;
-                    }
-                }
-                SolveResult::Unsat => {
-                    if idx + 1 > lo {
-                        lo = idx + 1;
-                        progressed = true;
-                    }
-                }
-                SolveResult::Unknown => {}
-            }
-        }
-        // A wholly inconclusive round cannot happen without a conflict
-        // budget; if it somehow does, stop racing rather than spin.
-        pooled_ok = progressed;
-    }
-    encoder.absorb_parallel(&pool.finish(), rounds);
-    if let Some(outcome) = exceeded {
-        return outcome;
-    }
-    if !pooled_ok {
-        // Safety net: discharge the remaining proof obligation on the
-        // session solver so the returned bound is still a proven optimum.
-        let best = (best_cost, best_violated);
-        match bisect(encoder, compiled, objective, context, lo, best) {
-            Ok(best) => (best_cost, best_violated) = best,
-            Err(outcome) => return outcome,
-        }
-    }
-    objective.harden(encoder, gate, best_cost);
-    if !pooled_ok {
-        let restored = encoder.solve_with(context);
-        debug_assert_eq!(restored, SolveResult::Sat);
-    } else if let Some(model) = best_model {
-        debug_assert_eq!(
-            model_cost_in(encoder, &compiled.softs, &model),
-            best_cost,
-            "retained witness must achieve the optimum"
-        );
-        encoder.install_model_override(model);
-    }
-    MaxSatOutcome::Optimal {
-        cost: best_cost,
-        violated: best_violated,
-    }
-}
-
 /// Reports which soft constraints the current model violates.
 fn violated_indices(encoder: &Encoder, soft: &[Soft]) -> Vec<usize> {
     soft.iter()
@@ -493,26 +340,6 @@ fn violated_indices(encoder: &Encoder, soft: &[Soft]) -> Vec<usize> {
         .filter(|(_, s)| !encoder.eval_under_model(&s.formula))
         .map(|(i, _)| i)
         .collect()
-}
-
-/// [`violated_indices`] against a raw worker model instead of the session
-/// model (unmapped atoms count as false, matching projected semantics).
-fn violated_indices_in(encoder: &Encoder, soft: &[Soft], model: &[Option<bool>]) -> Vec<usize> {
-    soft.iter()
-        .enumerate()
-        .filter(|(_, s)| {
-            !s.formula
-                .eval(&|a| encoder.atom_value_in(a, model).unwrap_or(false))
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
-
-fn model_cost_in(encoder: &Encoder, soft: &[Soft], model: &[Option<bool>]) -> u64 {
-    violated_indices_in(encoder, soft, model)
-        .into_iter()
-        .map(|i| soft[i].weight)
-        .sum()
 }
 
 /// Minimizes the total weight of violated soft constraints in one shot,

@@ -15,13 +15,11 @@
 //! - model enumeration (optionally projected onto a variable subset),
 //! - DRAT proof logging ([`proof`]) with an independent counter-based
 //!   RUP/DRAT checker ([`checker`]) so UNSAT verdicts are certifiable,
-//! - parallel solving on a probe pool ([`probes`]): persistent diversified
-//!   workers racing rounds of assumption probes under first-winner-cancels,
 //! - root-level garbage collection of clauses satisfied by retired
 //!   activation literals ([`Solver::simplify`]).
 //!
-//! [`SolverConfig`] holds only the knobs the probe pool varies to
-//! diversify its seats; every other search parameter is fixed.
+//! [`SolverConfig`] holds only the restart base, which tests lower to
+//! cross more restart boundaries; every other search parameter is fixed.
 //!
 //! ```
 //! use netarch_sat::{Solver, SolveResult};
@@ -43,14 +41,12 @@ mod clause;
 pub mod enumerate;
 mod heap;
 mod lit;
-pub mod probes;
 pub mod proof;
 mod solver;
 mod stats;
 
 pub use checker::{check_refutation, check_refutation_under_assumptions, CheckError, Checker};
 pub use lit::{LBool, Lit, Var};
-pub use probes::{lit_value_in, ProbeOutcome, ProbePool, ProbePoolConfig};
 pub use proof::{DratProof, ProofSink, ProofStep};
 pub use solver::{SolveResult, Solver, SolverConfig};
 pub use stats::Stats;

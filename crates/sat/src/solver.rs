@@ -43,6 +43,8 @@ struct Watcher {
     blocker: Lit,
 }
 
+/// Multiplicative VSIDS decay applied after each conflict.
+const VAR_DECAY: f64 = 0.95;
 /// Activity decay for learnt clauses, applied after each conflict.
 const CLAUSE_DECAY: f64 = 0.999;
 /// Initial cap on learnt clauses, as a fraction of problem clauses.
@@ -50,37 +52,17 @@ const LEARNT_SIZE_FACTOR: f64 = 1.0 / 3.0;
 /// Growth of the learnt-clause cap at each reduction.
 const LEARNT_SIZE_INC: f64 = 1.1;
 
-/// The search knobs a probe seat may vary (see `probes`); the defaults are
-/// the session solver's and match common CDCL practice.
+/// The solver's one tunable search parameter; the default matches common
+/// CDCL practice.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
-    /// Multiplicative VSIDS decay applied after each conflict.
-    pub var_decay: f64,
     /// Conflicts before the first restart (scaled by the Luby sequence).
     pub restart_base: u64,
-    /// Initial saved phase for fresh variables (probe-seat diversification:
-    /// a seat that starts "all true" explores the opposite corner of the
-    /// search space from the default "all false" seat).
-    pub default_polarity: bool,
-    /// Probability that a decision picks a seeded-random variable and
-    /// polarity instead of the VSIDS maximum (0.0 disables; probe seats
-    /// use small values for tie-breaking diversification).
-    pub random_decision_freq: f64,
-    /// Seed for the decision RNG. All randomness in the solver flows from
-    /// this value — there is no ambient entropy — so equal configs replay
-    /// identical searches.
-    pub random_seed: u64,
 }
 
 impl Default for SolverConfig {
     fn default() -> SolverConfig {
-        SolverConfig {
-            var_decay: 0.95,
-            restart_base: 100,
-            default_polarity: false,
-            random_decision_freq: 0.0,
-            random_seed: 0,
-        }
+        SolverConfig { restart_base: 100 }
     }
 }
 
@@ -137,8 +119,6 @@ pub struct Solver {
     /// True when the most recent solve returned early because the
     /// interrupt flag was observed.
     last_interrupted: bool,
-    /// xorshift64* state for seeded decision randomness.
-    rng_state: u64,
     stats: Stats,
 }
 
@@ -163,12 +143,6 @@ impl Solver {
 
     /// Creates a solver with explicit configuration.
     pub fn with_config(config: SolverConfig) -> Solver {
-        // Mix the seed so state is never zero (xorshift's fixed point).
-        let rng_state = config
-            .random_seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0x2545_F491_4F6C_DD1D)
-            | 1;
         Solver {
             config,
             db: ClauseDb::new(),
@@ -193,7 +167,6 @@ impl Solver {
             proof: None,
             interrupt: None,
             last_interrupted: false,
-            rng_state,
             stats: Stats::default(),
         }
     }
@@ -285,7 +258,7 @@ impl Solver {
         self.level.push(0);
         self.reason.push(ClauseRef::INVALID);
         self.activity.push(0.0);
-        self.polarity.push(self.config.default_polarity);
+        self.polarity.push(false);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -800,7 +773,7 @@ impl Solver {
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
+        self.var_inc /= VAR_DECAY;
         self.clause_inc /= CLAUSE_DECAY;
     }
 
@@ -822,49 +795,7 @@ impl Solver {
         self.qhead = bound.min(self.qhead);
     }
 
-    /// xorshift64*: the only source of randomness in the solver, fully
-    /// determined by `SolverConfig::random_seed`.
-    #[inline]
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Occasionally picks a seeded-random unassigned variable (and random
-    /// polarity) instead of the VSIDS maximum. The skipped heap entries are
-    /// harmless: `backtrack_to` re-inserts unassigned variables, and
-    /// `VarHeap::insert` is idempotent.
-    fn pick_random_decision(&mut self) -> Option<Lit> {
-        let n = self.num_vars();
-        if n == 0 {
-            return None;
-        }
-        let r = self.next_rand();
-        let start = (r % n as u64) as usize;
-        let sign = (r >> 32) & 1 == 1;
-        for off in 0..n {
-            let v = Var::from_index((start + off) % n);
-            if self.assigns[v.index()] == LBool::Undef {
-                return Some(Lit::new(v, sign));
-            }
-        }
-        None
-    }
-
     fn pick_decision(&mut self) -> Option<Lit> {
-        if self.config.random_decision_freq > 0.0 {
-            let r = self.next_rand() as f64 / u64::MAX as f64;
-            if r < self.config.random_decision_freq {
-                if let Some(lit) = self.pick_random_decision() {
-                    self.stats.random_decisions += 1;
-                    return Some(lit);
-                }
-            }
-        }
         while let Some(v) = self.order.pop_max(&self.activity) {
             if self.assigns[v.index()] == LBool::Undef {
                 return Some(Lit::new(v, self.polarity[v.index()]));

@@ -32,8 +32,6 @@ pub struct Stats {
     pub garbage_collected_clauses: u64,
     /// Solves that ended early because the interrupt flag was observed.
     pub interrupts: u64,
-    /// Decisions taken by the seeded random policy instead of VSIDS.
-    pub random_decisions: u64,
     /// Always 0: the solver does no subsumption. Kept because per-layer
     /// benchmark reports still read it.
     pub subsumed: u64,
@@ -46,9 +44,8 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Adds every counter from `other` into `self`. Parallel solves use
-    /// this to fold probe-seat statistics into one session total, so
-    /// counters never silently vanish with the throwaway workers.
+    /// Adds every counter from `other` into `self`, for totals summed over
+    /// several solvers (a benchmark's per-layer counts, for one).
     pub fn absorb(&mut self, other: &Stats) {
         self.solves += other.solves;
         self.decisions += other.decisions;
@@ -63,7 +60,6 @@ impl Stats {
         self.retired_activations += other.retired_activations;
         self.garbage_collected_clauses += other.garbage_collected_clauses;
         self.interrupts += other.interrupts;
-        self.random_decisions += other.random_decisions;
         self.subsumed += other.subsumed;
         self.eliminated_vars += other.eliminated_vars;
         self.vivified += other.vivified;
@@ -76,7 +72,7 @@ impl fmt::Display for Stats {
             f,
             "solves={} decisions={} propagations={} conflicts={} restarts={} \
              learnt={} deleted={} minimized_lits={} retired={} gc={} \
-             interrupts={} random_decisions={}",
+             interrupts={}",
             self.solves,
             self.decisions,
             self.propagations,
@@ -88,7 +84,6 @@ impl fmt::Display for Stats {
             self.retired_activations,
             self.garbage_collected_clauses,
             self.interrupts,
-            self.random_decisions,
         )
     }
 }

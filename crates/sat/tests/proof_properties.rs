@@ -115,10 +115,7 @@ fn restart_every_conflict_also_produces_checkable_proofs() {
     prop::check(&Config::with_cases(128), gen_formula, |f| {
         let (num_vars, raw) = normalize(f);
         let clauses = to_lits(&raw);
-        let config = SolverConfig {
-            restart_base: 1,
-            ..SolverConfig::default()
-        };
+        let config = SolverConfig { restart_base: 1 };
         let mut s = recording_solver(num_vars, &clauses, config);
         if s.solve() == SolveResult::Unsat {
             let proof = s.recorded_proof().expect("recording was enabled");

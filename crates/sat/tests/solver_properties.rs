@@ -102,10 +102,7 @@ fn restart_every_conflict_agrees_with_brute_force() {
     // can cross.
     prop::check(&Config::with_cases(256), gen_formula, |f| {
         let (num_vars, clauses) = normalize(f);
-        let config = SolverConfig {
-            restart_base: 1,
-            ..SolverConfig::default()
-        };
+        let config = SolverConfig { restart_base: 1 };
         let mut s = build_solver(num_vars, &clauses, config);
         let got = s.solve();
         prop_assert_eq!(got == SolveResult::Sat, brute_force_sat(num_vars, &clauses));
@@ -126,13 +123,7 @@ fn unsat_core_is_unsat_subset() {
             let assumptions: Vec<Lit> = (0..num_vars)
                 .map(|v| Lit::new(Var::from_index(v), (assumption_bits >> v) & 1 == 1))
                 .collect();
-            for config in [
-                SolverConfig::default(),
-                SolverConfig {
-                    restart_base: 1,
-                    ..SolverConfig::default()
-                },
-            ] {
+            for config in [SolverConfig::default(), SolverConfig { restart_base: 1 }] {
                 let mut s = build_solver(num_vars, &clauses, config);
                 if s.solve_with(&assumptions) == SolveResult::Unsat {
                     let core = s.unsat_core().to_vec();
@@ -500,7 +491,7 @@ fn simplify_detects_root_contradiction() {
 }
 
 // ---------------------------------------------------------------------
-// Cooperative interruption (the probe pool's cancellation signal)
+// Cooperative interruption (the flag a caller raises to cancel a solve)
 // ---------------------------------------------------------------------
 
 #[test]

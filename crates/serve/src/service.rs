@@ -14,9 +14,8 @@
 //! by full fingerprint and share nothing, so co-locating a catalog's
 //! near-variants would buy no reuse and would pile a one-catalog tape
 //! onto one shard. With caching off, requests round-robin by id. Neither
-//! mode consults runtime state, so the shard assignment — and with the
-//! sequential backend, every answer and counter — is a pure function of
-//! the request tape. The differential and determinism suites hold the
+//! mode consults runtime state, so the shard assignment, every answer
+//! and every counter are a pure function of the request tape. The differential and determinism suites hold the
 //! service to exactly that.
 //!
 //! **Eviction is logical-clock LRU.** Each worker stamps cache entries
@@ -29,7 +28,6 @@ use std::time::Instant;
 
 use netarch_core::fingerprint::{fingerprint_scenario, ScenarioFingerprint};
 use netarch_core::prelude::*;
-use netarch_logic::SolveBackend;
 
 use crate::request::{run_query, Request, Response};
 
@@ -44,8 +42,10 @@ pub struct ServiceConfig {
     /// compiles a throwaway engine (the baseline the cache is measured
     /// against) and routing degrades to round-robin.
     pub cache: bool,
-    /// Solve backend for every engine the service compiles.
-    pub backend: SolveBackend,
+    /// Ignored: every engine solves on its own session solver. Kept only
+    /// because the benchmark harness under `archbench/` still sets it;
+    /// ROADMAP item 1a deletes it.
+    pub backend: netarch_logic::SolveBackend,
 }
 
 impl Default for ServiceConfig {
@@ -54,7 +54,7 @@ impl Default for ServiceConfig {
             shards: 2,
             sessions_per_shard: 4,
             cache: true,
-            backend: netarch_logic::backend_from_env(),
+            backend: Default::default(),
         }
     }
 }
@@ -71,8 +71,7 @@ impl ServiceConfig {
 /// Per-shard counters, returned when the shard's thread joins.
 ///
 /// Contains no timing: everything here must be bit-identical across
-/// reruns of the same tape (under a deterministic backend), and wall
-/// time never is. Latency lives on individual [`Response`]s.
+/// reruns of the same tape, and wall time never is. Latency lives on individual [`Response`]s.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Requests this shard served.
@@ -272,7 +271,7 @@ fn shard_worker(
             None => {
                 stats.cache_misses += 1;
                 stats.compiles += 1;
-                match Engine::with_backend(request.scenario, config.backend.clone()) {
+                match Engine::new(request.scenario) {
                     Ok(mut engine) => {
                         let answer = run_query(&mut engine, &request.query);
                         if config.cache {

@@ -1,16 +1,14 @@
-//! Run-to-run reproducibility of the service (mirrors the probe pool's
-//! deterministic-mode checks one layer up).
+//! Run-to-run reproducibility of the service.
 //!
-//! With a sequential backend, the whole pipeline — tape generation,
-//! routing, cache hits, eviction, answers, shard counters, the summary
-//! JSON — is a pure function of `(spec, pool, config)`. Two runs must
-//! agree on every bit except wall-clock timing: response `micros` and
-//! the summary's timing-derived fields (which [`strip_timing`] removes).
+//! The whole pipeline — tape generation, routing, cache hits, eviction,
+//! answers, shard counters, the summary JSON — is a pure function of
+//! `(spec, pool, config)`. Two runs must agree on every bit except
+//! wall-clock timing: response `micros` and the summary's timing-derived
+//! fields (which [`strip_timing`] removes).
 //! Any wall-clock, address, or map-iteration-order leak into routing or
 //! eviction shows up here as a diff.
 
 use netarch_core::prelude::*;
-use netarch_logic::SolveBackend;
 use netarch_rt::json::to_string_pretty;
 use netarch_serve::report::{strip_timing, summary};
 use netarch_serve::{generate_tape, ReplaySpec, Service, ServiceConfig};
@@ -72,7 +70,7 @@ fn run_once(seed: u64) -> (Vec<(u64, usize, bool, String)>, String) {
         shards: 2,
         sessions_per_shard: 2, // small enough to force evictions
         cache: true,
-        backend: SolveBackend::Sequential,
+        ..ServiceConfig::default()
     };
     let started = std::time::Instant::now();
     let (responses, stats) = Service::run(config, tape);
@@ -122,7 +120,7 @@ fn shard_stats_are_reproducible() {
         shards: 4,
         sessions_per_shard: 1,
         cache: true,
-        backend: SolveBackend::Sequential,
+        ..ServiceConfig::default()
     };
     let (_, stats_a) = Service::run(config.clone(), generate_tape(&spec, &pool()));
     let (_, stats_b) = Service::run(config, generate_tape(&spec, &pool()));
@@ -148,7 +146,7 @@ fn single_catalog_tape_reaches_every_shard() {
             shards,
             sessions_per_shard: 2,
             cache: true,
-            backend: SolveBackend::Sequential,
+            ..ServiceConfig::default()
         };
         let (_, stats) = Service::run(config, generate_tape(&spec, &pool()));
         let served: Vec<u64> = stats.shards.iter().map(|s| s.requests).collect();

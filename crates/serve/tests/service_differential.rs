@@ -14,7 +14,6 @@ use std::collections::HashMap;
 
 use netarch_core::fingerprint::fingerprint_scenario;
 use netarch_core::prelude::*;
-use netarch_logic::SolveBackend;
 use netarch_rt::prop::{self, Config};
 use netarch_rt::{impl_shrink_struct, prop_assert, prop_assert_eq, Rng};
 use netarch_serve::request::run_query;
@@ -159,11 +158,9 @@ fn build_tape(seed: &Seed) -> Vec<Request> {
 /// Fresh-engine oracle: one throwaway sequential engine per request.
 fn oracle_answers(tape: &[Request]) -> Vec<Result<netarch_serve::Answer, String>> {
     tape.iter()
-        .map(|request| {
-            match Engine::with_backend(request.scenario.clone(), SolveBackend::Sequential) {
-                Ok(mut engine) => run_query(&mut engine, &request.query),
-                Err(e) => Err(e.to_string()),
-            }
+        .map(|request| match Engine::new(request.scenario.clone()) {
+            Ok(mut engine) => run_query(&mut engine, &request.query),
+            Err(e) => Err(e.to_string()),
         })
         .collect()
 }
@@ -177,7 +174,7 @@ fn service_matches_oracle(seed: &Seed) -> Result<(), String> {
                 shards,
                 sessions_per_shard: 2,
                 cache,
-                backend: SolveBackend::Sequential,
+                ..ServiceConfig::default()
             };
             let (responses, stats) = Service::run(config, tape.clone());
             prop_assert_eq!(
@@ -276,7 +273,7 @@ fn repeat_heavy_tape_hits_warm_sessions_and_agrees() {
         shards: 2,
         sessions_per_shard: 4,
         cache: true,
-        backend: SolveBackend::Sequential,
+        ..ServiceConfig::default()
     };
     let (responses, stats) = Service::run(config, tape.clone());
     for (response, expected) in responses.iter().zip(&oracle) {

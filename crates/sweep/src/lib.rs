@@ -13,14 +13,14 @@
 //!
 //! 1. enumerate the admissible pick-vectors *exhaustively* (the universe
 //!    is bounded, so the model set — not just its cardinality — is
-//!    independent of solver timing, thread count, and enumeration order),
+//!    independent of the solver's search order),
 //! 2. sort them canonically (lexicographic pick indices),
 //! 3. shuffle with the sweep's seed through the repo's own xoshiro PRNG,
 //! 4. truncate to the sweep's `limit`.
 //!
 //! Identical inputs therefore produce a bit-identical variant stream on
-//! any machine and any `NETARCH_THREADS` setting; the stream digest in
-//! [`SweepStream::digest`] makes that contract checkable in CI.
+//! any machine; the stream digest in [`SweepStream::digest`] makes that
+//! contract checkable in CI.
 //!
 //! Each variant fans out three ways downstream: a differential test case
 //! ([`diff`] runs every query kind on a warm session vs a fresh-engine

@@ -34,11 +34,12 @@ echo "== rustdoc =="
 # a deleted item cannot land.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-echo "== rustfmt (netarch-corpus, netarch-logic, netarch-core) =="
-# The corpus, logic and core crates are held to rustfmt's default style;
-# the rest of the workspace is not formatted yet.
+echo "== rustfmt (netarch-corpus, netarch-logic, netarch-core, netarch-sat, netarch-serve) =="
+# These crates are held to rustfmt's default style; the rest of the
+# workspace is not formatted yet.
 if cargo fmt --version >/dev/null 2>&1; then
-    cargo fmt -p netarch-corpus -p netarch-logic -p netarch-core --check
+    cargo fmt -p netarch-corpus -p netarch-logic -p netarch-core -p netarch-sat -p netarch-serve \
+        --check
 elif [ "${CI:-0}" = "1" ]; then
     echo "error: CI=1 but cargo fmt is not installed" >&2
     exit 1
@@ -122,7 +123,7 @@ NETARCH_BENCH_DIR="$bench_tmp" \
 echo "== bench trajectory files =="
 # The committed BENCH_*.json perf summaries must parse and name their
 # experiment (full checks live in tests/bench_trajectory.rs, run above).
-for f in BENCH_scaling.json BENCH_incremental.json BENCH_portfolio.json BENCH_parse.json BENCH_serve.json BENCH_parallel_queries.json BENCH_sweep.json; do
+for f in BENCH_scaling.json BENCH_incremental.json BENCH_parse.json BENCH_serve.json BENCH_sweep.json; do
     [ -s "$f" ] || { echo "error: missing trajectory file $f" >&2; exit 1; }
 done
 
@@ -137,45 +138,11 @@ echo "== incremental-session smoke =="
 NETARCH_BENCH_DIR="$bench_tmp" \
     cargo run --release --offline -q -p netarch-bench --bin exp_incremental
 
-echo "== session suite on probe seats (2 threads) =="
-# The adversarial-ordering session suite builds its engines from the
-# environment, so NETARCH_THREADS=2 puts it on a 2-seat portfolio backend:
-# optimize's racing descent runs on probe seats, interleaved with check,
-# enumerate and subset queries on the same session. Racing arbitration
-# first, then deterministic. Answers must match fresh engines.
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-core --test interleaved_queries
-NETARCH_THREADS=2 NETARCH_DETERMINISTIC=1 cargo test -q --offline -p netarch-core \
-    --test interleaved_queries
-
-echo "== portfolio smoke =="
-# Reduced corpus: zero verdict disagreements and a ≥1.0× median speedup
-# for a 4-seat broadcast round vs 1 seat (the full bound of ≥1.5× is
-# asserted by the un-flagged run, which CI skips for time).
-NETARCH_BENCH_DIR="$bench_tmp" \
-    cargo run --release --offline -q -p netarch-bench --bin exp_portfolio -- --smoke
-
 echo "== session suite (certified) =="
 # The session-engine suite with every solve proof-checked end-to-end
 # (NETARCH_VERIFY_PROOFS=1): SAT models re-evaluated, UNSAT verdicts and
-# cores replayed through the DRAT checker. Proof mode keeps every verdict
-# on the certified session solver whatever NETARCH_THREADS says, so a
-# 2-thread rerun here would repeat this run exactly.
+# cores replayed through the DRAT checker.
 NETARCH_VERIFY_PROOFS=1 cargo test -q --offline -p netarch-core --test interleaved_queries
-
-echo "== parallel descent smoke =="
-# Toy shapes through the racing MaxSAT descent with the full
-# parallel-vs-sequential oracle; persists BENCH_parallel_queries.json to
-# the temp dir for the regression gate below. Smoke gates correctness
-# only — the ≥1.3× descent speedup claim lives in the committed full run.
-NETARCH_BENCH_DIR="$bench_tmp" \
-    cargo run --release --offline -q -p netarch-bench --bin exp_parallel_queries -- --smoke
-
-echo "== serving suite (2 threads) =="
-# The sharded service under the portfolio backend: every shard count ×
-# cache mode must match fresh single-use engines, and seeded runs must
-# reproduce bit-identically modulo timing.
-NETARCH_THREADS=2 cargo test -q --offline -p netarch-serve \
-    --test service_differential --test service_determinism
 
 echo "== serving smoke =="
 # Reduced pool + tape through the sharded service with the full
@@ -201,18 +168,11 @@ if [ "$sweep_got" != "$sweep_golden" ]; then
     echo "  got:      $sweep_got" >&2
     exit 1
 fi
-# The same stream must be reproduced bit-identically under different
-# thread counts: the manifest digest covers every variant in order.
-sweep_mt="$(NETARCH_THREADS=2 cargo run --release --offline -q --bin netarch -- sweep examples/sweep.narch --smoke)"
-if [ "$sweep_mt" != "$sweep_golden" ]; then
-    echo "error: sweep manifest depends on NETARCH_THREADS" >&2
-    exit 1
-fi
 
 echo "== sweep differential smoke =="
-# Reduced sweep universe through the full fan-out: thread-count
-# invariance of the stream plus the warm-session-vs-fresh-oracle
-# differential over every query kind and ordering; persists
+# Reduced sweep universe through the full fan-out: the
+# warm-session-vs-fresh-oracle differential over every query kind and
+# ordering; persists
 # BENCH_sweep.json to the temp dir for the regression gate below.
 NETARCH_BENCH_DIR="$bench_tmp" \
     cargo run --release --offline -q -p netarch-bench --bin exp_sweep -- --smoke
@@ -225,19 +185,18 @@ NETARCH_BENCH_CANDIDATE="$bench_tmp" \
     cargo test -q --offline --test bench_regression
 
 echo "== seeded-RNG policy =="
-# Solver, probe pool, and their tests must not read wall clock or ambient
-# entropy: determinism of the deterministic mode (and of every test) rests
-# on all randomness flowing from explicit seeds. grep exits 0 on a match,
-# 1 on none, and 2 on an error such as a missing file — a stale list must
-# fail loudly, not pass because some other listed file was read.
+# The solver and its tests must not read wall clock or ambient entropy:
+# the determinism of every answer and test rests on all randomness
+# flowing from explicit seeds. grep exits 0 on a match, 1 on none, and 2
+# on an error such as a missing file — a stale list must fail loudly, not
+# pass because some other listed file was read.
 rng_status=0
 grep -nE 'thread_rng|from_entropy|rand::random|SystemTime::now|Instant::now' \
-    crates/sat/src/solver.rs crates/sat/src/probes.rs crates/sat/src/enumerate.rs \
-    crates/sat/tests/solver_properties.rs crates/sat/tests/parallel_probes.rs \
-    crates/logic/tests/parallel_descent.rs crates/core/tests/portfolio_engine.rs \
+    crates/sat/src/solver.rs crates/sat/src/enumerate.rs \
+    crates/sat/tests/solver_properties.rs \
     || rng_status=$?
 if [ "$rng_status" -eq 0 ]; then
-    echo "error: wall-clock or ambient-entropy source in solver/probe-pool code" >&2
+    echo "error: wall-clock or ambient-entropy source in solver code" >&2
     exit 1
 elif [ "$rng_status" -ne 1 ]; then
     echo "error: seeded-RNG policy grep failed (status $rng_status)" >&2

@@ -238,13 +238,17 @@ pub fn run(args: &[&str]) -> Result<String, Failure> {
         ["serve-replay", rest @ ..] if !rest.is_empty() => serve_replay(rest, json),
         ["sweep", rest @ ..] if !rest.is_empty() => sweep_cmd(rest, json),
         ["compare", paths @ .., a, b, dim] if !paths.is_empty() => {
-            let engine = load_engine(paths)?;
-            let dimension = parse_dimension(dim, &engine.scenario().catalog)?;
-            let verdict = engine.compare(
-                &SystemId::new(*a),
-                &SystemId::new(*b),
-                &dimension,
-            );
+            // Answered from the catalog's order in the scenario's context,
+            // as `Engine::compare` does, without compiling the scenario.
+            let doc = load_doc(paths)?;
+            let scenario = doc.require_scenario().map_err(|e| e.to_string())?;
+            let dimension = parse_dimension(dim, &scenario.catalog)?;
+            let (a, b) = (SystemId::new(*a), SystemId::new(*b));
+            let known = |id: &&SystemId| scenario.catalog.system(id).is_some();
+            if let Some(unknown) = [&a, &b].into_iter().find(|id| !known(id)) {
+                return Err(format!("unknown system {unknown}").into());
+            }
+            let verdict = scenario.catalog.order().compare(&a, &b, &dimension, scenario);
             Ok(format!("{a} vs {b} on {dimension}: {verdict:?}"))
         }
         [] => Err(usage("no command given")),
@@ -479,7 +483,7 @@ fn serve_replay(args: &[&str], json: bool) -> Result<String, Failure> {
         shards,
         sessions_per_shard: sessions,
         cache,
-        backend: netarch::logic::backend_from_env(),
+        ..ServiceConfig::default()
     };
     let started = std::time::Instant::now();
     let (responses, stats) = Service::run(config, tape.clone());

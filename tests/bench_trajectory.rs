@@ -16,7 +16,7 @@ fn load(area: &str) -> Json {
 
 #[test]
 fn every_trajectory_file_names_its_experiment() {
-    for area in ["scaling", "incremental", "portfolio", "parse", "serve"] {
+    for area in ["scaling", "incremental", "parse", "serve", "sweep"] {
         let v = load(area);
         assert_eq!(
             v.get("experiment").and_then(Json::as_str),
@@ -24,16 +24,6 @@ fn every_trajectory_file_names_its_experiment() {
             "BENCH_{area}.json must carry experiment = {area:?}"
         );
     }
-}
-
-#[test]
-fn portfolio_trajectory_comes_from_a_full_run() {
-    let v = load("portfolio");
-    assert_eq!(
-        v.get("smoke").and_then(Json::as_bool),
-        Some(false),
-        "only full (non --smoke) portfolio runs may update the trajectory"
-    );
 }
 
 #[test]

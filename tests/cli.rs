@@ -80,6 +80,10 @@ fn compare_answers_listing_2_orderings() {
     let (ok, _, stderr) = netarch(&["compare", &p, "SIMON", "PINGMESH", "monitoring"]);
     assert!(!ok);
     assert!(stderr.contains("unknown dimension \"monitoring\""), "{stderr}");
+    // A system is equal to itself.
+    let (ok, stdout, _) = netarch(&["compare", &p, "SIMON", "SIMON", "monitoring_quality"]);
+    assert!(ok);
+    assert_eq!(stdout.trim(), "SIMON vs SIMON on monitoring-quality: Equal");
     let (ok, stdout, _) = netarch(&["compare", &p, "SHENANGO", "DEMIKERNEL", "isolation"]);
     std::fs::remove_file(&path).ok();
     assert!(ok);
@@ -248,6 +252,35 @@ fn repeated_candidate_corpus(test: &str) -> (Vec<String>, std::path::PathBuf) {
     std::fs::write(&path, edited).unwrap();
     files.push(path.to_str().unwrap().to_string());
     (files, path)
+}
+
+/// `compare` reads only the catalog's order in the scenario's context, so
+/// a scenario error elsewhere, which `check` rejects, does not block it.
+#[test]
+fn compare_answers_without_compiling_the_scenario() {
+    let (files, path) = repeated_candidate_corpus("compare_repeated");
+    let mut args: Vec<&str> = vec!["compare"];
+    args.extend(files.iter().map(String::as_str));
+    args.extend(["SIMON", "PINGMESH", "monitoring_quality"]);
+    let (ok, stdout, stderr) = netarch(&args);
+    std::fs::remove_file(&path).ok();
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout.trim(), "SIMON vs PINGMESH on monitoring-quality: Better");
+}
+
+/// A system the catalog lacks is named, not compared as `Incomparable`.
+#[test]
+fn compare_names_a_system_the_catalog_lacks() {
+    let path = demo_scenario_path("compare_unknown");
+    let p = path.to_str().unwrap().to_string();
+    let (ok, stdout, stderr) = netarch(&["compare", &p, "SIMON", "GHOST", "monitoring_quality"]);
+    let (first_ok, _, first_stderr) =
+        netarch(&["compare", &p, "GHOST", "SIMON", "monitoring_quality"]);
+    std::fs::remove_file(&path).ok();
+    assert!(!ok, "{stdout}");
+    assert_eq!(stderr, "error: unknown system GHOST\n");
+    assert!(!first_ok);
+    assert_eq!(first_stderr, "error: unknown system GHOST\n");
 }
 
 /// A model listed twice in an inventory slot is an input error that names
