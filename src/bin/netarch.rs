@@ -244,9 +244,10 @@ pub fn run(args: &[&str]) -> Result<String, Failure> {
             let scenario = doc.require_scenario().map_err(|e| e.to_string())?;
             let dimension = parse_dimension(dim, &scenario.catalog)?;
             let (a, b) = (SystemId::new(*a), SystemId::new(*b));
-            let known = |id: &&SystemId| scenario.catalog.system(id).is_some();
-            if let Some(unknown) = [&a, &b].into_iter().find(|id| !known(id)) {
-                return Err(format!("unknown system {unknown}").into());
+            for id in [&a, &b] {
+                if scenario.catalog.system(id).is_none() {
+                    return Err(format!("unknown system {id}").into());
+                }
             }
             let verdict = scenario.catalog.order().compare(&a, &b, &dimension, scenario);
             Ok(format!("{a} vs {b} on {dimension}: {verdict:?}"))
